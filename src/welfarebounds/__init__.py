@@ -25,6 +25,7 @@ from .errors import (
     InfeasibleConstraint,
     InvalidGrid,
     InvalidLevel,
+    InvalidQuery,
     InvalidSample,
     InvalidTheta,
     NegativePriceChange,
@@ -45,6 +46,7 @@ from .welfare import (
     WelfareBounds,
     WelfareQuery,
     bounds_box,
+    bounds_box_batch,
     kl_div,
     max_constrained,
     welfare_loss,
@@ -66,6 +68,7 @@ __all__ = [
     "Interval",
     "InvalidGrid",
     "InvalidLevel",
+    "InvalidQuery",
     "InvalidSample",
     "InvalidTheta",
     "LsFit",
@@ -88,6 +91,7 @@ __all__ = [
     "XiReport",
     "bonferroni_share",
     "bounds_box",
+    "bounds_box_batch",
     "critical_value",
     "cs_combined",
     "cs_xi",

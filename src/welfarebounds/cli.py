@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -30,6 +31,7 @@ from .errors import (
     ConfigError,
     DataError,
     EmptyConfidenceSet,
+    InvalidQuery,
     NumericalError,
     ParseError,
     SchemaError,
@@ -42,7 +44,8 @@ from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
     WelfareQuery,
-    bounds_box,
+    bounds_box,  # noqa: F401  (unused here; perfbench/spans.py wraps it under this name)
+    bounds_box_batch,
     max_constrained,
 )
 
@@ -305,12 +308,26 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     return out
 
 
+def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> float:
+    """A delta (finite, >= 0) or ystar (finite, > 0) cell of a query file."""
+    value = _cell_float(cell, lineno, col)
+    if kind == "delta":
+        ok, need = value >= 0, "finite and nonnegative"
+    else:
+        ok, need = value > 0, "finite and positive"
+    if not (ok and math.isfinite(value)):
+        raise InvalidQuery(f"{path}: row {lineno}: {kind} in column {col!r} is {cell!r}; it must be {need}")
+    return value
+
+
 def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """Per-individual (delta, ystar) rows, in long or wide layout.
 
     Long: columns id, good_id, delta, ystar with one row per (individual,
     good).  Wide: columns id then K (delta, ystar) pairs in the good order
-    of the data/intervals file.
+    of the data/intervals file.  A negative or non-finite delta, or a
+    nonpositive or non-finite ystar, raises InvalidQuery naming the file and
+    row.
     """
     rows = _read_rows(path)
     if not rows:
@@ -330,8 +347,8 @@ def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray
             if gid not in good_ids:
                 raise DataError(f"row {lineno}: unknown good_id {gid!r}")
             per.setdefault(ind, {})[gid] = (
-                _cell_float(cells[idx["delta"]], lineno, "delta"),
-                _cell_float(cells[idx["ystar"]], lineno, "ystar"),
+                _query_value(path, cells[idx["delta"]], lineno, "delta", "delta"),
+                _query_value(path, cells[idx["ystar"]], lineno, "ystar", "ystar"),
             )
         out = []
         for ind, entries in per.items():
@@ -348,8 +365,14 @@ def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray
         )
     out = []
     for lineno, cells in rows[1:]:
+        if len(cells) != len(names):
+            raise ParseError(
+                f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}",
+                row=lineno,
+            )
         values = [
-            _cell_float(cell, lineno, names[j + 1]) for j, cell in enumerate(cells[1:])
+            _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
+            for j, cell in enumerate(cells[1:])
         ]
         delta = np.array(values[0::2])
         ystar = np.array(values[1::2])
@@ -494,19 +517,25 @@ def cmd_welfare(cfg: RunConfig) -> int:
     cfg.validate()
     good_ids, box = _box_from_config(cfg)
     queries = read_query_csv(_require(cfg.query, "--query"), good_ids)
-    box_usable = not any(iv.empty for iv in box)
-    results = []
-    for ind, delta, ystar in queries:
-        if not box_usable:
-            results.append([ind, None, None, None, "EMPTY"])
-            continue
-        query = WelfareQuery(delta=delta, y_star=ystar, alpha=cfg.alpha)
+    if any(iv.empty for iv in box):
+        results = [[ind, None, None, None, "EMPTY"] for ind, _, _ in queries]
+    else:
         constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
         if cfg.sum_to is None:
-            wb = bounds_box(constraints, query)
+            shape = (len(queries), len(good_ids))
+            wl_min, wl_max = bounds_box_batch(
+                constraints,
+                np.reshape([delta for _, delta, _ in queries], shape),
+                np.reshape([ystar for _, _, ystar in queries], shape),
+            )
+            bounds = zip(wl_min.tolist(), wl_max.tolist())
         else:
-            wb = max_constrained(constraints, query)
-        results.append([ind, wb.wl_min, wb.wl_max, wb.level, "OK"])
+            bounds = []
+            for _, delta, ystar in queries:
+                wb = max_constrained(constraints, WelfareQuery(delta, ystar, cfg.alpha))
+                bounds.append((wb.wl_min, wb.wl_max))
+        level = constraints.joint_level()
+        results = [[ind, lo, hi, level, "OK"] for (ind, _, _), (lo, hi) in zip(queries, bounds)]
     results.sort(key=lambda r: (r[4] != "OK", r[2] if r[2] is not None else 0.0))
     rows = [[rank + 1] + r for rank, r in enumerate(results)]
     out_path = f"{cfg.out}_welfare.csv"

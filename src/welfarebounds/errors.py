@@ -51,6 +51,10 @@ class ParseError(DataError):
         self.col = col
 
 
+class InvalidQuery(DataError):
+    """A query row has a negative or non-finite delta, or a nonpositive or non-finite ystar."""
+
+
 class TooFewObservations(DataError):
     """A good has fewer usable rows than the estimators need."""
 

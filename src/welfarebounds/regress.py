@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import (
     InvalidLevel,
@@ -159,7 +159,7 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
         )
     theta = 1.0 / fit.beta_hat
     se_theta = fit.se_beta / fit.beta_hat**2
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     lower = max(0.0, theta - z * se_theta)
     upper = theta + z * se_theta
     return Interval(lower=lower, upper=upper, level=level, source="LS")

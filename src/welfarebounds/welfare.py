@@ -5,10 +5,16 @@ delta is sum_k theta_k * log(1 + delta_k * ystar_k / theta_k).  The function
 is strictly increasing and strictly concave in each theta_k wherever
 delta_k * ystar_k > 0, which drives both solvers here:
 
-  * over a plain box the extremes sit at the corners (bounds_box);
-  * with an added sum(theta) = s constraint the maximum solves the separable
-    stationarity condition by nested bisection, and the minimum sits at a
-    vertex of the feasible polytope, enumerated exactly for K <= 20.
+  * over a plain box the extremes sit at the corners (bounds_box for one
+    individual, bounds_box_batch for many at once);
+  * with an added sum(theta) = s constraint the maximum has a closed form.
+    The marginal log1p(c/theta) - c/(c+theta) depends on theta/c alone, so
+    every coordinate with c > 0 is clip(g * c_k, lo_k, hi_k) for one common
+    ratio g, read off the piecewise-linear sum(theta(g)) between two of its
+    sorted breakpoints;
+  * the minimum of the concave objective over the same slice is found by
+    Falk-Soland branch-and-bound (Falk & Soland 1969, Management Science
+    15:550), exact to a relative 1e-12 at any number of goods.
 
 The kl_div reformulation (-sum kl_div(theta, theta + c) + sum c equals the
 loss) is kept as an identity for cross-checking, not as a solver dependency.
@@ -16,6 +22,8 @@ loss) is kept as an identity for cross-checking, not as a solver dependency.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -32,12 +40,23 @@ from .errors import (
 # Lower edge of the admissible theta space; also the default grid floor.
 POSITIVITY_FLOOR = 1e-6
 
-# Feasible sets with more goods than this get the multi-start minimum search
-# instead of exact vertex enumeration.
-_VERTEX_ENUM_MAX_K = 20
+# Below this (far under the positivity floor) a loss term takes its analytic
+# limit theta * log(1 + c/theta) -> 0 instead of risking c/theta overflow.
+_THETA_TINY = 1e-12
 
-_LAMBDA_TOL = 1e-10
-_KKT_TOL = 1e-8
+# Branch-and-bound stops once no open node's lower bound lies more than this
+# relative distance below the best value found.
+_BNB_RTOL = 1e-12
+
+
+def _check_query_arrays(delta: np.ndarray, y_star: np.ndarray) -> None:
+    if not np.all(np.isfinite(delta)) or np.any(delta < 0):
+        raise NegativePriceChange(
+            "price changes must be finite and nonnegative; "
+            "price drops are outside the model's domain"
+        )
+    if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
+        raise ValueError("reference consumption must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -53,13 +72,7 @@ class WelfareQuery:
         y_star = np.asarray(self.y_star, dtype=float)
         if delta.ndim != 1 or y_star.ndim != 1 or delta.shape != y_star.shape:
             raise ValueError("delta and y_star must be 1-d arrays of equal length")
-        if not np.all(np.isfinite(delta)) or np.any(delta < 0):
-            raise NegativePriceChange(
-                "price changes must be finite and nonnegative; "
-                "price drops are outside the model's domain"
-            )
-        if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
-            raise ValueError("reference consumption must be finite and positive")
+        _check_query_arrays(delta, y_star)
         if not 0.0 < self.alpha < 1.0:
             raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         object.__setattr__(self, "delta", delta)
@@ -121,9 +134,9 @@ class WelfareBounds:
     gamma is the auxiliary vector argmax_theta + delta * ystar from the
     convex-programming reformulation; kkt_residual reports the stationarity
     and feasibility gap of the constrained maximizer (0.0 for box-only
-    bounds, which are exact).  min_certified is False only when the minimum
-    came from the multi-start search used beyond the vertex-enumeration
-    size limit.
+    bounds, which are exact).  Both extremes are exact, so min_certified is
+    always True; the field is kept for compatibility with callers that read
+    it.
     """
 
     wl_min: float
@@ -135,10 +148,20 @@ class WelfareBounds:
     min_certified: bool = True
 
 
+def _loss_terms(theta, c) -> np.ndarray:
+    """Terms theta * log1p(c/theta), broadcast over theta and c.
+
+    A term is exactly 0 where c is 0, and where theta is below _THETA_TINY.
+    """
+    live = (c > 0) & (theta >= _THETA_TINY)
+    t = np.where(live, theta, 1.0)
+    return np.where(live, t * np.log1p(c / t), 0.0)
+
+
 def welfare_loss(theta, query: WelfareQuery) -> float:
     """Loss sum_k theta_k * log(1 + delta_k * ystar_k / theta_k).
 
-    Goods with zero price change contribute exactly 0 and are skipped.
+    Goods with zero price change contribute exactly 0.
     Raises InvalidTheta unless every theta_k is finite and positive.
     """
     theta = np.asarray(theta, dtype=float)
@@ -148,20 +171,7 @@ def welfare_loss(theta, query: WelfareQuery) -> float:
         )
     if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
         raise InvalidTheta("theta entries must be finite and positive")
-    c = query.spend_change
-    active = c > 0
-    if not np.any(active):
-        return 0.0
-    t = theta[active]
-    ca = c[active]
-    # Below 1e-12 (far under the positivity floor) use the analytic limit
-    # theta * log(1 + c/theta) -> 0 instead of risking c/theta overflow.
-    tiny = t < 1e-12
-    if np.any(tiny):
-        safe = np.where(tiny, 1.0, t)
-        terms = np.where(tiny, 0.0, t * np.log1p(ca / safe))
-        return float(terms.sum())
-    return float(np.sum(t * np.log1p(ca / t)))
+    return float(_loss_terms(theta, query.spend_change).sum())
 
 
 def kl_div(x1, x2) -> np.ndarray:
@@ -171,41 +181,50 @@ def kl_div(x1, x2) -> np.ndarray:
     return x1 * np.log(x1 / x2) - x1 + x2
 
 
-def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
-    """Loss extremes over a box: monotonicity puts them at the corners."""
+def _box_corners(constraints: ConstraintSet, K: int) -> tuple[np.ndarray, np.ndarray]:
     if constraints.sum_to is not None:
         raise ValueError("constraint set has a sum target; use max_constrained")
     lowers, uppers = constraints.bounds()
-    if constraints.K != query.K:
-        raise InvalidTheta(
-            f"box has {constraints.K} goods, query has {query.K}"
-        )
-    wl_min = welfare_loss(lowers, query)
-    wl_max = welfare_loss(uppers, query)
+    if constraints.K != K:
+        raise InvalidTheta(f"box has {constraints.K} goods, query has {K}")
+    return lowers, uppers
+
+
+def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
+    """Loss extremes over a box: monotonicity puts them at the corners."""
+    lowers, uppers = _box_corners(constraints, query.K)
     return WelfareBounds(
-        wl_min=wl_min,
-        wl_max=wl_max,
+        wl_min=welfare_loss(lowers, query),
+        wl_max=welfare_loss(uppers, query),
         level=constraints.joint_level(),
         argmax_theta=uppers,
         gamma=uppers + query.spend_change,
     )
 
 
+def bounds_box_batch(
+    constraints: ConstraintSet, delta, y_star
+) -> tuple[np.ndarray, np.ndarray]:
+    """Box loss extremes (wl_min, wl_max) for N individuals in one pass.
+
+    delta and y_star are N x K arrays, one individual per row.  Row i equals
+    bounds_box on (delta[i], y_star[i]) bit for bit: both sum the same loss
+    terms at the floored lower and the upper corner of the box.  The joint
+    level is constraints.joint_level().
+    """
+    delta = np.asarray(delta, dtype=float)
+    y_star = np.asarray(y_star, dtype=float)
+    if delta.ndim != 2 or delta.shape != y_star.shape:
+        raise ValueError("delta and y_star must be 2-d arrays of equal shape")
+    _check_query_arrays(delta, y_star)
+    lowers, uppers = _box_corners(constraints, delta.shape[1])
+    spend = delta * y_star
+    return _loss_terms(lowers, spend).sum(axis=1), _loss_terms(uppers, spend).sum(axis=1)
+
+
 def _marginal(theta, c):
     """d/dtheta of theta*log(1 + c/theta); strictly decreasing in theta for c > 0."""
     return np.log1p(c / theta) - c / (c + theta)
-
-
-def _theta_at(lam: float, c, lo, hi, iters: int = 90) -> np.ndarray:
-    """Per-coordinate argmax of term_k(theta) - lam*theta over [lo, hi], c > 0."""
-    a = lo.astype(float).copy()
-    b = hi.astype(float).copy()
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        go_right = _marginal(m, c) > lam
-        a = np.where(go_right, m, a)
-        b = np.where(go_right, b, m)
-    return 0.5 * (a + b)
 
 
 def _waterfill(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
@@ -233,146 +252,110 @@ def _kkt_residual(theta, lam, c, lo, hi, target) -> float:
     return max(resid, float(viol.max(initial=0.0)))
 
 
+def _common_ratio(c, lo, hi, budget: float) -> float:
+    """The g with sum(clip(g * c, lo, hi)) = budget, for c > 0 and sum(lo) <= budget <= sum(hi).
+
+    The sum is piecewise linear and nondecreasing in g, with breakpoints at
+    lo/c and hi/c: locate the segment that holds the budget by bisection over
+    the sorted breakpoints, then interpolate on it.
+    """
+    points = np.sort(np.concatenate((lo / c, hi / c)))
+
+    def total(g):
+        return float(np.clip(g * c, lo, hi).sum())
+
+    i = bisect.bisect_right(points, budget, key=total) - 1
+    if i < 0:
+        return float(points[0])
+    if i == points.shape[0] - 1:
+        return float(points[-1])
+    left, right = float(points[i]), float(points[i + 1])
+    s_left = total(left)
+    return left + (budget - s_left) * (right - left) / (total(right) - s_left)
+
+
 def _solve_max(c, lo, hi, target):
-    """Maximize the separable loss subject to the box and sum(theta) = target."""
+    """Maximizer of the loss on the box with sum(theta) = target, and its multiplier.
+
+    Goods with c > 0 share one ratio theta_k / c_k wherever they are inside
+    their bounds; goods with c = 0 add nothing and take what the others
+    leave of the target, filled front to back.
+    """
     active = c > 0
-    theta = lo.astype(float).copy()
     if not np.any(active):
         return _waterfill(lo, hi, target), 0.0
     free = ~active
     ca, loa, hia = c[active], lo[active], hi[active]
-    # Flat coordinates sit at their lower bounds unless the active ones are
-    # saturated; the active budget is whatever remains of the target.
-    budget = float(np.clip(target - lo[free].sum(), loa.sum(), hia.sum()))
-    a, b = 0.0, float(_marginal(loa, ca).max())
-    it = 0
-    while (b - a) > _LAMBDA_TOL and it < 200:
-        m = 0.5 * (a + b)
-        if float(_theta_at(m, ca, loa, hia).sum()) > budget:
-            a = m
-        else:
-            b = m
-        it += 1
-    lam = 0.5 * (a + b)
-    ta = _theta_at(lam, ca, loa, hia)
-    # Spread any residual over coordinates strictly inside their bounds.
-    gap = budget - float(ta.sum())
-    interior = (ta > loa + 1e-12) & (ta < hia - 1e-12)
-    n_int = int(interior.sum())
-    if gap != 0.0 and n_int:
-        ta = np.where(interior, np.clip(ta + gap / n_int, loa, hia), ta)
-    theta[active] = ta
+    rest = float(target - lo[free].sum())
+    g = _common_ratio(ca, loa, hia, float(np.clip(rest, loa.sum(), hia.sum())))
+    theta = lo.astype(float).copy()
+    theta[active] = np.clip(g * ca, loa, hia)
     if np.any(free):
-        theta[free] = _waterfill(lo[free], hi[free], target - float(ta.sum()))
+        theta[free] = _waterfill(lo[free], hi[free], target - float(theta[active].sum()))
+    # Once the active goods are all at their upper bounds, the free goods
+    # above their lower bounds set the multiplier: their marginal is 0.
+    lam = 0.0 if rest > hia.sum() else float(_marginal(g, 1.0))
     return theta, lam
 
 
-def _term_values(theta: np.ndarray, c) -> np.ndarray:
-    """Loss terms theta*log1p(c/theta) elementwise; zero where c is zero."""
-    theta = np.asarray(theta, dtype=float)
-    c = np.broadcast_to(np.asarray(c, dtype=float), theta.shape)
-    out = np.zeros(theta.shape)
-    mask = c > 0
-    out[mask] = theta[mask] * np.log1p(c[mask] / theta[mask])
-    return out
+def _solve_min(c, lo, hi, target) -> np.ndarray:
+    """Global minimizer of the loss on the box with sum(theta) = target.
 
+    Falk-Soland branch-and-bound.  On a sub-box the secant of each concave
+    term is its convex envelope, so the relaxation is a continuous knapsack,
+    solved by filling the cheapest secant slopes first.  Its solution is
+    feasible (an upper bound) and its envelope value is a lower bound.
+    Nodes are taken lowest bound first and split on the coordinate whose
+    term lies furthest above its secant, at its relaxed value.
+    """
 
-def _vertex_min(c, lo, hi, target):
-    """Exact minimum by enumerating polytope vertices (one free coordinate)."""
-    K = lo.shape[0]
-    term_lo = _term_values(lo, c)
-    term_hi = _term_values(hi, c)
-    best_val = math.inf
-    best_theta = None
-    for j in range(K):
-        idx = np.delete(np.arange(K), j)
-        m = K - 1
-        base_sum = float(lo[idx].sum())
-        span = (hi - lo)[idx]
-        dterm = (term_hi - term_lo)[idx]
-        base_term = float(term_lo[idx].sum())
-        npat = 1 << m
-        for start in range(0, npat, 1 << 16):
-            stop = min(npat, start + (1 << 16))
-            codes = np.arange(start, stop, dtype=np.uint64)
-            bits = ((codes[:, None] >> np.arange(m, dtype=np.uint64)[None, :]) & 1).astype(float)
-            tj = target - base_sum - bits @ span
-            ok = (tj >= lo[j] - 1e-12) & (tj <= hi[j] + 1e-12)
-            if not ok.any():
-                continue
-            bits_ok = bits[ok]
-            tj_ok = np.clip(tj[ok], lo[j], hi[j])
-            obj = base_term + bits_ok @ dterm + _term_values(tj_ok, c[j])
-            i = int(np.argmin(obj))
-            if obj[i] < best_val:
-                best_val = float(obj[i])
-                theta = np.empty(K)
-                theta[idx] = np.where(bits_ok[i] == 1.0, hi[idx], lo[idx])
-                theta[j] = tj_ok[i]
-                best_theta = theta
-    if best_theta is None:
-        raise InfeasibleConstraint("no polytope vertex satisfies the sum constraint")
+    def relax(lo_n, hi_n):
+        f_lo = _loss_terms(lo_n, c)
+        width = hi_n - lo_n
+        slope = np.divide(
+            _loss_terms(hi_n, c) - f_lo, width, out=np.zeros_like(width), where=width > 0
+        )
+        order = np.argsort(slope, kind="stable")
+        room = width[order]
+        theta = lo_n.copy()
+        theta[order] += np.clip(target - lo_n.sum() - (np.cumsum(room) - room), 0.0, room)
+        envelope = f_lo + slope * (theta - lo_n)
+        return float(envelope.sum()), theta, envelope
+
+    best_val, best_theta = math.inf, None
+    bound, theta, envelope = relax(lo, hi)
+    heap = [(bound, 0, theta, envelope, lo, hi)]
+    tick = 0
+    while heap:
+        bound, _, theta, envelope, lo_n, hi_n = heapq.heappop(heap)
+        if bound >= best_val - _BNB_RTOL * abs(best_val):
+            break
+        terms = _loss_terms(theta, c)
+        value = float(terms.sum())
+        if value < best_val:
+            best_val, best_theta = value, theta
+        gap = terms - envelope
+        k = int(np.argmax(gap))
+        if gap[k] <= _BNB_RTOL * abs(best_val):
+            continue
+        cut_hi, cut_lo = hi_n.copy(), lo_n.copy()
+        cut_hi[k] = cut_lo[k] = theta[k]
+        for lo_c, hi_c in ((lo_n, cut_hi), (cut_lo, hi_n)):
+            bound, theta_c, envelope_c = relax(lo_c, hi_c)
+            if bound < best_val - _BNB_RTOL * abs(best_val):
+                tick += 1
+                heapq.heappush(heap, (bound, tick, theta_c, envelope_c, lo_c, hi_c))
     return best_theta
-
-
-def _exchange_min(c, lo, hi, target, starts: int = 8, sweeps: int = 200):
-    """Multi-start pairwise mass exchange; reaches a local vertex minimum."""
-    K = lo.shape[0]
-    rng = np.random.default_rng(0)
-    best_val = math.inf
-    best_theta = None
-    for _ in range(starts):
-        order = rng.permutation(K)
-        theta = np.empty(K)
-        theta[order] = _waterfill(lo[order], hi[order], target)
-        for _ in range(sweeps):
-            improved = False
-            for i in range(K):
-                for j in range(i + 1, K):
-                    # transfer d from j to i; concavity puts the pair minimum
-                    # at an endpoint of the feasible transfer range
-                    d_lo = max(lo[i] - theta[i], theta[j] - hi[j])
-                    d_hi = min(hi[i] - theta[i], theta[j] - lo[j])
-                    if d_hi - d_lo <= 1e-14:
-                        continue
-                    cur = _pair_value(theta[i], theta[j], c[i], c[j])
-                    best_d = None
-                    for d in (d_lo, d_hi):
-                        cand = _pair_value(theta[i] + d, theta[j] - d, c[i], c[j])
-                        if cand < cur - 1e-14:
-                            cur = cand
-                            best_d = d
-                    if best_d is not None:
-                        theta[i] += best_d
-                        theta[j] -= best_d
-                        improved = True
-            if not improved:
-                break
-        val = float(_term_values(theta, c).sum())
-        if val < best_val:
-            best_val = val
-            best_theta = theta.copy()
-    return best_theta
-
-
-def _pair_value(ti, tj, ci, cj):
-    v = 0.0
-    if ci > 0:
-        v += ti * math.log1p(ci / ti)
-    if cj > 0:
-        v += tj * math.log1p(cj / tj)
-    return v
 
 
 def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
     """Loss extremes under the box plus sum(theta) = sum_to.
 
-    The maximizer solves, coordinate by coordinate, the stationarity
-    condition log1p(c/theta) - c/(c+theta) = lambda (strictly decreasing in
-    theta) with an outer bisection on lambda to meet the sum; this is exact
-    for the concave separable objective.  The minimum is taken over polytope
-    vertices, enumerated exactly up to K = 20 goods and located by
-    multi-start exchange above that (flagged via min_certified).
+    Both extremes are exact.  The maximizer has a closed form: every
+    coordinate with delta_k * ystar_k > 0 is clip(g * c_k, lo_k, hi_k) for
+    the common ratio g that meets the sum, and kkt_residual reports its
+    stationarity and feasibility gap.  The minimum, which sits at a vertex
+    of the feasible polytope, comes from Falk-Soland branch-and-bound.
     """
     if constraints.sum_to is None:
         raise ValueError("constraint set has no sum target; use bounds_box")
@@ -389,21 +372,13 @@ def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareB
         )
     c = query.spend_change
     theta_max, lam = _solve_max(c, lowers, uppers, target)
-    kkt = _kkt_residual(theta_max, lam, c, lowers, uppers, target)
-    if constraints.K <= _VERTEX_ENUM_MAX_K:
-        theta_min = _vertex_min(c, lowers, uppers, target)
-        certified = True
-    else:
-        theta_min = _exchange_min(c, lowers, uppers, target)
-        certified = False
     wl_max = welfare_loss(theta_max, query)
-    wl_min = welfare_loss(theta_min, query)
+    wl_min = welfare_loss(_solve_min(c, lowers, uppers, target), query)
     return WelfareBounds(
         wl_min=min(wl_min, wl_max),
         wl_max=wl_max,
         level=constraints.joint_level(),
         argmax_theta=theta_max,
         gamma=theta_max + c,
-        kkt_residual=kkt,
-        min_certified=certified,
+        kkt_residual=_kkt_residual(theta_max, lam, c, lowers, uppers, target),
     )

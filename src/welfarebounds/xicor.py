@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import DegenerateResponse, InvalidLevel, InvalidSample
 
@@ -150,4 +150,4 @@ def critical_value(alpha: float) -> float:
     """Upper critical value for sqrt(n) * xi under independence."""
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return math.sqrt(NULL_VARIANCE) * float(norm.ppf(1.0 - alpha))
+    return math.sqrt(NULL_VARIANCE) * float(ndtri(1.0 - alpha))

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import welfarebounds
 
 from welfarebounds.cli import (
     RunConfig,
@@ -12,6 +17,7 @@ from welfarebounds.cli import (
 )
 from welfarebounds.errors import (
     ConfigError,
+    InvalidQuery,
     ParseError,
     SchemaError,
     TooFewObservations,
@@ -306,3 +312,50 @@ def test_query_reader_validates(tmp_path):
     wide = _write(tmp_path, "qw.csv", "id,d,y\nh1,0.5,0.2\n")
     with pytest.raises(SchemaError):
         read_query_csv(wide, ["a", "b"])  # needs 2K + 1 columns
+
+
+def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
+    intervals = _write(
+        tmp_path,
+        "iv.csv",
+        "good_id,method,lower,upper,level,status\n"
+        "a,intersect,0.2,0.4,0.95,OK\n"
+        "b,intersect,0.5,0.8,0.95,OK\n",
+    )
+    long_ok = "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n"
+    wide_ok = "id,delta_a,ystar_a,delta_b,ystar_b\nh1,0.5,0.2,0.2,0.8\n"
+    bad = [  # (query text, offending column kind, its line in the file)
+        (long_ok.replace("h1,b,0.2,0.8", "h1,b,0.2,0"), "ystar", 3),
+        (long_ok.replace("h1,a,0.5,0.2", "h1,a,-0.5,0.2"), "delta", 2),
+        (long_ok.replace("h1,b,0.2,0.8", "h1,b,nan,0.8"), "delta", 3),
+        (wide_ok.replace("0.2,0.8\n", "0.2,-1\n"), "ystar", 2),
+        (wide_ok.replace("0.2,0.8\n", "0.2,inf\n"), "ystar", 2),
+        (wide_ok.replace("h1,0.5,", "h1,-0.5,"), "delta", 2),
+    ]
+    for i, (text, kind, line) in enumerate(bad):
+        query = _write(tmp_path, f"q{i}.csv", text)
+        with pytest.raises(InvalidQuery) as err:
+            read_query_csv(query, ["a", "b"])
+        assert f"{query}: row {line}: {kind}" in str(err.value)
+        capsys.readouterr()
+        code = main(["welfare", "--intervals", intervals, "--query", query,
+                     "--out", str(tmp_path / "w")])
+        err_text = capsys.readouterr().err
+        assert code == 3
+        assert err_text.startswith("InvalidQuery:") and "Traceback" not in err_text
+
+
+def test_wide_query_row_with_missing_cell(tmp_path):
+    wide = _write(tmp_path, "qw.csv", "id,delta_a,ystar_a,delta_b,ystar_b\nh1,0.5,0.2,0.2\n")
+    with pytest.raises(ParseError) as err:
+        read_query_csv(wide, ["a", "b"])
+    assert "row 2" in str(err.value)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, welfarebounds.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from welfarebounds.welfare import (
     ConstraintSet,
     WelfareQuery,
     bounds_box,
+    bounds_box_batch,
     kl_div,
     max_constrained,
     welfare_loss,
@@ -192,6 +194,8 @@ def test_solver_matches_brute_force(K):
         wb = max_constrained(constraints, q)
         ref_max, ref_min = brute_force_max(q.spend_change, lo, hi, target)
         assert abs(wb.wl_max - ref_max) <= 1e-4
+        # the closed form is exact, so no grid point may beat it
+        assert wb.wl_max >= ref_max - 1e-12
         assert abs(wb.wl_min - ref_min) <= 1e-4
         assert wb.kkt_residual <= 1e-8
 
@@ -212,16 +216,134 @@ def test_dropping_sum_constraint_cannot_shrink_max():
         assert box_only.wl_max >= with_sum.wl_max - 1e-12
 
 
-def test_large_k_min_is_flagged_uncertified():
-    K = 25
-    rng = np.random.default_rng(4)
-    lo = rng.uniform(0.01, 0.02, K)
-    hi = lo + rng.uniform(0.05, 0.1, K)
-    q = WelfareQuery(rng.uniform(0.1, 1.0, K), rng.uniform(0.2, 1.2, K), 0.1)
+def _loss(theta, c):
+    """Row-wise loss of theta (..., K) for spend changes c, zero terms where c = 0."""
+    safe = np.where(c > 0, theta, 1.0)
+    return np.where(c > 0, theta * np.log1p(c / safe), 0.0).sum(axis=-1)
+
+
+def vertex_enumeration_min(c, lo, hi, target):
+    """Minimum over the vertices of the slice: all coordinates but one at a bound."""
+    K = lo.shape[0]
+    best = math.inf
+    for corner in itertools.product((0, 1), repeat=K):
+        pts = np.where(np.array(corner, dtype=bool), hi, lo)
+        for j in range(K):
+            tj = target - (pts.sum() - pts[j])
+            if lo[j] - 1e-12 <= tj <= hi[j] + 1e-12:
+                vertex = pts.copy()
+                vertex[j] = min(max(tj, lo[j]), hi[j])
+                best = min(best, float(_loss(vertex, c)))
+    return best
+
+
+def _sampled_slice(rng, lo, hi, target, count):
+    """Vertices of the slice (front-fill in random orders) and random mixes of them."""
+    K = lo.shape[0]
+    vertices = np.empty((count, K))
+    for i in range(count):
+        order = rng.permutation(K)
+        fill = np.clip(target - lo.sum() - (np.cumsum((hi - lo)[order]) - (hi - lo)[order]),
+                       0.0, (hi - lo)[order])
+        vertices[i] = lo
+        vertices[i, order] += fill
+    weights = rng.dirichlet(np.ones(count), size=count)
+    return vertices, weights @ vertices
+
+
+def test_branch_and_bound_matches_vertex_enumeration():
+    rng = np.random.default_rng(21)
+    for K in range(2, 13):
+        for _ in range(4):
+            constraints, q, lo, hi, target = _random_instance(rng, K)
+            delta = q.delta * (rng.random(K) > 0.2)  # some goods without a price change
+            q = WelfareQuery(delta, q.y_star, 0.1)
+            wb = max_constrained(constraints, q)
+            ref = vertex_enumeration_min(q.spend_change, lo, hi, target)
+            assert abs(wb.wl_min - ref) <= 1e-12 * max(1.0, ref)
+            assert wb.min_certified
+
+
+@pytest.mark.parametrize("K", [25, 100])
+def test_large_k_bounds_hold_at_sampled_points(K):
+    rng = np.random.default_rng(K)
+    for _ in range(3):
+        lo = rng.uniform(0.01, 0.3, K)
+        hi = lo + rng.uniform(0.05, 0.6, K)
+        target = float(lo.sum() + rng.uniform(0.25, 0.75) * (hi.sum() - lo.sum()))
+        q = WelfareQuery(rng.uniform(0.1, 1.0, K) * (rng.random(K) > 0.1),
+                         rng.uniform(0.2, 1.2, K), 0.1)
+        box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
+        wb = max_constrained(ConstraintSet(box, sum_to=target), q)
+        vertices, mixes = _sampled_slice(rng, lo, hi, target, 400)
+        c = q.spend_change
+        assert wb.wl_min <= _loss(vertices, c).min() * (1 + 1e-12)
+        assert wb.wl_max >= np.concatenate((_loss(vertices, c), _loss(mixes, c))).max() * (1 - 1e-12)
+        assert wb.kkt_residual <= 1e-10
+        assert wb.min_certified
+
+
+def _sum_bounds(lo, hi, delta, y_star, target):
     box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
-    wb = max_constrained(ConstraintSet(box, sum_to=float((lo.sum() + hi.sum()) / 2)), q)
-    assert not wb.min_certified
-    assert wb.wl_min <= wb.wl_max
+    q = WelfareQuery(np.asarray(delta, float), np.asarray(y_star, float), 0.1)
+    return max_constrained(ConstraintSet(box, sum_to=target), q), q
+
+
+def test_closed_form_max_edge_cases():
+    # K = 1: the sum pins theta
+    wb, q = _sum_bounds([0.2], [0.9], [0.5], [0.8], 0.6)
+    assert_allclose(wb.argmax_theta, [0.6], rtol=1e-15)
+    assert_allclose([wb.wl_min, wb.wl_max], welfare_loss(np.array([0.6]), q), rtol=1e-15)
+    # every c = 0: nothing to lose, any feasible split
+    wb, _ = _sum_bounds([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], [0, 0, 0], [1, 1, 1], 1.2)
+    assert wb.wl_max == wb.wl_min == 0.0 and wb.kkt_residual <= 1e-12
+    assert abs(wb.argmax_theta.sum() - 1.2) <= 1e-12
+    # budget at either end of the slice: the only feasible point is a corner
+    lo, hi = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.4, 0.9])
+    for target, corner in ((lo.sum(), lo), (hi.sum(), hi)):
+        wb, q = _sum_bounds(lo, hi, [0.5, 0.8, 0.2], [0.2, 0.6, 0.8], float(target))
+        assert_allclose(wb.argmax_theta, corner, rtol=0, atol=1e-15)
+        assert_allclose([wb.wl_min, wb.wl_max], welfare_loss(corner, q), rtol=1e-14)
+        assert wb.kkt_residual <= 1e-12
+    # repeated lo/c ratios (all 0.5): an interior optimum proportional to c
+    c = np.array([0.2, 0.4, 0.6])
+    wb, q = _sum_bounds(0.5 * c, 0.5 * c + 0.5, c, np.ones(3), 1.5)
+    assert_allclose(wb.argmax_theta, 1.5 * c / c.sum(), rtol=1e-14)
+    assert_allclose(wb.wl_max, 1.5 * math.log1p(c.sum() / 1.5), rtol=1e-14)
+    ref_max, ref_min = brute_force_max(c, 0.5 * c, 0.5 * c + 0.5, 1.5)
+    assert ref_max - 1e-12 <= wb.wl_max <= ref_max + 1e-4
+    assert abs(wb.wl_min - ref_min) <= 1e-4
+    # lo == hi after the floor: [1e-9, 1e-6] floors to the point 1e-6
+    box = (Interval(1e-9, POSITIVITY_FLOOR, 1.0, "BOX"), Interval(0.1, 0.8, 1.0, "BOX"),
+           Interval(0.2, 0.6, 1.0, "BOX"))
+    q = WelfareQuery(np.array([0.5, 0.8, 0.2]), np.array([0.2, 0.6, 0.8]), 0.1)
+    wb = max_constrained(ConstraintSet(box, sum_to=0.9), q)
+    assert wb.argmax_theta[0] == POSITIVITY_FLOOR
+    lo = np.array([POSITIVITY_FLOOR, 0.1, 0.2])
+    hi = np.array([POSITIVITY_FLOOR, 0.8, 0.6])
+    ref_max, ref_min = brute_force_max(q.spend_change, lo, hi, 0.9)
+    assert ref_max - 1e-12 <= wb.wl_max <= ref_max + 1e-4
+    assert abs(wb.wl_min - ref_min) <= 1e-4
+    assert wb.kkt_residual <= 1e-12
+
+
+def test_batched_box_equals_single_queries_bit_for_bit():
+    rng = np.random.default_rng(9)
+    N, K = 500, 10
+    lo = rng.uniform(0.0, 0.6, K)
+    lo[0] = 0.0  # floored to POSITIVITY_FLOOR
+    box = tuple(Interval(l, l + w, 0.99, "BOX") for l, w in zip(lo, rng.uniform(0.02, 0.4, K)))
+    delta = rng.uniform(0.0, 1.0, (N, K)) * (rng.random((N, K)) > 0.1)
+    y_star = rng.uniform(0.1, 2.0, (N, K))
+    constraints = ConstraintSet(box)
+    wl_min, wl_max = bounds_box_batch(constraints, delta, y_star)
+    single = [bounds_box(constraints, WelfareQuery(d, y, 0.1)) for d, y in zip(delta, y_star)]
+    assert wl_min.tolist() == [wb.wl_min for wb in single]
+    assert wl_max.tolist() == [wb.wl_max for wb in single]
+    with pytest.raises(NegativePriceChange):
+        bounds_box_batch(constraints, -delta, y_star)
+    with pytest.raises(InvalidTheta):
+        bounds_box_batch(constraints, delta[:, :3], y_star[:, :3])
 
 
 def test_monotonicity_and_concavity_by_finite_differences():
