@@ -3,9 +3,11 @@
 Commands: ci, welfare, simulate, mc, diagnose.  All randomness flows from a
 single --seed flag (mandatory for simulate/mc).  Exit codes: 0 success,
 2 config error, 3 data error, 4 numerical error; empty confidence sets
-produce EMPTY rows instead of failures.  Output files are plain CSV with one
-leading '#' comment line naming units and levels; given the same config and
-seed they are byte-identical across runs.
+produce EMPTY rows instead of failures, and a data or numerical error in one
+good becomes that good's FAILED:<ErrorName> row while the other goods are
+still written (the exit code is then that of the first failure).  Output
+files are plain CSV with one leading '#' comment line naming units and
+levels; given the same config and seed they are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .confset import (
     DEFAULT_GRID_HI,
     GridSpec,
     bonferroni_share,
+    child_seed,
     cs_combined,
     cs_xi,
     shape_diagnostic,
@@ -39,12 +42,11 @@ from .errors import (
     WelfareBoundsError,
 )
 from .regress import GoodSample, Interval
-from .simulate import DgpConfig, child_seed, draw_sample, mc_table1, mc_table2
+from .simulate import DgpConfig, draw_sample, mc_table1, mc_table2
 from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
     WelfareQuery,
-    bounds_box,  # noqa: F401  (unused here; perfbench/spans.py wraps it under this name)
     bounds_box_batch,
     max_constrained,
 )
@@ -212,6 +214,31 @@ def _cell_float(cell: str, lineno: int, col: str) -> float:
         ) from None
 
 
+def _check_columns(path: str, names: list[str], required) -> None:
+    for col in required:
+        if col not in names:
+            raise SchemaError(f"{path}: missing required column {col!r}")
+
+
+def _read_table(path: str, required=()) -> tuple[list[str], dict[str, int], list]:
+    """Lower-cased header names, their column index, and the data rows.
+
+    Every data row must have one cell per header name, else ParseError.
+    """
+    rows = _read_rows(path)
+    if not rows:
+        raise SchemaError(f"{path}: no header row found")
+    names = [h.lower() for h in rows[0][1]]
+    _check_columns(path, names, required)
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(names):
+            raise ParseError(
+                f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}",
+                row=lineno,
+            )
+    return names, {name: names.index(name) for name in names}, rows[1:]
+
+
 def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     """Group data rows by good_id into GoodSamples, preserving file order.
 
@@ -220,23 +247,10 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     appended to reject_log; a good left with fewer than 3 rows raises
     TooFewObservations.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: no header row found")
-    _, header = rows[0]
-    names = [h.lower() for h in header]
-    for required in ("good_id", "price", "quantity"):
-        if required not in names:
-            raise SchemaError(f"{path}: missing required column {required!r}")
-    idx = {name: names.index(name) for name in names}
+    names, idx, rows = _read_table(path, ("good_id", "price", "quantity"))
     has_z = "instrument" in names
     groups: dict[str, dict[str, list[float]]] = {}
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(names):
-            raise ParseError(
-                f"row {lineno}: expected {len(names)} cells, got {len(cells)}",
-                row=lineno,
-            )
+    for lineno, cells in rows:
         gid = cells[idx["good_id"]]
         if not gid:
             raise ParseError(f"row {lineno}: empty good_id", row=lineno, col="good_id")
@@ -273,18 +287,14 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
 
 
 def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
-    """Per-good intervals from a cmd_ci output file, optionally one method only."""
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: no header row found")
-    _, header = rows[0]
-    names = [h.lower() for h in header]
-    for required in ("good_id", "method", "lower", "upper", "level", "status"):
-        if required not in names:
-            raise SchemaError(f"{path}: missing required column {required!r}")
-    idx = {name: names.index(name) for name in names}
+    """Per-good intervals from a cmd_ci output file, optionally one method only.
+
+    EMPTY rows become empty intervals; FAILED:<ErrorName> rows become empty
+    intervals tagged with source FAILED.
+    """
+    _, idx, rows = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
     out: dict[str, Interval] = {}
-    for lineno, cells in rows[1:]:
+    for lineno, cells in rows:
         method = cells[idx["method"]]
         if mode is not None and method != mode:
             continue
@@ -294,15 +304,16 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
                 f"{path}: several rows for good {gid!r}; pass --mode to pick one method"
             )
         level = _cell_float(cells[idx["level"]], lineno, "level")
-        if cells[idx["status"]] == "EMPTY":
-            out[gid] = Interval.make_empty(level, method.upper())
-        else:
-            out[gid] = Interval(
-                lower=_cell_float(cells[idx["lower"]], lineno, "lower"),
-                upper=_cell_float(cells[idx["upper"]], lineno, "upper"),
-                level=level,
-                source=method.upper(),
-            )
+        status = cells[idx["status"]]
+        source = "FAILED" if status.startswith("FAILED:") else method.upper()
+        if status == "EMPTY" or source == "FAILED":
+            out[gid] = Interval.make_empty(level, source)
+            continue
+        lower = _cell_float(cells[idx["lower"]], lineno, "lower")
+        upper = _cell_float(cells[idx["upper"]], lineno, "upper")
+        if lower > upper:
+            raise ParseError(f"{path}: row {lineno}: lower {lower} exceeds upper {upper}", row=lineno)
+        out[gid] = Interval(lower, upper, level, source)
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
     return out
@@ -324,31 +335,31 @@ def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray
     """Per-individual (delta, ystar) rows, in long or wide layout.
 
     Long: columns id, good_id, delta, ystar with one row per (individual,
-    good).  Wide: columns id then K (delta, ystar) pairs in the good order
-    of the data/intervals file.  A negative or non-finite delta, or a
-    nonpositive or non-finite ystar, raises InvalidQuery naming the file and
-    row.
+    good); a repeated pair raises InvalidQuery naming both rows.  Wide:
+    columns id then K (delta, ystar) pairs in the good order of the
+    data/intervals file.  A negative or non-finite delta, or a nonpositive or
+    non-finite ystar, raises InvalidQuery naming the file and row.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: no header row found")
-    _, header = rows[0]
-    names = [h.lower() for h in header]
+    names, idx, rows = _read_table(path)
     K = len(good_ids)
     if "good_id" in names:
-        for required in ("id", "good_id", "delta", "ystar"):
-            if required not in names:
-                raise SchemaError(f"{path}: missing required column {required!r}")
-        idx = {name: names.index(name) for name in names}
-        per: dict[str, dict[str, tuple[float, float]]] = {}
-        for lineno, cells in rows[1:]:
+        _check_columns(path, names, ("id", "delta", "ystar"))
+        per: dict[str, dict[str, tuple[float, float, int]]] = {}
+        for lineno, cells in rows:
             ind = cells[idx["id"]]
             gid = cells[idx["good_id"]]
             if gid not in good_ids:
                 raise DataError(f"row {lineno}: unknown good_id {gid!r}")
-            per.setdefault(ind, {})[gid] = (
+            entries = per.setdefault(ind, {})
+            if gid in entries:
+                raise InvalidQuery(
+                    f"{path}: rows {entries[gid][2]} and {lineno}: individual {ind!r}"
+                    f" lists good {gid!r} twice"
+                )
+            entries[gid] = (
                 _query_value(path, cells[idx["delta"]], lineno, "delta", "delta"),
                 _query_value(path, cells[idx["ystar"]], lineno, "ystar", "ystar"),
+                lineno,
             )
         out = []
         for ind, entries in per.items():
@@ -364,12 +375,7 @@ def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray
             f"{path}: wide layout needs columns id plus {K} (delta, ystar) pairs"
         )
     out = []
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(names):
-            raise ParseError(
-                f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}",
-                row=lineno,
-            )
+    for lineno, cells in rows:
         values = [
             _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
             for j, cell in enumerate(cells[1:])
@@ -389,54 +395,68 @@ def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _apply_jitter(samples: list[GoodSample], cfg: RunConfig) -> list[GoodSample]:
-    if cfg.jitter <= 0:
-        return samples
-    if cfg.seed is None:
-        raise ConfigError("--jitter requires --seed for reproducible noise")
-    out = []
-    for i, s in enumerate(samples):
-        if s.instrument is None:
-            raise ConfigError("--jitter requires an instrument column")
-        z = smooth_instrument(s.instrument, cfg.jitter, child_seed(cfg.seed, _SEED_JITTER, i))
-        out.append(GoodSample(s.price, s.quantity, z, s.good_id))
-    return out
-
-
 def _require(value, flag: str):
     if value is None:
         raise ConfigError(f"{flag} is required for this command")
     return value
 
 
-def _report_rejects(reject_log: list) -> None:
+def _load_samples(cfg: RunConfig, flag: str = "--data") -> list[GoodSample]:
+    """Ingest the data file, smooth instruments if --jitter, report rejected rows."""
+    reject_log: list = []
+    samples = ingest_csv(_require(cfg.data, flag), reject_log)
+    if cfg.jitter > 0:
+        if cfg.seed is None:
+            raise ConfigError("--jitter requires --seed for reproducible noise")
+        if any(s.instrument is None for s in samples):
+            raise ConfigError("--jitter requires an instrument column")
+        samples = [
+            GoodSample(
+                s.price,
+                s.quantity,
+                smooth_instrument(s.instrument, cfg.jitter, child_seed(cfg.seed, _SEED_JITTER, i)),
+                s.good_id,
+            )
+            for i, s in enumerate(samples)
+        ]
     for lineno, reason in reject_log:
         print(f"rejected row {lineno}: {reason}", file=sys.stderr)
+    return samples
 
 
-def cmd_ci(cfg: RunConfig) -> int:
-    """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
-    cfg.validate()
-    reject_log: list = []
-    samples = _apply_jitter(ingest_csv(_require(cfg.data, "--data"), reject_log), cfg)
-    _report_rejects(reject_log)
-    if cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
-        raise SchemaError("column 'instrument' is required for TSLS")
-    K = len(samples)
-    share = bonferroni_share(cfg.alpha, K)
-    modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
+def _exit_code(exc: BaseException) -> int:
+    """The documented exit code for an error that ends a command or fails a good."""
+    if isinstance(exc, ConfigError):
+        return EXIT_CONFIG
+    if isinstance(exc, (DataError, OSError)):
+        return EXIT_DATA
+    if isinstance(exc, EmptyConfidenceSet):
+        return EXIT_OK
+    return EXIT_NUMERIC
+
+
+def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
+    """Each good's interval in each mode, at the Bonferroni share alpha/K.
+
+    Returns (rows, profiles, code).  rows are (good_id, mode, interval,
+    status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
+    data or numerical error hit that (good, mode), whose message goes to
+    stderr and whose interval is empty with source FAILED.  profiles maps a
+    good id to its grid profile.  code is the exit code of the first failure,
+    or EXIT_OK.
+    """
+    share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
     rows = []
-    profiles = {}
+    profiles: dict = {}
+    code = EXIT_OK
     for i, s in enumerate(samples):
         s_seed = child_seed(seed, _SEED_CS, i)
         for m in modes:
             try:
                 if m == "xi":
-                    iv, prof = cs_xi(
-                        s, share, GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes), s_seed
-                    )
-                    profiles[s.good_id] = prof
+                    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
+                    iv, profiles[s.good_id] = cs_xi(s, share, grid, s_seed)
                 else:
                     iv = cs_combined(
                         s,
@@ -449,19 +469,37 @@ def cmd_ci(cfg: RunConfig) -> int:
                         floor=cfg.floor,
                         ls_mode=cfg.ls_fit,
                     )
-                rows.append([s.good_id, m, iv.lower, iv.upper, iv.level, "OK"])
+                status = "OK"
             except EmptyConfidenceSet as exc:
                 if exc.profile is not None:
                     profiles[s.good_id] = exc.profile
                 level = exc.level if exc.level is not None else 1.0 - share
-                rows.append([s.good_id, m, None, None, level, "EMPTY"])
+                iv, status = Interval.make_empty(level, m.upper()), "EMPTY"
+            except (DataError, NumericalError) as exc:
+                name = type(exc).__name__
+                print(f"{name}: {exc}", file=sys.stderr)
+                iv, status = Interval.make_empty(1.0 - share, "FAILED"), f"FAILED:{name}"
+                if code == EXIT_OK:
+                    code = _exit_code(exc)
+            rows.append((s.good_id, m, iv, status))
+    return rows, profiles, code
+
+
+def cmd_ci(cfg: RunConfig) -> int:
+    """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
+    cfg.validate()
+    samples = _load_samples(cfg)
+    if cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
+        raise SchemaError("column 'instrument' is required for TSLS")
+    modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
+    rows, profiles, code = _good_intervals(samples, cfg, modes)
     out_path = f"{cfg.out}_intervals.csv"
     _write_csv(
         out_path,
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
         " 'level' is the per-good confidence level",
         ["good_id", "method", "lower", "upper", "level", "status"],
-        rows,
+        ([gid, m, iv.lower, iv.upper, iv.level, status] for gid, m, iv, status in rows),
     )
     print(f"wrote {out_path}")
     for gid, prof in profiles.items():
@@ -474,51 +512,32 @@ def cmd_ci(cfg: RunConfig) -> int:
             zip(prof.thetas, prof.stats),
         )
         print(f"wrote {prof_path}")
-    return EXIT_OK
+    return code
 
 
-def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval]]:
+def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval], int]:
+    """Good ids, the box, and the exit code of the first per-good failure."""
     if cfg.intervals is not None:
         mode = None if cfg.mode == "all" else cfg.mode
         box_map = read_intervals_csv(cfg.intervals, mode)
-        return list(box_map.keys()), list(box_map.values())
-    reject_log: list = []
-    samples = _apply_jitter(ingest_csv(_require(cfg.data, "--data or --intervals"), reject_log), cfg)
-    _report_rejects(reject_log)
+        return list(box_map.keys()), list(box_map.values()), EXIT_OK
+    samples = _load_samples(cfg, "--data or --intervals")
     if cfg.mode == "all":
         raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
-    K = len(samples)
-    share = bonferroni_share(cfg.alpha, K)
-    seed = cfg.seed if cfg.seed is not None else 0
-    box = []
-    for i, s in enumerate(samples):
-        try:
-            box.append(
-                cs_combined(
-                    s,
-                    share,
-                    grid_nodes=cfg.grid_nodes,
-                    mode=cfg.mode,
-                    rng_seed=child_seed(seed, _SEED_CS, i),
-                    grid_lo=cfg.grid_lo,
-                    grid_hi=cfg.grid_hi,
-                    floor=cfg.floor,
-                    ls_mode=cfg.ls_fit,
-                )
-            )
-        except EmptyConfidenceSet as exc:
-            level = exc.level if exc.level is not None else 1.0 - share
-            box.append(Interval.make_empty(level, "INTERSECT"))
-    return [s.good_id for s in samples], box
+    if cfg.mode != "xi" and cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
+        raise SchemaError("column 'instrument' is required for TSLS")
+    rows, _, code = _good_intervals(samples, cfg, (cfg.mode,))
+    return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
 
 
 def cmd_welfare(cfg: RunConfig) -> int:
     """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
     cfg.validate()
-    good_ids, box = _box_from_config(cfg)
+    good_ids, box, code = _box_from_config(cfg)
     queries = read_query_csv(_require(cfg.query, "--query"), good_ids)
     if any(iv.empty for iv in box):
-        results = [[ind, None, None, None, "EMPTY"] for ind, _, _ in queries]
+        status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
+        results = [[ind, None, None, None, status] for ind, _, _ in queries]
     else:
         constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
         if cfg.sum_to is None:
@@ -547,7 +566,7 @@ def cmd_welfare(cfg: RunConfig) -> int:
         rows,
     )
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return code
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -557,6 +576,8 @@ def _parse_theta(text: str) -> np.ndarray:
         raise ConfigError(f"bad --theta list {text!r}: {exc}") from exc
     if theta.size == 0:
         raise ConfigError("--theta must list at least one value")
+    if not np.all((theta > 0) & (theta <= 1)):
+        raise ConfigError(f"--theta entries must lie in (0, 1], got {text!r}")
     return theta
 
 
@@ -626,9 +647,7 @@ def cmd_mc(cfg: RunConfig) -> int:
 def cmd_diagnose(cfg: RunConfig) -> int:
     """Classify each good's confidence-set shape from its endpoint statistics."""
     cfg.validate()
-    reject_log: list = []
-    samples = _apply_jitter(ingest_csv(_require(cfg.data, "--data"), reject_log), cfg)
-    _report_rejects(reject_log)
+    samples = _load_samples(cfg)
     seed = cfg.seed if cfg.seed is not None else 0
     rows = []
     for i, s in enumerate(samples):
@@ -727,25 +746,11 @@ def main(argv=None) -> int:
                 continue
             setattr(cfg, key, value)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"OSError: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except EmptyConfidenceSet as exc:
-        # Empty sets are reported, not fatal; commands normally absorb them.
-        print(f"EmptyConfidenceSet: {exc}", file=sys.stderr)
-        return EXIT_OK
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except WelfareBoundsError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (WelfareBoundsError, OSError) as exc:
+        # Empty sets are reported, not fatal (exit 0); commands normally absorb them.
+        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"{name}: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

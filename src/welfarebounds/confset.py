@@ -97,9 +97,9 @@ class ShapeDiagnostic:
     case_id: str
 
 
-def _node_seed(rng_seed: int, index: int) -> int:
-    """Deterministic child seed for one grid node or diagnostic stat."""
-    ss = np.random.SeedSequence(entropy=rng_seed, spawn_key=(index,))
+def child_seed(seed: int, *path: int) -> int:
+    """Deterministic integer seed derived from a spawn path."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
     return int(ss.generate_state(1)[0])
 
 
@@ -139,7 +139,7 @@ def profile_stats(
         tied = np.any(sorted_first[:, 1:] == sorted_first[:, :-1], axis=1)
         for i in np.nonzero(tied)[0]:
             node = start + int(i)
-            rep = xi(PairedSample(fm[i], z), _node_seed(rng_seed, node))
+            rep = xi(PairedSample(fm[i], z), child_seed(rng_seed, node))
             vals[i] = rep.xi
         stats[start : start + chunk.shape[0]] = root * vals
     return stats
@@ -192,14 +192,13 @@ def intersect(a: Interval, b: Interval) -> Interval:
     return Interval(lower=lower, upper=upper, level=level, source="INTERSECT")
 
 
-def bonferroni_share(alpha: float, K: int, intersecting: bool = False) -> float:
-    """Error budget per good (alpha/K), halved again per set when intersecting."""
+def bonferroni_share(alpha: float, K: int) -> float:
+    """Error budget per good (alpha/K); cs_combined halves it again for an intersection."""
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {alpha}")
     if K < 1:
         raise ValueError(f"need at least one good, got K={K}")
-    share = alpha / K
-    return share / 2.0 if intersecting else share
+    return alpha / K
 
 
 def _resolve_ls_mode(sample: GoodSample, ls_mode: str) -> str:
@@ -288,8 +287,8 @@ def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDi
     """
     c = critical_value(alpha)
     z = _effective_instrument(sample)
-    s0 = xi(PairedSample(sample.price, z), _node_seed(rng_seed, 0)).normalized
-    s1 = xi(PairedSample(sample.quantity, z), _node_seed(rng_seed, 1)).normalized
+    s0 = xi(PairedSample(sample.price, z), child_seed(rng_seed, 0)).normalized
+    s1 = xi(PairedSample(sample.quantity, z), child_seed(rng_seed, 1)).normalized
     if s0 > c and s1 > c:
         case = CASE_BOUNDED
     elif s0 > c:

@@ -82,8 +82,9 @@ class LsFit:
 class Interval:
     """Closed interval with a confidence level and a provenance tag.
 
-    `source` is one of XI, LS, INTERSECT, BOX.  Empty intervals carry
-    NaN endpoints and `empty=True`.
+    `source` is one of XI, LS, INTERSECT, BOX, or FAILED (the CLI's empty
+    stand-in for a good whose interval could not be computed).  Empty
+    intervals carry NaN endpoints and `empty=True`.
     """
 
     lower: float

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confset import GridSpec, cs_xi
+from .confset import GridSpec, child_seed, cs_xi
 from .errors import EmptyConfidenceSet, InfeasibleConstraint
 from .regress import GoodSample, Interval
 from .welfare import (
@@ -24,9 +24,6 @@ from .welfare import (
     max_constrained,
     welfare_loss,
 )
-
-PRICE_LAW = "uniform(1,2)"
-SHOCK_LAW = "uniform(0,1)"
 
 # Spawn-path purpose codes.
 _DRAW = 0
@@ -47,12 +44,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def child_seed(seed: int, *path: int) -> int:
-    """Deterministic integer seed derived from a spawn path."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
-    return int(ss.generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class DgpConfig:
     """Random quasilinear demand generator.
@@ -68,8 +59,6 @@ class DgpConfig:
     n: int
     seed: int
     endogeneity: float | None = None
-    price_law: str = PRICE_LAW
-    shock_law: str = SHOCK_LAW
 
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -79,8 +68,6 @@ class DgpConfig:
             raise ValueError("theta entries must lie in (0, 1]")
         if self.n < 1:
             raise ValueError(f"need a positive sample size, got {self.n}")
-        if self.price_law != PRICE_LAW or self.shock_law != SHOCK_LAW:
-            raise ValueError("only uniform(1,2) prices and uniform(0,1) shocks are supported")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -185,6 +172,81 @@ class McReport:
         return "\n".join(lines)
 
 
+def _mean(values) -> float:
+    return sum(values) / len(values)
+
+
+def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare) -> McReport:
+    """Per-good interval summaries over `reps` draws at each sample size.
+
+    Good k of replication r inverts the rank statistic at level 1 - share
+    over a grid on [1e-6, 1] with seed (seed, _CS, r, k).  The replications
+    whose K intervals are all nonempty go, in order, to welfare(n, boxes),
+    which returns that n's welfare rows and skip counts.
+    """
+    K = theta.shape[0]
+    grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
+    report = McReport(reps, [], [], {}, {}, true_welfare_loss=true_wl)
+    for n in n_values:
+        cfg = DgpConfig(theta=theta, n=n, seed=seed)
+        sums = np.zeros((K, 4))
+        covers = np.zeros(K)
+        counts = np.zeros(K, dtype=int)
+        empties = np.zeros(K, dtype=int)
+        joint = 0
+        boxes = []
+        t_ci = 0.0
+        for r in range(reps):
+            samples = draw_sample(cfg, rep=r)
+            t0 = time.perf_counter()
+            ivs: list[Interval | None] = []
+            for k, s in enumerate(samples):
+                try:
+                    iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
+                except EmptyConfidenceSet:
+                    empties[k] += 1
+                    ivs.append(None)
+                    continue
+                ivs.append(iv)
+                sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
+                covers[k] += iv.contains(theta[k])
+                counts[k] += 1
+            t_ci += time.perf_counter() - t0
+            joint += all(
+                iv is not None and iv.contains(theta[k]) for k, iv in enumerate(ivs)
+            )
+            if all(iv is not None for iv in ivs):
+                boxes.append(tuple(ivs))
+        t0 = time.perf_counter()
+        rows, skipped = welfare(n, boxes)
+        report.timings[f"ci_n{n}"] = t_ci
+        report.timings[f"welfare_n{n}"] = time.perf_counter() - t0
+        for k in range(K):
+            c = max(counts[k], 1)
+            mean_len = sums[k, 2] / c
+            var_len = (sums[k, 3] - c * mean_len**2) / (c - 1) if c > 1 else 0.0
+            report.intervals.append(
+                IntervalSummary(
+                    n=n,
+                    good_id=f"good{k + 1}",
+                    theta_true=float(theta[k]),
+                    avg_lower=sums[k, 0] / c,
+                    avg_upper=sums[k, 1] / c,
+                    avg_length=mean_len,
+                    coverage=covers[k] / reps,
+                    n_empty=int(empties[k]),
+                    var_length=max(var_len, 0.0),
+                    n_used=int(counts[k]),
+                )
+            )
+        report.welfare += rows
+        report.joint_coverage[n] = joint / reps
+        report.skipped.update(skipped)
+        if empties.sum():
+            report.skipped[f"empty_sets_n{n}"] = int(empties.sum())
+    return report
+
+
 def mc_table1(
     reps: int,
     seed: int,
@@ -208,106 +270,30 @@ def mc_table1(
     query = WelfareQuery(
         delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR), alpha=TABLE1_ALPHA
     )
-    share = TABLE1_ALPHA / K
-    grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
     fixed_box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(K))
     wl_iv = bounds_box(ConstraintSet(fixed_box), query).wl_max
     wl_iii = max_constrained(ConstraintSet(fixed_box, sum_to=1.0), query).wl_max
     true_wl = welfare_loss(theta, query)
 
-    intervals: list[IntervalSummary] = []
-    welfare: list[WelfareSummary] = []
-    joint_coverage: dict[int, float] = {}
-    timings: dict[str, float] = {}
-    skipped: dict[str, int] = {}
-    for n in n_values:
-        cfg = DgpConfig(theta=theta, n=n, seed=seed)
-        sums = np.zeros((K, 4))
-        covers = np.zeros(K)
-        counts = np.zeros(K, dtype=int)
-        empties = np.zeros(K, dtype=int)
-        joint = 0
-        wl_sum = {"i": 0.0, "ii": 0.0}
-        wl_count = {"i": 0, "ii": 0}
-        ii_covers = 0
-        infeasible = 0
-        t_ci = 0.0
-        t_wl = 0.0
-        for r in range(reps):
-            samples = draw_sample(cfg, rep=r)
-            t0 = time.perf_counter()
-            ivs: list[Interval | None] = []
-            for k, s in enumerate(samples):
-                try:
-                    iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
-                except EmptyConfidenceSet:
-                    empties[k] += 1
-                    ivs.append(None)
-                    continue
-                ivs.append(iv)
-                sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
-                covers[k] += iv.contains(theta[k])
-                counts[k] += 1
-            t_ci += time.perf_counter() - t0
-            joint += all(
-                iv is not None and iv.contains(theta[k]) for k, iv in enumerate(ivs)
-            )
-            t0 = time.perf_counter()
-            if all(iv is not None for iv in ivs):
-                box = ConstraintSet(tuple(ivs))
-                wl_ii = bounds_box(box, query).wl_max
-                wl_sum["ii"] += wl_ii
-                wl_count["ii"] += 1
-                ii_covers += wl_ii >= true_wl
-                try:
-                    boxed = ConstraintSet(tuple(ivs), sum_to=1.0)
-                    wl_sum["i"] += max_constrained(boxed, query).wl_max
-                    wl_count["i"] += 1
-                except InfeasibleConstraint:
-                    infeasible += 1
-            t_wl += time.perf_counter() - t0
-        for k in range(K):
-            c = max(counts[k], 1)
-            mean_len = sums[k, 2] / c
-            var_len = (sums[k, 3] - c * mean_len**2) / (c - 1) if c > 1 else 0.0
-            intervals.append(
-                IntervalSummary(
-                    n=n,
-                    good_id=f"good{k + 1}",
-                    theta_true=float(theta[k]),
-                    avg_lower=sums[k, 0] / c,
-                    avg_upper=sums[k, 1] / c,
-                    avg_length=mean_len,
-                    coverage=covers[k] / reps,
-                    n_empty=int(empties[k]),
-                    var_length=max(var_len, 0.0),
-                    n_used=int(counts[k]),
-                )
-            )
-        for label in ("i", "ii"):
-            if wl_count[label]:
-                welfare.append(WelfareSummary(n, label, wl_sum[label] / wl_count[label]))
-        welfare.append(WelfareSummary(n, "iii", wl_iii))
-        welfare.append(WelfareSummary(n, "iv", wl_iv))
-        if wl_count["ii"]:
+    def welfare(n, boxes):
+        wl_ii = [bounds_box(ConstraintSet(box), query).wl_max for box in boxes]
+        wl_i = []
+        for box in boxes:
+            try:
+                wl_i.append(max_constrained(ConstraintSet(box, sum_to=1.0), query).wl_max)
+            except InfeasibleConstraint:
+                pass
+        rows = [WelfareSummary(n, "i", _mean(wl_i))] if wl_i else []
+        if wl_ii:
+            rows.append(WelfareSummary(n, "ii", _mean(wl_ii)))
+        rows += [WelfareSummary(n, "iii", wl_iii), WelfareSummary(n, "iv", wl_iv)]
+        if wl_ii:
             # share of replications whose interval-box maximum bounds the truth
-            welfare.append(WelfareSummary(n, "ii_covers_true", ii_covers / wl_count["ii"]))
-        joint_coverage[n] = joint / reps
-        timings[f"ci_n{n}"] = t_ci
-        timings[f"welfare_n{n}"] = t_wl
-        if infeasible:
-            skipped[f"infeasible_sum_n{n}"] = infeasible
-        if empties.sum():
-            skipped[f"empty_sets_n{n}"] = int(empties.sum())
-    return McReport(
-        reps=reps,
-        intervals=intervals,
-        welfare=welfare,
-        joint_coverage=joint_coverage,
-        timings=timings,
-        true_welfare_loss=true_wl,
-        skipped=skipped,
-    )
+            rows.append(WelfareSummary(n, "ii_covers_true", _mean([w >= true_wl for w in wl_ii])))
+        infeasible = len(boxes) - len(wl_i)
+        return rows, {f"infeasible_sum_n{n}": infeasible} if infeasible else {}
+
+    return _replicate(theta, reps, seed, n_values, grid_nodes, TABLE1_ALPHA / K, true_wl, welfare)
 
 
 def mc_table2(
@@ -335,83 +321,15 @@ def mc_table2(
         alpha=0.1,
     )
     true_wl = welfare_loss(theta, query)
-    share = 0.1 / K
-    grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
 
-    intervals: list[IntervalSummary] = []
-    welfare: list[WelfareSummary] = []
-    joint_coverage: dict[int, float] = {}
-    timings: dict[str, float] = {}
-    skipped: dict[str, int] = {}
-    for n in n_values:
-        cfg = DgpConfig(theta=theta, n=n, seed=seed)
-        sums = np.zeros((K, 4))
-        covers = np.zeros(K)
-        counts = np.zeros(K, dtype=int)
-        empties = np.zeros(K, dtype=int)
-        joint = 0
-        upper_sum = 0.0
-        lower_sum = 0.0
-        bracketed = 0
-        complete = 0
-        t_ci = 0.0
-        for r in range(reps):
-            samples = draw_sample(cfg, rep=r)
-            t0 = time.perf_counter()
-            ivs: list[Interval | None] = []
-            for k, s in enumerate(samples):
-                try:
-                    iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
-                except EmptyConfidenceSet:
-                    empties[k] += 1
-                    ivs.append(None)
-                    continue
-                ivs.append(iv)
-                sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
-                covers[k] += iv.contains(theta[k])
-                counts[k] += 1
-            t_ci += time.perf_counter() - t0
-            joint += all(
-                iv is not None and iv.contains(theta[k]) for k, iv in enumerate(ivs)
-            )
-            if all(iv is not None for iv in ivs):
-                bb = bounds_box(ConstraintSet(tuple(ivs)), query)
-                upper_sum += bb.wl_max
-                lower_sum += bb.wl_min
-                bracketed += bb.wl_min <= true_wl <= bb.wl_max
-                complete += 1
-        for k in range(K):
-            c = max(counts[k], 1)
-            mean_len = sums[k, 2] / c
-            var_len = (sums[k, 3] - c * mean_len**2) / (c - 1) if c > 1 else 0.0
-            intervals.append(
-                IntervalSummary(
-                    n=n,
-                    good_id=f"good{k + 1}",
-                    theta_true=float(theta[k]),
-                    avg_lower=sums[k, 0] / c,
-                    avg_upper=sums[k, 1] / c,
-                    avg_length=mean_len,
-                    coverage=covers[k] / reps,
-                    n_empty=int(empties[k]),
-                    var_length=max(var_len, 0.0),
-                    n_used=int(counts[k]),
-                )
-            )
-        if complete:
-            welfare.append(WelfareSummary(n, "upper", upper_sum / complete))
-            welfare.append(WelfareSummary(n, "lower", lower_sum / complete))
-            welfare.append(WelfareSummary(n, "bracketed", bracketed / complete))
-        joint_coverage[n] = joint / reps
-        timings[f"ci_n{n}"] = t_ci
-        if empties.sum():
-            skipped[f"empty_sets_n{n}"] = int(empties.sum())
-    return McReport(
-        reps=reps,
-        intervals=intervals,
-        welfare=welfare,
-        joint_coverage=joint_coverage,
-        timings=timings,
-        true_welfare_loss=true_wl,
-        skipped=skipped,
-    )
+    def welfare(n, boxes):
+        if not boxes:
+            return [], {}
+        bounds = [bounds_box(ConstraintSet(box), query) for box in boxes]
+        return [
+            WelfareSummary(n, "upper", _mean([b.wl_max for b in bounds])),
+            WelfareSummary(n, "lower", _mean([b.wl_min for b in bounds])),
+            WelfareSummary(n, "bracketed", _mean([b.wl_min <= true_wl <= b.wl_max for b in bounds])),
+        ], {}
+
+    return _replicate(theta, reps, seed, n_values, grid_nodes, 0.1 / K, true_wl, welfare)

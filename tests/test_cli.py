@@ -89,6 +89,17 @@ def test_tsls_without_instrument_is_schema_error(tmp_path, capsys):
     assert "instrument" in capsys.readouterr().err
 
 
+def test_welfare_from_data_tsls_without_instrument_is_schema_error(tmp_path, capsys):
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.5,0.2\n")
+    code = main(["welfare", "--data", data, "--mode", "ls", "--ls", "tsls",
+                 "--query", query, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("SchemaError:") and "instrument" in err
+    assert not list(tmp_path.glob("o_*.csv"))
+
+
 def test_round_trip_simulate_ci(tmp_path):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--seed", "42", "--theta", "0.2,0.5", "--n", "600",
@@ -148,6 +159,109 @@ def test_exit_codes(tmp_path):
         "good_id,price,quantity\na,1.0,1.0\na,1.5,2.0\na,2.0,4.0\na,2.5,8.0\n",
     )
     assert main(["ci", "--data", bad, "--mode", "ls", "--out", str(tmp_path / "x")]) == 4
+    assert main(["simulate", "--seed", "1", "--theta", "0.2,1.5", "--out", str(tmp_path / "s")]) == 2
+    assert main(["simulate", "--seed", "1", "--theta", "0,0.5", "--out", str(tmp_path / "s")]) == 2
+
+
+def _three_goods_one_constant_price(tmp_path):
+    rng = np.random.default_rng(1)
+    lines = ["good_id,price,quantity,instrument"]
+    for gid, theta in (("g01", 0.3), ("g02", 0.5), ("g03", 0.7)):
+        z = rng.uniform(1.0, 2.0, 300)
+        w = rng.uniform(0.0, 1.0, 300)
+        p = np.full(300, 1.5) if gid == "g02" else z
+        q = theta / (p - w)
+        lines += [f"{gid},{float(p[i])!r},{float(q[i])!r},{float(z[i])!r}" for i in range(300)]
+    return _write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+
+
+def test_failed_good_keeps_the_other_goods(tmp_path, capsys):
+    data = _three_goods_one_constant_price(tmp_path)
+    code = main(["ci", "--data", data, "--mode", "all", "--jitter", "0.005", "--seed", "1",
+                 "--grid-nodes", "100", "--out", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.count("SingularDesign: g02: price is constant") == 2
+    rows = {(r["good_id"], r["method"]): r for r in _rows(str(tmp_path / "c_intervals.csv"))}
+    assert len(rows) == 9
+    for mode in ("ls", "intersect"):
+        row = rows[("g02", mode)]
+        assert row["status"] == "FAILED:SingularDesign"
+        assert row["lower"] == row["upper"] == ""
+        assert float(row["level"]) == pytest.approx(1 - 0.05 / 3)
+    for gid in ("g01", "g03"):
+        assert all(rows[(gid, m)]["status"] == "OK" for m in ("xi", "ls", "intersect"))
+    for gid in ("g01", "g02", "g03"):
+        assert (tmp_path / f"c_profile_{gid}.csv").exists()
+    # a FAILED interval makes every household row FAILED, as EMPTY does
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\n" + "".join(
+        f"h{h},{g},0.5,0.5\n" for h in range(3) for g in ("g01", "g02", "g03")))
+    assert main(["welfare", "--intervals", str(tmp_path / "c_intervals.csv"), "--mode", "ls",
+                 "--query", query, "--out", str(tmp_path / "w")]) == 0
+    wl = _rows(str(tmp_path / "w_welfare.csv"))
+    assert [r["status"] for r in wl] == ["FAILED"] * 3
+    assert all(r["wl_max"] == "" for r in wl)
+
+
+def _welfare_rows(path):
+    return [(r["id"], r["status"], r["wl_min"], r["wl_max"], r["level"]) for r in _rows(path)]
+
+
+def _assert_same_welfare(a, b):
+    assert [r[:2] for r in a] == [r[:2] for r in b]
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra[2:], rb[2:]):
+            assert (x == y == "") or float(x) == pytest.approx(float(y), rel=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["xi", "ls", "intersect"])
+def test_welfare_from_data_matches_ci_then_intervals(tmp_path, mode):
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--seed", "8", "--theta", "0.2,0.4,0.6", "--n", "400",
+                 "--out", sim]) == 0
+    # repeated rows give exact ties, so the seeded tie-breaking is exercised too
+    lines = (tmp_path / "sim_data.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "sim_data.csv").write_text("".join(lines + lines[2:402:40]), encoding="utf-8")
+    rng = np.random.default_rng(2)
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\n" + "".join(
+        f"h{h},good{k},{rng.uniform(0, 1)!r},{rng.uniform(0.1, 1)!r}\n"
+        for h in range(25) for k in (1, 2, 3)))
+    common = ["--seed", "4", "--alpha", "0.1", "--grid-nodes", "200", "--grid-hi", "1.0"]
+    assert main(["ci", "--data", f"{sim}_data.csv", "--mode", mode,
+                 "--out", str(tmp_path / "ci")] + common) == 0
+    for extra in ([], ["--sum-to", "1.1"]):
+        assert main(["welfare", "--data", f"{sim}_data.csv", "--mode", mode, "--query", query,
+                     "--out", str(tmp_path / "direct")] + common + extra) == 0
+        assert main(["welfare", "--intervals", str(tmp_path / "ci_intervals.csv"),
+                     "--query", query, "--out", str(tmp_path / "two")] + common + extra) == 0
+        direct = _welfare_rows(str(tmp_path / "direct_welfare.csv"))
+        assert {r[1] for r in direct} == {"OK"}
+        _assert_same_welfare(direct, _welfare_rows(str(tmp_path / "two_welfare.csv")))
+
+
+@pytest.mark.parametrize(
+    "case, mode, code, status",
+    [("empty", "xi", 0, "EMPTY"), ("failed", "ls", 4, "FAILED")],
+)
+def test_welfare_from_data_with_unusable_good(tmp_path, case, mode, code, status):
+    if case == "empty":
+        sim = str(tmp_path / "sim")
+        assert main(["simulate", "--seed", "8", "--theta", "0.2,0.8", "--n", "400",
+                     "--out", sim]) == 0
+        data, goods = f"{sim}_data.csv", ("good1", "good2")
+    else:
+        data, goods = _three_goods_one_constant_price(tmp_path), ("g01", "g02", "g03")
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\n" + "".join(
+        f"h{h},{g},0.5,0.5\n" for h in range(3) for g in goods))
+    common = ["--seed", "4", "--grid-nodes", "100", "--grid-lo", "0.5", "--grid-hi", "1.0"]
+    assert main(["welfare", "--data", data, "--mode", mode, "--query", query,
+                 "--out", str(tmp_path / "direct")] + common) == code
+    assert main(["ci", "--data", data, "--mode", mode, "--out", str(tmp_path / "ci")] + common) == code
+    assert main(["welfare", "--intervals", str(tmp_path / "ci_intervals.csv"), "--query", query,
+                 "--out", str(tmp_path / "two")] + common) == 0
+    direct = (tmp_path / "direct_welfare.csv").read_bytes()
+    assert direct == (tmp_path / "two_welfare.csv").read_bytes()
+    assert [r[1] for r in _welfare_rows(str(tmp_path / "direct_welfare.csv"))] == [status] * 3
 
 
 def test_welfare_from_intervals_long_and_wide(tmp_path):
@@ -305,6 +419,29 @@ def test_intervals_reader_requires_unique_rows(tmp_path):
     assert out["a"].upper == 0.3
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("b,intersect,0.5", "row 3: expected 6 cells, got 3"),
+        ("b,intersect,0.4,0.2,0.95,OK", "row 3: lower 0.4 exceeds upper 0.2"),
+    ],
+)
+def test_intervals_reader_bad_rows_name_file_and_line(tmp_path, capsys, row, message):
+    path = _write(
+        tmp_path,
+        "iv.csv",
+        f"good_id,method,lower,upper,level,status\na,intersect,0.1,0.2,0.95,OK\n{row}\n",
+    )
+    with pytest.raises(ParseError) as err:
+        read_intervals_csv(path, None)
+    assert f"{path}: {message}" in str(err.value)
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
+    capsys.readouterr()
+    assert main(["welfare", "--intervals", path, "--query", query,
+                 "--out", str(tmp_path / "w")]) == 3
+    assert capsys.readouterr().err.startswith("ParseError:")
+
+
 def test_query_reader_validates(tmp_path):
     path = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\n")
     with pytest.raises(Exception):
@@ -343,6 +480,13 @@ def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
         err_text = capsys.readouterr().err
         assert code == 3
         assert err_text.startswith("InvalidQuery:") and "Traceback" not in err_text
+    # a repeated (id, good_id) pair in the long layout names both rows
+    dup = _write(tmp_path, "qdup.csv", long_ok + "h1,a,0.9,0.2\n")
+    with pytest.raises(InvalidQuery) as err:
+        read_query_csv(dup, ["a", "b"])
+    assert f"{dup}: rows 2 and 4" in str(err.value)
+    assert main(["welfare", "--intervals", intervals, "--query", dup,
+                 "--out", str(tmp_path / "w")]) == 3
 
 
 def test_wide_query_row_with_missing_cell(tmp_path):

@@ -131,7 +131,6 @@ def test_intersect_properties():
 
 def test_bonferroni_share():
     assert bonferroni_share(0.1, 3) == pytest.approx(0.1 / 3)
-    assert bonferroni_share(0.05, 2, intersecting=True) == pytest.approx(0.0125)
     assert bonferroni_share(0.05, 1) == 0.05
     with pytest.raises(InvalidLevel):
         bonferroni_share(1.2, 3)

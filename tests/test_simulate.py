@@ -85,6 +85,18 @@ def test_mc_table1_reproducible_and_sane():
     for row in a.intervals:
         assert 0.0 <= row.coverage <= 1.0
         assert row.avg_length >= 0.0
+    # data-dependent summaries, pinned so that refactors keep the numbers
+    assert [(r.avg_lower, r.avg_upper, r.var_length) for r in a.intervals] == pytest.approx([
+        (0.15686358823529414, 0.3081239411764706, 0.002612804604197237),
+        (0.22128929411764708, 0.40896417647058825, 0.003554355812916958),
+        (0.36414629411764704, 0.8767508235294118, 0.005578690911664352),
+    ], rel=1e-12)
+    assert by_label["i"] == pytest.approx(0.5322721330876051, rel=1e-12)
+    assert by_label["ii"] == pytest.approx(0.5506132988493091, rel=1e-12)
+    assert by_label["ii_covers_true"] == 1.0
+    assert a.joint_coverage == {200: 1.0}
+    assert a.skipped == {}
+    assert list(a.timings) == ["ci_n200", "welfare_n200"]
 
 
 def test_mc_table1_lengths_shrink_with_n():
@@ -103,3 +115,16 @@ def test_mc_table2_fixed_query_and_bracketing():
     assert by_label["lower"] <= a.true_welfare_loss <= by_label["upper"]
     assert by_label["bracketed"] == 1.0
     assert set(a.joint_coverage) == {200}
+    # data-dependent summaries, pinned so that refactors keep the numbers
+    assert [(r.avg_lower, r.avg_upper, r.var_length) for r in a.intervals] == pytest.approx([
+        (0.07830069798657717, 0.18120887248322148, 0.0014563879404846172),
+        (0.2326629597315436, 0.6510070604026845, 0.0043391352041243225),
+        (0.3713652818791946, 0.7919465167785235, 0.0040688776481580535),
+        (0.5167790067114094, 0.9821029261744966, 0.0007357011245747724),
+        (0.6957497449664429, 1.0, 6.005723465918322e-05),
+    ], rel=1e-12)
+    assert by_label["upper"] == pytest.approx(1.1290680963854536, rel=1e-12)
+    assert by_label["lower"] == pytest.approx(0.9397432441037198, rel=1e-12)
+    assert a.true_welfare_loss == pytest.approx(1.0155550315560185, rel=1e-12)
+    assert a.joint_coverage == {200: 1.0}
+    assert list(a.timings) == ["ci_n200", "welfare_n200"]
