@@ -26,14 +26,12 @@ from .confset import (
     bonferroni_share,
     child_seed,
     cs_combined,
-    cs_xi,
     shape_diagnostic,
     smooth_instrument,
 )
 from .errors import (
     ConfigError,
     DataError,
-    EmptyConfidenceSet,
     InvalidQuery,
     NumericalError,
     ParseError,
@@ -430,8 +428,6 @@ def _exit_code(exc: BaseException) -> int:
         return EXIT_CONFIG
     if isinstance(exc, (DataError, OSError)):
         return EXIT_DATA
-    if isinstance(exc, EmptyConfidenceSet):
-        return EXIT_OK
     return EXIT_NUMERIC
 
 
@@ -442,11 +438,16 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
     status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
     data or numerical error hit that (good, mode), whose message goes to
     stderr and whose interval is empty with source FAILED.  profiles maps a
-    good id to its grid profile.  code is the exit code of the first failure,
-    or EXIT_OK.
+    good id to its xi-mode grid profile.  code is the exit code of the first
+    failure, or EXIT_OK.  A mode that fits least squares with --ls tsls
+    needs an instrument for every good, else SchemaError before any work.
     """
+    needs_ls = any(m != "xi" for m in modes)
+    if needs_ls and cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
+        raise SchemaError("column 'instrument' is required for TSLS")
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
+    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     rows = []
     profiles: dict = {}
     code = EXIT_OK
@@ -454,33 +455,17 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
         s_seed = child_seed(seed, _SEED_CS, i)
         for m in modes:
             try:
-                if m == "xi":
-                    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
-                    iv, profiles[s.good_id] = cs_xi(s, share, grid, s_seed)
-                else:
-                    iv = cs_combined(
-                        s,
-                        share,
-                        grid_nodes=cfg.grid_nodes,
-                        mode=m,
-                        rng_seed=s_seed,
-                        grid_lo=cfg.grid_lo,
-                        grid_hi=cfg.grid_hi,
-                        floor=cfg.floor,
-                        ls_mode=cfg.ls_fit,
-                    )
-                status = "OK"
-            except EmptyConfidenceSet as exc:
-                if exc.profile is not None:
-                    profiles[s.good_id] = exc.profile
-                level = exc.level if exc.level is not None else 1.0 - share
-                iv, status = Interval.make_empty(level, m.upper()), "EMPTY"
+                iv, profile = cs_combined(s, share, m, grid, s_seed, cfg.floor, cfg.ls_fit)
             except (DataError, NumericalError) as exc:
                 name = type(exc).__name__
                 print(f"{name}: {exc}", file=sys.stderr)
                 iv, status = Interval.make_empty(1.0 - share, "FAILED"), f"FAILED:{name}"
                 if code == EXIT_OK:
                     code = _exit_code(exc)
+            else:
+                status = "EMPTY" if iv.empty else "OK"
+                if profile is not None:
+                    profiles[s.good_id] = profile
             rows.append((s.good_id, m, iv, status))
     return rows, profiles, code
 
@@ -489,8 +474,6 @@ def cmd_ci(cfg: RunConfig) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
     cfg.validate()
     samples = _load_samples(cfg)
-    if cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
-        raise SchemaError("column 'instrument' is required for TSLS")
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
     rows, profiles, code = _good_intervals(samples, cfg, modes)
     out_path = f"{cfg.out}_intervals.csv"
@@ -524,8 +507,6 @@ def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval], int]:
     samples = _load_samples(cfg, "--data or --intervals")
     if cfg.mode == "all":
         raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
-    if cfg.mode != "xi" and cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
-        raise SchemaError("column 'instrument' is required for TSLS")
     rows, _, code = _good_intervals(samples, cfg, (cfg.mode,))
     return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
 
@@ -535,11 +516,11 @@ def cmd_welfare(cfg: RunConfig) -> int:
     cfg.validate()
     good_ids, box, code = _box_from_config(cfg)
     queries = read_query_csv(_require(cfg.query, "--query"), good_ids)
-    if any(iv.empty for iv in box):
+    constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
+    if constraints.empty:
         status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
         results = [[ind, None, None, None, status] for ind, _, _ in queries]
     else:
-        constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
         if cfg.sum_to is None:
             shape = (len(queries), len(good_ids))
             wl_min, wl_max = bounds_box_batch(
@@ -747,7 +728,6 @@ def main(argv=None) -> int:
             setattr(cfg, key, value)
         return _COMMANDS[args.command](cfg)
     except (WelfareBoundsError, OSError) as exc:
-        # Empty sets are reported, not fatal (exit 0); commands normally absorb them.
         name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
         print(f"{name}: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyConfidenceSet, InvalidGrid, InvalidLevel
-from .regress import GoodSample, Interval, OLS, TSLS, fit_inverse_demand, theta_interval_delta
+from .errors import InvalidGrid, InvalidLevel
+from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
 from .xicor import PairedSample, critical_value, response_rank_scale, xi
 
 # Default cap of the xi-only search space when no least-squares interval
 # bounds it; a config value, not a structural constant.
 DEFAULT_GRID_HI = 6.0
-DEFAULT_GRID_NODES = 1000
 
 CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
@@ -153,8 +152,8 @@ def cs_xi(
 ) -> tuple[Interval, XiProfile]:
     """Invert the dependence statistic over the grid at level 1 - alpha.
 
-    Returns the hull of accepted nodes plus the full profile.  Raises
-    EmptyConfidenceSet (carrying the profile) when no node is accepted.
+    Returns the hull of accepted nodes plus the full profile; the interval
+    is empty when no node is accepted.
     """
     c = critical_value(alpha)
     z = _effective_instrument(sample)
@@ -164,12 +163,7 @@ def cs_xi(
     acc = profile.accepted()
     level = 1.0 - alpha
     if not acc.any():
-        raise EmptyConfidenceSet(
-            f"{sample.good_id}: no grid node accepted at level {level:g}",
-            level=level,
-            interval=Interval.make_empty(level, "XI"),
-            profile=profile,
-        )
+        return Interval.make_empty(level, "XI"), profile
     accepted_thetas = thetas[acc]
     interval = Interval(
         lower=float(accepted_thetas.min()),
@@ -201,36 +195,26 @@ def bonferroni_share(alpha: float, K: int) -> float:
     return alpha / K
 
 
-def _resolve_ls_mode(sample: GoodSample, ls_mode: str) -> str:
-    kind = ls_mode.lower()
-    if kind == "auto":
-        return TSLS if sample.instrument is not None else OLS
-    if kind == "ols":
-        return OLS
-    if kind == "tsls":
-        return TSLS
-    raise ValueError(f"ls_mode must be auto, ols, or tsls, got {ls_mode!r}")
-
-
 def cs_combined(
     sample: GoodSample,
     alpha_share: float,
-    grid_nodes: int = DEFAULT_GRID_NODES,
-    mode: str = "intersect",
+    mode: str,
+    grid: GridSpec,
     rng_seed: int = 0,
-    grid_lo: float = POSITIVITY_FLOOR,
-    grid_hi: float = DEFAULT_GRID_HI,
     floor: float = POSITIVITY_FLOOR,
     ls_mode: str = "auto",
-) -> Interval:
-    """One good's interval at per-good error share alpha_share.
+) -> tuple[Interval, XiProfile | None]:
+    """One good's interval at per-good error share alpha_share, and its profile.
 
-    mode "xi":        grid inversion over [grid_lo, grid_hi] at 1 - alpha_share.
-    mode "ls":        delta-method interval at 1 - alpha_share (TSLS when an
-                      instrument is present, OLS otherwise, unless ls_mode
-                      forces one).
-    mode "intersect": both pieces at 1 - alpha_share/2, the grid laid over
-                      the bounded least-squares interval, then intersected.
+    mode "xi":        grid inversion over `grid` at 1 - alpha_share; the
+                      profile is returned with the interval.
+    mode "ls":        delta-method interval at 1 - alpha_share (ls_mode as in
+                      fit_inverse_demand); `grid` is unused.
+    mode "intersect": both pieces at 1 - alpha_share/2, `grid.nodes` nodes
+                      laid over the least-squares interval clipped below at
+                      `floor`, then intersected.
+    The profile is None outside xi mode.  An empty outcome is an empty
+    interval at level 1 - alpha_share.
     """
     if not 0.0 < alpha_share < 1.0:
         raise InvalidLevel(
@@ -238,28 +222,20 @@ def cs_combined(
         )
     kind = mode.lower()
     if kind == "xi":
-        interval, _ = cs_xi(
-            sample, alpha_share, GridSpec(grid_lo, grid_hi, grid_nodes), rng_seed
-        )
-        return interval
-    if kind == "ls":
-        fit = fit_inverse_demand(sample, _resolve_ls_mode(sample, ls_mode))
-        return theta_interval_delta(fit, 1.0 - alpha_share)
-    if kind != "intersect":
+        return cs_xi(sample, alpha_share, grid, rng_seed)
+    if kind not in ("ls", "intersect"):
         raise ValueError(f"mode must be xi, ls, or intersect, got {mode!r}")
+    fit = fit_inverse_demand(sample, ls_mode)
+    if kind == "ls":
+        return theta_interval_delta(fit, 1.0 - alpha_share), None
 
     half = alpha_share / 2.0
-    fit = fit_inverse_demand(sample, _resolve_ls_mode(sample, ls_mode))
     ls = theta_interval_delta(fit, 1.0 - half)
     lo = max(ls.lower, floor)
     hi = ls.upper
-    level = 1.0 - alpha_share
     if hi < lo:
-        raise EmptyConfidenceSet(
-            f"{sample.good_id}: least-squares interval sits below the positivity floor",
-            level=level,
-            interval=Interval.make_empty(level, "INTERSECT"),
-        )
+        # the least-squares interval sits below the positivity floor
+        return Interval.make_empty(1.0 - alpha_share, "INTERSECT"), None
     if hi - lo < 1e-12:
         # Degenerate least-squares interval: check the single point.
         z = _effective_instrument(sample)
@@ -267,15 +243,11 @@ def cs_combined(
             sample.price, sample.quantity, z, np.array([lo]), rng_seed
         )[0]
         if stat > critical_value(half):
-            raise EmptyConfidenceSet(
-                f"{sample.good_id}: degenerate point rejected by the rank test",
-                level=level,
-                interval=Interval.make_empty(level, "INTERSECT"),
-            )
-        point = Interval(lo, lo, 1.0 - half, "XI")
-        return intersect(point, ls)
-    xi_part, _ = cs_xi(sample, half, GridSpec(lo, hi, grid_nodes), rng_seed)
-    return intersect(xi_part, ls)
+            return Interval.make_empty(1.0 - alpha_share, "INTERSECT"), None
+        xi_part = Interval(lo, lo, 1.0 - half, "XI")
+    else:
+        xi_part, _ = cs_xi(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed)
+    return intersect(xi_part, ls), None
 
 
 def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDiagnostic:

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError-family -> 2, DataError-family
--> 3, NumericalError-family -> 4.  EmptyConfidenceSet is not a failure mode;
-callers that tolerate empty sets catch it and keep going.
+-> 3, NumericalError-family -> 4.  An empty confidence set is a result, not an
+error: the interval functions return it as an empty Interval.
+EmptyConfidenceSet is raised only when a library caller asks a ConstraintSet
+for the corners of a box that holds such an interval.
 """
 
 
@@ -84,14 +86,8 @@ class InfeasibleConstraint(NumericalError):
 
 
 class EmptyConfidenceSet(WelfareBoundsError):
-    """No parameter value was accepted; analysis may continue without this good.
+    """A welfare box was asked for its corners but one of its intervals is empty.
 
-    Carries the confidence level and, when available, the rejected interval
-    and the full grid profile for diagnostics.
+    An interval counts as empty when it accepted no parameter value or lies
+    wholly below the positivity floor; ConstraintSet.empty tells in advance.
     """
-
-    def __init__(self, message, level=None, interval=None, profile=None):
-        super().__init__(message)
-        self.level = level
-        self.interval = interval
-        self.profile = profile

@@ -112,13 +112,17 @@ class Interval:
 def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
     """Regress 1/quantity on price with intercept; TSLS instruments price.
 
-    Raises SingularDesign on a constant price column and WeakFirstStage when
-    the instrument-price covariance is exactly zero (the slope is then not
-    identified by these moments; rank-based inversion remains available).
+    mode is OLS, TSLS or AUTO (any case); AUTO picks TSLS when the sample
+    has an instrument and OLS otherwise.  Raises SingularDesign on a
+    constant price column and WeakFirstStage when the instrument-price
+    covariance is exactly zero (the slope is then not identified by these
+    moments; rank-based inversion remains available).
     """
     kind = mode.upper()
+    if kind == "AUTO":
+        kind = TSLS if sample.instrument is not None else OLS
     if kind not in (OLS, TSLS):
-        raise ValueError(f"mode must be {OLS} or {TSLS}, got {mode!r}")
+        raise ValueError(f"mode must be auto, ols, or tsls, got {mode!r}")
     x = sample.price
     y = 1.0 / sample.quantity
     n = sample.n

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confset import GridSpec, child_seed, cs_xi
-from .errors import EmptyConfidenceSet, InfeasibleConstraint
+from .errors import InfeasibleConstraint
 from .regress import GoodSample, Interval
 from .welfare import (
     POSITIVITY_FLOOR,
@@ -199,23 +199,19 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
         for r in range(reps):
             samples = draw_sample(cfg, rep=r)
             t0 = time.perf_counter()
-            ivs: list[Interval | None] = []
+            ivs = []
             for k, s in enumerate(samples):
-                try:
-                    iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
-                except EmptyConfidenceSet:
-                    empties[k] += 1
-                    ivs.append(None)
-                    continue
+                iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
                 ivs.append(iv)
+                if iv.empty:
+                    empties[k] += 1
+                    continue
                 sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
                 covers[k] += iv.contains(theta[k])
                 counts[k] += 1
             t_ci += time.perf_counter() - t0
-            joint += all(
-                iv is not None and iv.contains(theta[k]) for k, iv in enumerate(ivs)
-            )
-            if all(iv is not None for iv in ivs):
+            joint += all(iv.contains(theta[k]) for k, iv in enumerate(ivs))
+            if not any(iv.empty for iv in ivs):
                 boxes.append(tuple(ivs))
         t0 = time.perf_counter()
         rows, skipped = welfare(n, boxes)

@@ -108,18 +108,17 @@ class ConstraintSet:
     def K(self) -> int:
         return len(self.box)
 
+    @property
+    def empty(self) -> bool:
+        """True when some interval is empty or lies wholly below the floor."""
+        return any(iv.empty or iv.upper < self.positivity_floor for iv in self.box)
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Floored lower and raw upper endpoints; raises on any empty interval."""
-        lowers = np.empty(self.K)
-        uppers = np.empty(self.K)
-        for k, iv in enumerate(self.box):
-            if iv.empty or iv.upper < self.positivity_floor:
-                raise EmptyConfidenceSet(
-                    f"box interval {k} is empty below the positivity floor",
-                    level=iv.level,
-                )
-            lowers[k] = max(iv.lower, self.positivity_floor)
-            uppers[k] = iv.upper
+        """Floored lower and raw upper endpoints; raises EmptyConfidenceSet if empty."""
+        if self.empty:
+            raise EmptyConfidenceSet("a box interval is empty or lies below the positivity floor")
+        lowers = np.array([max(iv.lower, self.positivity_floor) for iv in self.box], dtype=float)
+        uppers = np.array([iv.upper for iv in self.box], dtype=float)
         return lowers, uppers
 
     def joint_level(self) -> float:

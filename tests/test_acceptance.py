@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from welfarebounds.confset import cs_combined, profile_stats, shape_diagnostic
+from welfarebounds.confset import GridSpec, cs_combined, profile_stats, shape_diagnostic
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, child_seed, draw_sample, mc_table1, mc_table2, substream
 from welfarebounds.welfare import (
@@ -302,7 +302,7 @@ def test_case2_substitute_for_unshipped_data():
 
     diag = shape_diagnostic(sample, 0.05, rng_seed=123)
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
-    combined = cs_combined(sample, 0.05, grid_nodes=2000, mode="intersect", rng_seed=9)
+    combined, _ = cs_combined(sample, 0.05, "intersect", GridSpec(POSITIVITY_FLOOR, 6.0, 2000), 9)
     tightened = combined.lower > ls.lower + 0.1 and combined.upper <= ls.upper
     ok = diag.case_id == "UNBOUNDED_ABOVE" and tightened
     _criterion(

@@ -83,10 +83,12 @@ def test_ingest_too_few_observations(tmp_path):
 
 def test_tsls_without_instrument_is_schema_error(tmp_path, capsys):
     data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
-    code = main(["ci", "--data", data, "--mode", "ls", "--ls", "tsls",
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "instrument" in capsys.readouterr().err
+    # xi mode fits no least squares, so --ls tsls needs no instrument there
+    for mode, code, written in (("ls", 3, False), ("xi", 0, True)):
+        assert main(["ci", "--data", data, "--mode", mode, "--ls", "tsls", "--grid-nodes", "50",
+                     "--out", str(tmp_path / mode)]) == code
+        assert ("instrument" in capsys.readouterr().err) == (not written)
+        assert (tmp_path / f"{mode}_intervals.csv").exists() == written
 
 
 def test_welfare_from_data_tsls_without_instrument_is_schema_error(tmp_path, capsys):
@@ -145,6 +147,24 @@ def test_empty_set_yields_empty_row_not_failure(tmp_path):
     rows = _rows(f"{run}_intervals.csv")
     assert rows[0]["status"] == "EMPTY"
     assert rows[0]["lower"] == ""
+
+
+def test_empty_intersect_row_keeps_level_and_xi_profile(tmp_path):
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--seed", "5", "--theta", "0.4,0.7", "--n", "500",
+                 "--endogeneity", "0.5", "--out", sim]) == 0
+    common = ["--data", f"{sim}_data.csv", "--ls", "ols", "--seed", "9", "--grid-nodes", "150"]
+    # good1's OLS slope is negative (FAILED); good2's intersect grid rejects every node
+    assert main(["ci", "--mode", "all", "--out", str(tmp_path / "a")] + common) == 4
+    lines = (tmp_path / "a_intervals.csv").read_text(encoding="utf-8").splitlines()
+    assert "good1,intersect,,,0.975,FAILED:NonpositiveSlope" in lines
+    assert "good2,intersect,,,0.975,EMPTY" in lines
+    # the profile file is the xi-mode grid at its own critical value
+    header = (tmp_path / "a_profile_good2.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.endswith("critical value = 1.23959006461")
+    assert main(["ci", "--mode", "intersect", "--out", str(tmp_path / "i")] + common) == 4
+    assert "good2,intersect,,,0.975,EMPTY" in (tmp_path / "i_intervals.csv").read_text(encoding="utf-8")
+    assert not list(tmp_path.glob("i_profile_*.csv"))
 
 
 def test_exit_codes(tmp_path):
@@ -296,20 +316,22 @@ def test_welfare_from_intervals_long_and_wide(tmp_path):
     assert rows_l[0]["level"] == "0.9"
 
 
-def test_welfare_empty_interval_propagates(tmp_path):
-    intervals = _write(
-        tmp_path,
-        "iv.csv",
-        "good_id,method,lower,upper,level,status\n"
-        "a,intersect,,,0.95,EMPTY\n"
-        "b,intersect,0.5,0.8,0.95,OK\n",
-    )
+def test_welfare_empty_interval_propagates(tmp_path, capsys):
     query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
-    assert main(["welfare", "--intervals", intervals, "--query", query,
-                 "--out", str(tmp_path / "w")]) == 0
-    rows = _rows(str(tmp_path / "w_welfare.csv"))
-    assert rows[0]["status"] == "EMPTY"
-    assert rows[0]["wl_max"] == ""
+    # an interval wholly below the positivity floor is as empty as an EMPTY row
+    for row in ("a,intersect,,,0.95,EMPTY", "a,ls,0,5e-7,0.975,OK"):
+        intervals = _write(
+            tmp_path,
+            "iv.csv",
+            f"good_id,method,lower,upper,level,status\n{row}\nb,intersect,0.5,0.8,0.95,OK\n",
+        )
+        (tmp_path / "w_welfare.csv").unlink(missing_ok=True)
+        assert main(["welfare", "--intervals", intervals, "--query", query,
+                     "--out", str(tmp_path / "w")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = _rows(str(tmp_path / "w_welfare.csv"))
+        assert rows[0]["status"] == "EMPTY"
+        assert rows[0]["wl_max"] == ""
 
 
 def test_welfare_with_sum_constraint(tmp_path):

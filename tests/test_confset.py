@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from welfarebounds.confset import (
@@ -13,11 +15,7 @@ from welfarebounds.confset import (
     shape_diagnostic,
     smooth_instrument,
 )
-from welfarebounds.errors import (
-    EmptyConfidenceSet,
-    InvalidGrid,
-    InvalidLevel,
-)
+from welfarebounds.errors import InvalidGrid, InvalidLevel
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, draw_sample
 from welfarebounds.xicor import PairedSample, critical_value, xi
@@ -81,11 +79,13 @@ def test_cs_xi_covers_truth_on_model_data():
 
 def test_cs_xi_empty_when_grid_misses_truth():
     sample = draw_sample(DgpConfig(theta=np.array([0.5]), n=2000, seed=77))[0]
-    with pytest.raises(EmptyConfidenceSet) as err:
-        cs_xi(sample, 0.1, GridSpec(0.8, 0.9, 200), rng_seed=3)
-    assert err.value.profile is not None
-    assert err.value.profile.stats.min() > err.value.profile.critical
-    assert err.value.interval.empty
+    iv, prof = cs_xi(sample, 0.1, GridSpec(0.8, 0.9, 200), rng_seed=3)
+    assert iv.empty and iv.source == "XI"
+    assert iv.level == pytest.approx(0.9)
+    assert prof.stats.min() > prof.critical
+    # cs_combined returns the same pair in xi mode
+    combined, same = cs_combined(sample, 0.1, "xi", GridSpec(0.8, 0.9, 200), 3)
+    assert combined == iv and np.array_equal(same.stats, prof.stats)
 
 
 def test_cs_xi_accepts_truth_under_degenerate_shock():
@@ -141,7 +141,8 @@ def test_bonferroni_share():
 def test_cs_combined_ls_only_noiseless():
     p = np.linspace(1, 2, 60)
     sample = GoodSample(p, 0.5 / p)
-    iv = cs_combined(sample, 0.05, mode="ls")
+    iv, prof = cs_combined(sample, 0.05, "ls", GridSpec(1e-6, 6.0, 2))
+    assert prof is None
     assert iv.lower == pytest.approx(0.5, abs=1e-10)
     assert iv.upper == pytest.approx(0.5, abs=1e-10)
     assert iv.level == pytest.approx(0.95)
@@ -150,13 +151,20 @@ def test_cs_combined_ls_only_noiseless():
 def test_cs_combined_intersect_is_subset_of_pieces():
     sample = draw_sample(DgpConfig(theta=np.array([0.4]), n=1500, seed=9))[0]
     share = 0.05
-    combined = cs_combined(sample, share, grid_nodes=800, mode="intersect", rng_seed=4)
+    grid = GridSpec(1e-6, 1.0, 800)
+    combined, prof = cs_combined(sample, share, "intersect", grid, 4)
+    assert prof is None
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - share / 2)
     assert combined.lower >= ls.lower - 1e-12
     assert combined.upper <= ls.upper + 1e-12
     assert combined.level == pytest.approx(1 - share)
-    xi_only = cs_combined(sample, share, grid_nodes=800, mode="xi", grid_hi=1.0, rng_seed=4)
+    xi_only, prof = cs_combined(sample, share, "xi", grid, 4)
+    assert np.array_equal(prof.thetas, grid.values())
     assert xi_only.contains(0.4) and combined.contains(0.4)
+    # a floor above the least-squares interval empties the intersection
+    empty, prof = cs_combined(sample, share, "intersect", grid, 4, floor=ls.upper + 1.0)
+    assert empty.empty and prof is None
+    assert empty.level == 1 - share
 
 
 def test_case2_shape_and_intersection_tightening():
@@ -166,7 +174,7 @@ def test_case2_shape_and_intersection_tightening():
     assert diag.stat_at_zero > diag.critical
     assert diag.stat_at_inf <= diag.critical
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
-    combined = cs_combined(sample, 0.05, grid_nodes=2000, mode="intersect", rng_seed=9)
+    combined, _ = cs_combined(sample, 0.05, "intersect", GridSpec(1e-6, 6.0, 2000), 9)
     # the rank test prunes the small-theta region the delta method cannot
     assert combined.lower > ls.lower + 0.1
     assert combined.upper <= ls.upper
@@ -235,3 +243,37 @@ def test_profile_segments_counting():
     assert prof.accepted().tolist() == [False, True, True, False, True, False]
     empty = XiProfile(thetas=np.linspace(0, 1, 3), stats=np.full(3, 9.0), critical=1.0)
     assert empty.n_segments == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(10, 150),
+    duplicates=st.booleans(),
+    use_exp=st.booleans(),
+    a=st.floats(0.01, 100.0),
+    b=st.floats(-10.0, 10.0),
+)
+def test_profile_invariant_under_increasing_map_of_instrument(seed, n, duplicates, use_exp, a, b):
+    # the statistic sees the instrument only through its ranks, so a strictly
+    # increasing map leaves every profile value and the interval unchanged,
+    # also when duplicate rows send each node down the tie-redo path
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(1.0, 1.5, n)
+    shock = rng.uniform(0.0, 1.0, n)
+    price = z + 0.5 * shock + rng.uniform(0.0, 0.1, n)
+    quantity = 0.4 / (price - shock)
+    if duplicates:
+        rows = rng.integers(0, n, max(1, n // 5))
+        price, quantity, z = (np.concatenate([v, v[rows]]) for v in (price, quantity, z))
+
+    def increasing(v):
+        return np.exp(v) if use_exp else a * v + b
+
+    # the map must keep distinct values distinct in floating point
+    assume(np.all(np.diff(increasing(np.unique(z))) > 0))
+    grid = GridSpec(1e-6, 1.0, 40)
+    iv, prof = cs_xi(GoodSample(price, quantity, instrument=z), 0.05, grid, seed)
+    iv2, prof2 = cs_xi(GoodSample(price, quantity, instrument=increasing(z)), 0.05, grid, seed)
+    assert np.array_equal(prof.stats, prof2.stats)
+    assert repr(iv) == repr(iv2)

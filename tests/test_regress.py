@@ -66,6 +66,11 @@ def test_tsls_fixes_endogeneity_bias():
     tsls = fit_inverse_demand(sample, "tsls")
     assert abs(tsls.beta_hat - 5.0) < 0.4
     assert abs(ols.beta_hat - 5.0) > 2.0
+    # auto picks TSLS with an instrument and OLS without one
+    assert fit_inverse_demand(sample, "auto") == tsls
+    assert fit_inverse_demand(GoodSample(p, sample.quantity), "AUTO") == ols
+    with pytest.raises(ValueError, match="auto, ols, or tsls"):
+        fit_inverse_demand(sample, "gmm")
 
 
 def test_ols_and_tsls_coincide_when_instrument_is_price():
