@@ -48,6 +48,7 @@ from .welfare import (
     bounds_box_batch,
     max_constrained,
 )
+from .xicor import critical_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +124,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        converters = _config_converters()
+        converters = {f.name: _converter(f.type) for f in fields(cls)}
         cfg = cls()
         try:
             with open(path, encoding="utf-8") as fh:
@@ -155,38 +156,13 @@ class RunConfig:
                 fh.write(f"{f.name} = {'none' if value is None else value}\n")
 
 
-def _opt(conv):
-    def parse(text: str):
-        if text.lower() in ("", "none"):
-            return None
-        return conv(text)
-
-    return parse
-
-
-def _config_converters() -> dict:
-    return {
-        "alpha": float,
-        "grid_nodes": int,
-        "grid_lo": float,
-        "grid_hi": float,
-        "mode": str,
-        "seed": _opt(int),
-        "jitter": float,
-        "sum_to": _opt(float),
-        "floor": float,
-        "out": str,
-        "data": _opt(str),
-        "intervals": _opt(str),
-        "query": _opt(str),
-        "table": int,
-        "reps": int,
-        "k_goods": int,
-        "n_obs": int,
-        "theta": str,
-        "endogeneity": _opt(float),
-        "ls_fit": str,
-    }
+def _converter(annotation: str):
+    """Parser for a RunConfig field from its annotation string, e.g. 'float | None'."""
+    base = annotation.removesuffix(" | None")
+    conv = {"int": int, "float": float, "str": str}[base]
+    if base == annotation:
+        return conv
+    return lambda text: None if text.lower() in ("", "none") else conv(text)
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
@@ -431,15 +407,31 @@ def _exit_code(exc: BaseException) -> int:
     return EXIT_NUMERIC
 
 
+def _isolated(good_id: str, compute, *args):
+    """compute(*args) for one good; a data or numerical error fails that good alone.
+
+    Returns (result, EXIT_OK, None), or (None, the error's exit code,
+    "FAILED:<ErrorName>") after one stderr line naming the good once.
+    """
+    try:
+        return compute(*args), EXIT_OK, None
+    except (DataError, NumericalError) as exc:
+        name, message = type(exc).__name__, str(exc)
+        if not message.startswith(f"{good_id}: "):
+            message = f"{good_id}: {message}"
+        print(f"{name}: {message}", file=sys.stderr)
+        return None, _exit_code(exc), f"FAILED:{name}"
+
+
 def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
     """Each good's interval in each mode, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
-    data or numerical error hit that (good, mode), whose message goes to
-    stderr and whose interval is empty with source FAILED.  profiles maps a
-    good id to its xi-mode grid profile.  code is the exit code of the first
-    failure, or EXIT_OK.  A mode that fits least squares with --ls tsls
+    data or numerical error hit that (good, mode) (see _isolated), whose
+    interval is empty with source FAILED.  profiles maps a good id to its
+    xi-mode grid profile.  code is the exit code of the first failure, or
+    EXIT_OK.  A mode that fits least squares with --ls tsls
     needs an instrument for every good, else SchemaError before any work.
     """
     needs_ls = any(m != "xi" for m in modes)
@@ -454,18 +446,14 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
     for i, s in enumerate(samples):
         s_seed = child_seed(seed, _SEED_CS, i)
         for m in modes:
-            try:
-                iv, profile = cs_combined(s, share, m, grid, s_seed, cfg.floor, cfg.ls_fit)
-            except (DataError, NumericalError) as exc:
-                name = type(exc).__name__
-                print(f"{name}: {exc}", file=sys.stderr)
-                iv, status = Interval.make_empty(1.0 - share, "FAILED"), f"FAILED:{name}"
-                if code == EXIT_OK:
-                    code = _exit_code(exc)
-            else:
-                status = "EMPTY" if iv.empty else "OK"
-                if profile is not None:
-                    profiles[s.good_id] = profile
+            result, failed_code, status = _isolated(
+                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.floor, cfg.ls_fit
+            )
+            code = code or failed_code
+            iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
+            status = status or ("EMPTY" if iv.empty else "OK")
+            if profile is not None:
+                profiles[s.good_id] = profile
             rows.append((s.good_id, m, iv, status))
     return rows, profiles, code
 
@@ -532,7 +520,7 @@ def cmd_welfare(cfg: RunConfig) -> int:
         else:
             bounds = []
             for _, delta, ystar in queries:
-                wb = max_constrained(constraints, WelfareQuery(delta, ystar, cfg.alpha))
+                wb = max_constrained(constraints, WelfareQuery(delta, ystar))
                 bounds.append((wb.wl_min, wb.wl_max))
         level = constraints.joint_level()
         results = [[ind, lo, hi, level, "OK"] for (ind, _, _), (lo, hi) in zip(queries, bounds)]
@@ -626,14 +614,25 @@ def cmd_mc(cfg: RunConfig) -> int:
 
 
 def cmd_diagnose(cfg: RunConfig) -> int:
-    """Classify each good's confidence-set shape from its endpoint statistics."""
+    """Classify each good's confidence-set shape from its endpoint statistics.
+
+    A FAILED:<ErrorName> row still carries the critical value (alpha alone sets it).
+    """
     cfg.validate()
     samples = _load_samples(cfg)
     seed = cfg.seed if cfg.seed is not None else 0
+    critical = critical_value(cfg.alpha)
     rows = []
+    code = EXIT_OK
     for i, s in enumerate(samples):
-        diag = shape_diagnostic(s, cfg.alpha, child_seed(seed, _SEED_DIAG, i))
-        rows.append([s.good_id, diag.stat_at_zero, diag.stat_at_inf, diag.critical, diag.case_id])
+        diag, failed_code, status = _isolated(
+            s.good_id, shape_diagnostic, s, cfg.alpha, child_seed(seed, _SEED_DIAG, i)
+        )
+        code = code or failed_code
+        if diag is None:
+            rows.append([s.good_id, None, None, critical, status])
+        else:
+            rows.append([s.good_id, diag.stat_at_zero, diag.stat_at_inf, critical, diag.case_id])
     out_path = f"{cfg.out}_diagnostics.csv"
     _write_csv(
         out_path,
@@ -643,7 +642,7 @@ def cmd_diagnose(cfg: RunConfig) -> int:
         rows,
     )
     print(f"wrote {out_path}")
-    return EXIT_OK
+    return code
 
 
 _COMMANDS = {

@@ -25,7 +25,7 @@ class NumericalError(WelfareBoundsError):
 
 
 class InvalidLevel(ConfigError):
-    """Confidence level or alpha outside (0, 1)."""
+    """Confidence level or alpha outside (0, 1), or too near an end for a finite quantile."""
 
 
 class InvalidGrid(ConfigError):

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     InvalidLevel,
@@ -153,10 +153,13 @@ def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
 def theta_interval_delta(fit: LsFit, level: float) -> Interval:
     """Two-sided delta-method interval for theta = 1/beta, clipped at zero.
 
-    se_theta = se_beta / beta^2 by first-order variance propagation.
+    se_theta = se_beta / beta^2 by first-order variance propagation; z is the
+    standard normal quantile (statistics.NormalDist) at p = 0.5 + level/2,
+    and InvalidLevel is raised unless p, as rounded, lies strictly in (0.5, 1).
     """
-    if not 0.0 < level < 1.0:
-        raise InvalidLevel(f"level must lie strictly in (0, 1), got {level}")
+    p = 0.5 + level / 2.0
+    if not 0.5 < p < 1.0:
+        raise InvalidLevel(f"level must leave 0.5 + level/2 strictly inside (0.5, 1), got {level}")
     if fit.beta_hat <= 0:
         raise NonpositiveSlope(
             f"slope {fit.beta_hat:g} admits no positive theta; "
@@ -164,7 +167,7 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
         )
     theta = 1.0 / fit.beta_hat
     se_theta = fit.se_beta / fit.beta_hat**2
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(p)
     lower = max(0.0, theta - z * se_theta)
     upper = theta + z * se_theta
     return Interval(lower=lower, upper=upper, level=level, source="LS")

@@ -263,9 +263,7 @@ def mc_table1(
         raise ValueError("need at least one replication")
     theta = np.asarray(TABLE1_THETA)
     K = theta.shape[0]
-    query = WelfareQuery(
-        delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR), alpha=TABLE1_ALPHA
-    )
+    query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
     fixed_box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(K))
     wl_iv = bounds_box(ConstraintSet(fixed_box), query).wl_max
     wl_iii = max_constrained(ConstraintSet(fixed_box, sum_to=1.0), query).wl_max
@@ -311,11 +309,7 @@ def mc_table2(
         raise ValueError("need at least one good and one replication")
     theta = np.linspace(0.1, 0.9, K)
     q_rng = substream(seed, _QUERY, K)
-    query = WelfareQuery(
-        delta=q_rng.uniform(0.1, 1.1, K),
-        y_star=q_rng.uniform(0.2, 1.2, K),
-        alpha=0.1,
-    )
+    query = WelfareQuery(delta=q_rng.uniform(0.1, 1.1, K), y_star=q_rng.uniform(0.2, 1.2, K))
     true_wl = welfare_loss(theta, query)
 
     def welfare(n, boxes):

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     EmptyConfidenceSet,
     InfeasibleConstraint,
-    InvalidLevel,
     InvalidTheta,
     NegativePriceChange,
 )
@@ -65,7 +64,6 @@ class WelfareQuery:
 
     delta: np.ndarray
     y_star: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=float)
@@ -73,8 +71,6 @@ class WelfareQuery:
         if delta.ndim != 1 or y_star.ndim != 1 or delta.shape != y_star.shape:
             raise ValueError("delta and y_star must be 1-d arrays of equal length")
         _check_query_arrays(delta, y_star)
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "y_star", y_star)
 

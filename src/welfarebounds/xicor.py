@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateResponse, InvalidLevel, InvalidSample
 
@@ -147,7 +147,12 @@ def xi(sample: PairedSample, rng_seed: int) -> XiReport:
 
 
 def critical_value(alpha: float) -> float:
-    """Upper critical value for sqrt(n) * xi under independence."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return math.sqrt(NULL_VARIANCE) * float(ndtri(1.0 - alpha))
+    """Upper critical value for sqrt(n) * xi under independence.
+
+    sqrt(0.4) times the standard normal quantile (statistics.NormalDist) at
+    p = 1 - alpha; InvalidLevel unless p, as rounded, lies strictly in (0, 1).
+    """
+    p = 1.0 - alpha
+    if not 0.0 < p < 1.0:
+        raise InvalidLevel(f"alpha must leave 1 - alpha strictly inside (0, 1), got {alpha}")
+    return math.sqrt(NULL_VARIANCE) * NormalDist().inv_cdf(p)

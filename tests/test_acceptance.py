@@ -236,7 +236,7 @@ def test_solver_against_brute_force_oracle():
     for _ in range(1000):
         K = int(rng.integers(1, 7))
         theta = rng.uniform(1e-3, 2.0, K)
-        q = WelfareQuery(rng.uniform(0.01, 2, K), rng.uniform(0.1, 2, K), 0.1)
+        q = WelfareQuery(rng.uniform(0.01, 2, K), rng.uniform(0.1, 2, K))
         gamma = theta + q.spend_change
         lhs = -kl_div(theta, gamma).sum() + q.spend_change.sum()
         identity_worst = max(identity_worst, abs(lhs - welfare_loss(theta, q)))
@@ -257,7 +257,7 @@ def test_monotonicity_and_concavity():
     for _ in range(100):
         K = int(rng.integers(1, 5))
         theta = rng.uniform(0.2, 1.5, K)
-        q = WelfareQuery(rng.uniform(0.3, 1.5, K), rng.uniform(0.3, 1.5, K), 0.1)
+        q = WelfareQuery(rng.uniform(0.3, 1.5, K), rng.uniform(0.3, 1.5, K))
         c = q.spend_change
         for k in range(K):
             h = 5e-3 * theta[k]

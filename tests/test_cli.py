@@ -17,11 +17,14 @@ from welfarebounds.cli import (
 )
 from welfarebounds.errors import (
     ConfigError,
+    InvalidLevel,
     InvalidQuery,
     ParseError,
     SchemaError,
     TooFewObservations,
 )
+from welfarebounds.regress import LsFit, theta_interval_delta
+from welfarebounds.xicor import critical_value
 
 TWO_GOOD_CSV = """good_id,price,quantity
 a,1.1,2.0
@@ -221,6 +224,26 @@ def test_failed_good_keeps_the_other_goods(tmp_path, capsys):
     wl = _rows(str(tmp_path / "w_welfare.csv"))
     assert [r["status"] for r in wl] == ["FAILED"] * 3
     assert all(r["wl_max"] == "" for r in wl)
+
+
+def test_diagnose_keeps_the_other_goods_and_names_the_failed_one(tmp_path, capsys):
+    # good b has a constant price and no instrument, so its rank response is degenerate
+    data = _write(tmp_path, "d.csv", "good_id,price,quantity\na,1.0,2.0\na,1.5,1.0\na,1.2,1.4\n"
+                  "b,1.5,1\nb,1.5,2\nb,1.5,3\n")
+    assert main(["diagnose", "--data", data, "--out", str(tmp_path / "dg")]) == 3
+    lines = (tmp_path / "dg_diagnostics.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[2].startswith("a,") and lines[2].endswith(",1.04029677575,WHOLE_SPACE")
+    assert lines[3:] == ["b,,,1.04029677575,FAILED:DegenerateResponse"]
+    assert capsys.readouterr().err == "DegenerateResponse: b: all response values are equal\n"
+    # every per-good stderr line names the good exactly once
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.5\nh1,b,0.5,0.5\n")
+    for argv, code in ((["ci", "--mode", "all"], 3),
+                       (["welfare", "--mode", "xi", "--query", query], 3),
+                       (["welfare", "--mode", "ls", "--query", query], 4)):
+        assert main(argv + ["--data", data, "--out", str(tmp_path / "c")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.count("b: ") == 1 for line in err)
+        assert {line.split(":")[0] for line in err} <= {"DegenerateResponse", "SingularDesign"}
 
 
 def _welfare_rows(path):
@@ -519,9 +542,26 @@ def test_wide_query_row_with_missing_cell(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
+    # numpy is the only runtime dependency: no scipy module at all
     src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, welfarebounds.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, welfarebounds, welfarebounds.cli;"
+             " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_level_that_rounds_to_one_is_invalid_level(tmp_path, capsys):
+    with pytest.raises(InvalidLevel):
+        critical_value(1e-17)
+    fit = LsFit(beta_hat=2.0, intercept_hat=0.0, se_beta=0.5, n=30, mode="OLS")
+    with pytest.raises(InvalidLevel):
+        theta_interval_delta(fit, 1.0 - 2.0**-53)
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    for argv in (["ci", "--mode", "xi"], ["diagnose"]):
+        capsys.readouterr()
+        assert main(argv + ["--data", data, "--alpha", "1e-17", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidLevel: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("x_*"))

@@ -24,7 +24,7 @@ from welfarebounds.welfare import (
 )
 
 THREE_GOOD_QUERY = WelfareQuery(
-    delta=np.array([0.5, 0.8, 0.2]), y_star=np.array([0.2, 0.6, 0.8]), alpha=0.1
+    delta=np.array([0.5, 0.8, 0.2]), y_star=np.array([0.2, 0.6, 0.8])
 )
 
 
@@ -79,9 +79,9 @@ def test_point_value_three_goods():
 
 
 def test_zero_price_change_contributes_nothing():
-    q = WelfareQuery(delta=np.zeros(3), y_star=np.array([0.2, 0.6, 0.8]), alpha=0.1)
+    q = WelfareQuery(delta=np.zeros(3), y_star=np.array([0.2, 0.6, 0.8]))
     assert welfare_loss(np.array([0.2, 0.3, 0.5]), q) == 0.0
-    q2 = WelfareQuery(delta=np.array([0.5, 0.0]), y_star=np.array([1.0, 1.0]), alpha=0.1)
+    q2 = WelfareQuery(delta=np.array([0.5, 0.0]), y_star=np.array([1.0, 1.0]))
     assert welfare_loss(np.array([0.4, 0.6]), q2) == pytest.approx(
         0.4 * math.log1p(0.5 / 0.4), abs=1e-15
     )
@@ -99,9 +99,9 @@ def test_invalid_inputs():
     with pytest.raises(InvalidTheta):
         welfare_loss(np.array([0.2, 0.3]), THREE_GOOD_QUERY)
     with pytest.raises(NegativePriceChange):
-        WelfareQuery(delta=np.array([-0.1, 0.2]), y_star=np.ones(2), alpha=0.1)
+        WelfareQuery(delta=np.array([-0.1, 0.2]), y_star=np.ones(2))
     with pytest.raises(ValueError):
-        WelfareQuery(delta=np.array([0.1, 0.2]), y_star=np.array([1.0, 0.0]), alpha=0.1)
+        WelfareQuery(delta=np.array([0.1, 0.2]), y_star=np.array([1.0, 0.0]))
 
 
 def test_kl_div_identity():
@@ -110,7 +110,7 @@ def test_kl_div_identity():
     for _ in range(1000):
         K = int(rng.integers(1, 7))
         theta = rng.uniform(1e-3, 2.0, K)
-        q = WelfareQuery(rng.uniform(0, 2, K), rng.uniform(0.1, 2, K), 0.1)
+        q = WelfareQuery(rng.uniform(0, 2, K), rng.uniform(0.1, 2, K))
         gamma = theta + q.spend_change
         mask = q.spend_change > 0
         lhs = -kl_div(theta[mask], gamma[mask]).sum() + q.spend_change.sum()
@@ -155,7 +155,7 @@ def test_simplex_max_matches_analytic_solution():
 
 
 def test_symmetric_two_goods():
-    q = WelfareQuery(delta=np.array([0.3, 0.3]), y_star=np.array([1.0, 1.0]), alpha=0.1)
+    q = WelfareQuery(delta=np.array([0.3, 0.3]), y_star=np.array([1.0, 1.0]))
     wb = max_constrained(ConstraintSet(_box(0.1, 0.9, 2), sum_to=1.0), q)
     assert_allclose(wb.argmax_theta, [0.5, 0.5], atol=1e-8)
     assert_allclose(wb.wl_max, math.log(1.6), atol=1e-10)
@@ -181,7 +181,7 @@ def _random_instance(rng, K):
     lo = rng.uniform(0.05, 0.3, K)
     hi = lo + rng.uniform(0.2, 0.7, K)
     target = float(rng.uniform(lo.sum(), hi.sum()))
-    q = WelfareQuery(rng.uniform(0.05, 1.5, K), rng.uniform(0.1, 2.0, K), 0.1)
+    q = WelfareQuery(rng.uniform(0.05, 1.5, K), rng.uniform(0.1, 2.0, K))
     box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
     return ConstraintSet(box, sum_to=target), q, lo, hi, target
 
@@ -201,7 +201,7 @@ def test_solver_matches_brute_force(K):
 
 
 def test_zero_delta_with_sum_constraint():
-    q = WelfareQuery(delta=np.zeros(3), y_star=np.ones(3), alpha=0.1)
+    q = WelfareQuery(delta=np.zeros(3), y_star=np.ones(3))
     wb = max_constrained(ConstraintSet(_box(0.1, 0.9, 3), sum_to=1.0), q)
     assert wb.wl_max == 0.0 and wb.wl_min == 0.0
     assert abs(wb.argmax_theta.sum() - 1.0) < 1e-12
@@ -257,7 +257,7 @@ def test_branch_and_bound_matches_vertex_enumeration():
         for _ in range(4):
             constraints, q, lo, hi, target = _random_instance(rng, K)
             delta = q.delta * (rng.random(K) > 0.2)  # some goods without a price change
-            q = WelfareQuery(delta, q.y_star, 0.1)
+            q = WelfareQuery(delta, q.y_star)
             wb = max_constrained(constraints, q)
             ref = vertex_enumeration_min(q.spend_change, lo, hi, target)
             assert abs(wb.wl_min - ref) <= 1e-12 * max(1.0, ref)
@@ -272,7 +272,7 @@ def test_large_k_bounds_hold_at_sampled_points(K):
         hi = lo + rng.uniform(0.05, 0.6, K)
         target = float(lo.sum() + rng.uniform(0.25, 0.75) * (hi.sum() - lo.sum()))
         q = WelfareQuery(rng.uniform(0.1, 1.0, K) * (rng.random(K) > 0.1),
-                         rng.uniform(0.2, 1.2, K), 0.1)
+                         rng.uniform(0.2, 1.2, K))
         box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
         wb = max_constrained(ConstraintSet(box, sum_to=target), q)
         vertices, mixes = _sampled_slice(rng, lo, hi, target, 400)
@@ -285,7 +285,7 @@ def test_large_k_bounds_hold_at_sampled_points(K):
 
 def _sum_bounds(lo, hi, delta, y_star, target):
     box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
-    q = WelfareQuery(np.asarray(delta, float), np.asarray(y_star, float), 0.1)
+    q = WelfareQuery(np.asarray(delta, float), np.asarray(y_star, float))
     return max_constrained(ConstraintSet(box, sum_to=target), q), q
 
 
@@ -316,7 +316,7 @@ def test_closed_form_max_edge_cases():
     # lo == hi after the floor: [1e-9, 1e-6] floors to the point 1e-6
     box = (Interval(1e-9, POSITIVITY_FLOOR, 1.0, "BOX"), Interval(0.1, 0.8, 1.0, "BOX"),
            Interval(0.2, 0.6, 1.0, "BOX"))
-    q = WelfareQuery(np.array([0.5, 0.8, 0.2]), np.array([0.2, 0.6, 0.8]), 0.1)
+    q = WelfareQuery(np.array([0.5, 0.8, 0.2]), np.array([0.2, 0.6, 0.8]))
     wb = max_constrained(ConstraintSet(box, sum_to=0.9), q)
     assert wb.argmax_theta[0] == POSITIVITY_FLOOR
     lo = np.array([POSITIVITY_FLOOR, 0.1, 0.2])
@@ -337,7 +337,7 @@ def test_batched_box_equals_single_queries_bit_for_bit():
     y_star = rng.uniform(0.1, 2.0, (N, K))
     constraints = ConstraintSet(box)
     wl_min, wl_max = bounds_box_batch(constraints, delta, y_star)
-    single = [bounds_box(constraints, WelfareQuery(d, y, 0.1)) for d, y in zip(delta, y_star)]
+    single = [bounds_box(constraints, WelfareQuery(d, y)) for d, y in zip(delta, y_star)]
     assert wl_min.tolist() == [wb.wl_min for wb in single]
     assert wl_max.tolist() == [wb.wl_max for wb in single]
     with pytest.raises(NegativePriceChange):
@@ -351,7 +351,7 @@ def test_monotonicity_and_concavity_by_finite_differences():
     for _ in range(20):
         K = int(rng.integers(1, 5))
         theta = rng.uniform(0.2, 1.5, K)
-        q = WelfareQuery(rng.uniform(0.3, 1.5, K), rng.uniform(0.3, 1.5, K), 0.1)
+        q = WelfareQuery(rng.uniform(0.3, 1.5, K), rng.uniform(0.3, 1.5, K))
         for k in range(K):
             h = 5e-3 * theta[k]
 

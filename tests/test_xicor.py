@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from welfarebounds.errors import DegenerateResponse, InvalidLevel, InvalidSample
+from welfarebounds.regress import LsFit, theta_interval_delta
 from welfarebounds.xicor import PairedSample, critical_value, ranks_after_sort, xi
 
 
@@ -114,6 +116,22 @@ def test_critical_values():
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(InvalidLevel):
             critical_value(bad)
+
+
+def test_normal_quantiles_match_ndtri():
+    # every per-good level the package uses: alpha/K, and alpha/2K when intersecting
+    from scipy.special import ndtri
+
+    fit = LsFit(beta_hat=1.0, intercept_hat=0.0, se_beta=1.0, n=100, mode="OLS")
+    for alpha in (0.01, 0.02, 0.05, 0.07, 0.1, 0.2):
+        for K in range(1, 201):
+            for share in (alpha / K, alpha / (2 * K)):
+                expected = math.sqrt(0.4) * float(ndtri(1.0 - share))
+                assert critical_value(share) == pytest.approx(expected, rel=2e-15, abs=0)
+                # theta = se_theta = 1, so the upper end is 1 + z
+                z = theta_interval_delta(fit, 1.0 - share).upper - 1.0
+                expected = float(ndtri(0.5 + (1.0 - share) / 2.0))
+                assert z == pytest.approx(expected, rel=2e-15, abs=0)
 
 
 def test_runtime_scales_quasilinearly():
