@@ -47,11 +47,10 @@ from .welfare import (
     WelfareQuery,
     bounds_box,
     bounds_box_batch,
-    kl_div,
     max_constrained,
     welfare_loss,
 )
-from .xicor import PairedSample, XiReport, critical_value, ranks_after_sort, xi
+from .xicor import PairedSample, XiReport, critical_value, xi
 
 __version__ = "0.1.0"
 
@@ -98,11 +97,9 @@ __all__ = [
     "draw_sample",
     "fit_inverse_demand",
     "intersect",
-    "kl_div",
     "max_constrained",
     "mc_table1",
     "mc_table2",
-    "ranks_after_sort",
     "shape_diagnostic",
     "smooth_instrument",
     "theta_interval_delta",

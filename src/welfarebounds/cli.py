@@ -40,7 +40,7 @@ from .errors import (
     WelfareBoundsError,
 )
 from .regress import GoodSample, Interval
-from .simulate import DgpConfig, draw_sample, mc_table1, mc_table2
+from .simulate import MC_ALPHA, DgpConfig, draw_sample, mc_table1, mc_table2
 from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
@@ -71,7 +71,7 @@ def _fmt(x) -> str:
 
 @dataclass
 class RunConfig:
-    """Flat bag of run parameters; round-trips through `key = value` text files."""
+    """Flat bag of run parameters; also read from `key = value` text files."""
 
     alpha: float = 0.05
     grid_nodes: int = 5000
@@ -95,6 +95,10 @@ class RunConfig:
     ls_fit: str = "auto"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name.replace('_', '-')} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
         if self.grid_nodes < 2:
@@ -147,13 +151,6 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         return cfg
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# welfarebounds run configuration\n")
-            for f in fields(self):
-                value = getattr(self, f.name)
-                fh.write(f"{f.name} = {'none' if value is None else value}\n")
 
 
 def _converter(annotation: str):
@@ -264,7 +261,9 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     """Per-good intervals from a cmd_ci output file, optionally one method only.
 
     EMPTY rows become empty intervals; FAILED:<ErrorName> rows become empty
-    intervals tagged with source FAILED.
+    intervals tagged with source FAILED.  A row that is no valid Interval
+    (lower above upper, a non-finite endpoint, a level outside [0, 1]) raises
+    ParseError naming the file and row.
     """
     _, idx, rows = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
     out: dict[str, Interval] = {}
@@ -280,14 +279,15 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
         level = _cell_float(cells[idx["level"]], lineno, "level")
         status = cells[idx["status"]]
         source = "FAILED" if status.startswith("FAILED:") else method.upper()
-        if status == "EMPTY" or source == "FAILED":
-            out[gid] = Interval.make_empty(level, source)
-            continue
-        lower = _cell_float(cells[idx["lower"]], lineno, "lower")
-        upper = _cell_float(cells[idx["upper"]], lineno, "upper")
-        if lower > upper:
-            raise ParseError(f"{path}: row {lineno}: lower {lower} exceeds upper {upper}", row=lineno)
-        out[gid] = Interval(lower, upper, level, source)
+        try:
+            if status == "EMPTY" or source == "FAILED":
+                out[gid] = Interval.make_empty(level, source)
+            else:
+                lower = _cell_float(cells[idx["lower"]], lineno, "lower")
+                upper = _cell_float(cells[idx["upper"]], lineno, "upper")
+                out[gid] = Interval(lower, upper, level, source)
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}", row=lineno) from None
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
     return out
@@ -530,7 +530,7 @@ def cmd_welfare(cfg: RunConfig) -> int:
     _write_csv(
         out_path,
         "welfare-loss bounds per individual in units of the numeraire;"
-        f" joint alpha = {_fmt(cfg.alpha)}; 'level' is the joint box level",
+        " 'level' is the joint box level",
         ["rank", "id", "wl_min", "wl_max", "level", "status"],
         rows,
     )
@@ -585,7 +585,7 @@ def cmd_mc(cfg: RunConfig) -> int:
     _write_csv(
         iv_path,
         "average interval endpoints (theta, nominal price units) over"
-        f" {report.reps} replications; joint alpha = 0.1",
+        f" {report.reps} replications; joint alpha = {_fmt(MC_ALPHA)}",
         ["n", "good_id", "theta_true", "avg_lower", "avg_upper", "avg_length", "coverage", "n_empty"],
         [
             [r.n, r.good_id, r.theta_true, r.avg_lower, r.avg_upper, r.avg_length, r.coverage, r.n_empty]
@@ -597,7 +597,7 @@ def cmd_mc(cfg: RunConfig) -> int:
     wl_rows += [[n, "joint_coverage", v] for n, v in sorted(report.joint_coverage.items())]
     _write_csv(
         wl_path,
-        "welfare-loss figures in units of the numeraire; joint alpha = 0.1;"
+        f"welfare-loss figures in units of the numeraire; joint alpha = {_fmt(MC_ALPHA)};"
         f" true loss = {_fmt(report.true_welfare_loss)}",
         ["n", "label", "value"],
         wl_rows,
@@ -664,7 +664,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--alpha", type=float, default=S)
         p.add_argument("--seed", type=int, default=S)
         p.add_argument("--out", default=S, help="output path stem")
 
@@ -677,6 +676,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser("ci", help="per-good confidence intervals")
     add_common(p_ci)
     add_grid(p_ci)
+    p_ci.add_argument("--alpha", type=float, default=S, help="joint error level")
     p_ci.add_argument("--data", default=S, help="input CSV (good_id,price,quantity[,instrument])")
     p_ci.add_argument("--mode", choices=["xi", "ls", "intersect", "all"], default=S)
     p_ci.add_argument("--jitter", type=float, default=S, help="instrument smoothing half-width")
@@ -685,6 +685,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_w = sub.add_parser("welfare", help="per-individual welfare-loss bounds")
     add_common(p_w)
     add_grid(p_w)
+    p_w.add_argument("--alpha", type=float, default=S,
+                     help="joint error level with --data; --intervals takes the file's levels")
     p_w.add_argument("--data", default=S)
     p_w.add_argument("--intervals", default=S, help="intervals CSV written by `ci`")
     p_w.add_argument("--query", default=S, help="per-individual (delta, ystar) CSV")
@@ -708,6 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_d = sub.add_parser("diagnose", help="confidence-set shape diagnostics")
     add_common(p_d)
+    p_d.add_argument("--alpha", type=float, default=S)
     p_d.add_argument("--data", default=S)
     p_d.add_argument("--jitter", type=float, default=S)
 

@@ -84,7 +84,8 @@ class Interval:
 
     `source` is one of XI, LS, INTERSECT, BOX, or FAILED (the CLI's empty
     stand-in for a good whose interval could not be computed).  Empty
-    intervals carry NaN endpoints and `empty=True`.
+    intervals carry NaN endpoints and `empty=True`; any other interval has
+    finite endpoints, lower <= upper, and every level lies in [0, 1].
     """
 
     lower: float
@@ -94,7 +95,13 @@ class Interval:
     empty: bool = False
 
     def __post_init__(self):
-        if not self.empty and self.lower > self.upper:
+        if not 0.0 <= self.level <= 1.0:
+            raise ValueError(f"level {self.level} lies outside [0, 1]")
+        if self.empty:
+            return
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"endpoints {self.lower}, {self.upper} must be finite")
+        if self.lower > self.upper:
             raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
 
     @classmethod

@@ -25,6 +25,9 @@ from .welfare import (
     welfare_loss,
 )
 
+# Joint error level of both studies; each good's interval gets MC_ALPHA / K.
+MC_ALPHA = 0.1
+
 # Spawn-path purpose codes.
 _DRAW = 0
 _QUERY = 1
@@ -34,7 +37,6 @@ _CS = 2
 TABLE1_THETA = (0.2, 0.3, 0.5)
 TABLE1_DELTA = (0.5, 0.8, 0.2)
 TABLE1_YSTAR = (0.2, 0.6, 0.8)
-TABLE1_ALPHA = 0.1
 DEFAULT_N_VALUES = (200, 1000, 5000)
 
 
@@ -251,7 +253,7 @@ def mc_table1(
 ) -> McReport:
     """Three-good study: per-good intervals and welfare upper bounds.
 
-    Intervals invert the rank statistic alone at per-good level 1 - 0.1/3
+    Intervals invert the rank statistic alone at per-good level 1 - MC_ALPHA/3
     over a 1000-node grid on (0, 1).  Welfare uses the fixed price change
     (0.5, 0.8, 0.2) and consumption (0.2, 0.6, 0.8) under four constraints:
     i) intervals plus sum(theta) = 1, ii) intervals only, iii) the fixed box
@@ -287,7 +289,7 @@ def mc_table1(
         infeasible = len(boxes) - len(wl_i)
         return rows, {f"infeasible_sum_n{n}": infeasible} if infeasible else {}
 
-    return _replicate(theta, reps, seed, n_values, grid_nodes, TABLE1_ALPHA / K, true_wl, welfare)
+    return _replicate(theta, reps, seed, n_values, grid_nodes, MC_ALPHA / K, true_wl, welfare)
 
 
 def mc_table2(
@@ -322,4 +324,4 @@ def mc_table2(
             WelfareSummary(n, "bracketed", _mean([b.wl_min <= true_wl <= b.wl_max for b in bounds])),
         ], {}
 
-    return _replicate(theta, reps, seed, n_values, grid_nodes, 0.1 / K, true_wl, welfare)
+    return _replicate(theta, reps, seed, n_values, grid_nodes, MC_ALPHA / K, true_wl, welfare)

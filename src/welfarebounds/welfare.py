@@ -15,9 +15,6 @@ delta_k * ystar_k > 0, which drives both solvers here:
   * the minimum of the concave objective over the same slice is found by
     Falk-Soland branch-and-bound (Falk & Soland 1969, Management Science
     15:550), exact to a relative 1e-12 at any number of goods.
-
-The kl_div reformulation (-sum kl_div(theta, theta + c) + sum c equals the
-loss) is kept as an identity for cross-checking, not as a solver dependency.
 """
 
 from __future__ import annotations
@@ -126,19 +123,16 @@ class ConstraintSet:
 class WelfareBounds:
     """Extremes of the loss over a constraint set, with the level they hold at.
 
-    gamma is the auxiliary vector argmax_theta + delta * ystar from the
-    convex-programming reformulation; kkt_residual reports the stationarity
-    and feasibility gap of the constrained maximizer (0.0 for box-only
-    bounds, which are exact).  Both extremes are exact, so min_certified is
-    always True; the field is kept for compatibility with callers that read
-    it.
+    kkt_residual reports the stationarity and feasibility gap of the
+    constrained maximizer (0.0 for box-only bounds, which are exact).  Both
+    extremes are exact, so min_certified is always True; the field is kept
+    for compatibility with callers that read it.
     """
 
     wl_min: float
     wl_max: float
     level: float
     argmax_theta: np.ndarray
-    gamma: np.ndarray
     kkt_residual: float = 0.0
     min_certified: bool = True
 
@@ -169,13 +163,6 @@ def welfare_loss(theta, query: WelfareQuery) -> float:
     return float(_loss_terms(theta, query.spend_change).sum())
 
 
-def kl_div(x1, x2) -> np.ndarray:
-    """Elementwise x1*log(x1/x2) - x1 + x2 for positive inputs."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    return x1 * np.log(x1 / x2) - x1 + x2
-
-
 def _box_corners(constraints: ConstraintSet, K: int) -> tuple[np.ndarray, np.ndarray]:
     if constraints.sum_to is not None:
         raise ValueError("constraint set has a sum target; use max_constrained")
@@ -193,7 +180,6 @@ def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds
         wl_max=welfare_loss(uppers, query),
         level=constraints.joint_level(),
         argmax_theta=uppers,
-        gamma=uppers + query.spend_change,
     )
 
 
@@ -374,6 +360,5 @@ def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareB
         wl_max=wl_max,
         level=constraints.joint_level(),
         argmax_theta=theta_max,
-        gamma=theta_max + c,
         kkt_residual=_kkt_residual(theta_max, lam, c, lowers, uppers, target),
     )

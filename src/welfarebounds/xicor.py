@@ -103,28 +103,6 @@ def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
     return ranks, scale
 
 
-def sort_order(first: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Ascending order of `first`; exact ties are broken uniformly at random."""
-    u = rng.random(first.shape[0])
-    return np.lexsort((u, first))
-
-
-def ranks_after_sort(sample: PairedSample, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by `first` and return response ranks r and weak-upper counts l.
-
-    r_i is the max-rank of the response in sorted position i among all
-    response values; l_i counts response values weakly above it.
-    """
-    rng = np.random.default_rng(rng_seed)
-    order = sort_order(sample.first, rng)
-    second = sample.second
-    n = sample.n
-    s = np.sort(second)
-    r = np.searchsorted(s, second, side="right")[order]
-    l = (n - np.searchsorted(s, second, side="left"))[order]
-    return r, l
-
-
 def xi(sample: PairedSample, rng_seed: int) -> XiReport:
     """Dependence of `second` on `first`, computed in O(n log n).
 
@@ -132,8 +110,9 @@ def xi(sample: PairedSample, rng_seed: int) -> XiReport:
     data.  Raises DegenerateResponse when every response value is equal.
     """
     ranks, scale = response_rank_scale(sample.second)
-    rng = np.random.default_rng(rng_seed)
-    order = sort_order(sample.first, rng)
+    # ascending order of `first`; exact ties are broken uniformly at random
+    u = np.random.default_rng(rng_seed).random(sample.n)
+    order = np.lexsort((u, sample.first))
     jumps = int(np.abs(np.diff(ranks[order])).sum())
     value = 1.0 - jumps * scale
     n = sample.n

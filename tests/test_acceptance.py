@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import kl_div
 from scipy.stats import kstest, norm
 
 from welfarebounds.confset import GridSpec, cs_combined, profile_stats, shape_diagnostic
@@ -20,7 +21,6 @@ from welfarebounds.welfare import (
     ConstraintSet,
     WelfareQuery,
     bounds_box,
-    kl_div,
     max_constrained,
     welfare_loss,
 )

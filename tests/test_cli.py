@@ -170,7 +170,7 @@ def test_empty_intersect_row_keeps_level_and_xi_profile(tmp_path):
     assert not list(tmp_path.glob("i_profile_*.csv"))
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
     assert main(["ci", "--data", data, "--alpha", "1.5", "--out", str(tmp_path / "x")]) == 2
     assert main(["ci", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")]) == 3
@@ -184,6 +184,35 @@ def test_exit_codes(tmp_path):
     assert main(["ci", "--data", bad, "--mode", "ls", "--out", str(tmp_path / "x")]) == 4
     assert main(["simulate", "--seed", "1", "--theta", "0.2,1.5", "--out", str(tmp_path / "s")]) == 2
     assert main(["simulate", "--seed", "1", "--theta", "0,0.5", "--out", str(tmp_path / "s")]) == 2
+    # a non-finite float flag is a config error that names the flag
+    intervals = _write(
+        tmp_path,
+        "iv.csv",
+        "good_id,method,lower,upper,level,status\na,ls,0.2,0.6,0.95,OK\nb,ls,0.3,0.7,0.95,OK\n",
+    )
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
+    welfare = ["welfare", "--intervals", intervals, "--query", query]
+    for argv, flag in (
+        (["ci", "--data", data, "--seed", "1", "--jitter", "inf"], "jitter"),
+        (["ci", "--data", data, "--seed", "1", "--jitter", "nan"], "jitter"),
+        (["ci", "--data", data, "--floor", "nan"], "floor"),
+        (["ci", "--data", data, "--grid-hi", "inf"], "grid-hi"),
+        (welfare + ["--floor", "nan"], "floor"),
+        (welfare + ["--sum-to", "inf"], "sum-to"),
+        (welfare + ["--sum-to", "nan"], "sum-to"),
+        (["simulate", "--seed", "1", "--endogeneity", "nan"], "endogeneity"),
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "nf")]) == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {flag} must be finite")
+    assert not list(tmp_path.glob("nf_*"))
+    # mc and simulate read no alpha, so they take no --alpha flag
+    for argv in (["mc", "--table", "2", "--k", "2", "--reps", "1", "--seed", "4", "--alpha", "0.01"],
+                 ["simulate", "--seed", "1", "--alpha", "0.3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "na")])
+        assert exc.value.code == 2
+    assert not list(tmp_path.glob("na_*"))
 
 
 def _three_goods_one_constant_price(tmp_path):
@@ -339,6 +368,24 @@ def test_welfare_from_intervals_long_and_wide(tmp_path):
     assert rows_l[0]["level"] == "0.9"
 
 
+def test_welfare_header_states_no_alpha(tmp_path):
+    # --alpha sets nothing under --intervals: the rows' level comes from the file
+    intervals = _write(
+        tmp_path,
+        "iv.csv",
+        "good_id,method,lower,upper,level,status\na,ls,0.2,0.6,0.95,OK\nb,ls,0.3,0.7,0.95,OK\n",
+    )
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
+    assert main(["welfare", "--intervals", intervals, "--query", query,
+                 "--alpha", "0.01", "--out", str(tmp_path / "w")]) == 0
+    header = (tmp_path / "w_welfare.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == (
+        "# welfare-loss bounds per individual in units of the numeraire;"
+        " 'level' is the joint box level"
+    )
+    assert [r["level"] for r in _rows(str(tmp_path / "w_welfare.csv"))] == ["0.9"]
+
+
 def test_welfare_empty_interval_propagates(tmp_path, capsys):
     query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
     # an interval wholly below the positivity floor is as empty as an EMPTY row
@@ -411,14 +458,19 @@ def test_mc_table1_layout(tmp_path):
     }
     wl = _rows(str(tmp_path / "m1_mc_welfare.csv"))
     assert {r["label"] for r in wl} >= {"i", "ii", "iii", "iv"}
+    for name in ("m1_mc_intervals.csv", "m1_mc_welfare.csv"):
+        header = (tmp_path / name).read_text(encoding="utf-8").splitlines()[0]
+        assert "; joint alpha = 0.1" in header
 
 
 def test_config_file_round_trip_and_errors(tmp_path):
-    cfg = RunConfig(alpha=0.07, grid_nodes=123, seed=9, sum_to=None, out="zzz")
     path = tmp_path / "run.cfg"
-    cfg.to_file(str(path))
+    path.write_text(
+        "# a run\nalpha = 0.07\ngrid-nodes = 123  # dashed key\nseed = 9\nsum_to = none\nout = zzz\n",
+        encoding="utf-8",
+    )
     loaded = RunConfig.from_file(str(path))
-    assert loaded == cfg
+    assert loaded == RunConfig(alpha=0.07, grid_nodes=123, seed=9, sum_to=None, out="zzz")
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha = 0.1\nwhat is this\n", encoding="utf-8")
@@ -469,6 +521,9 @@ def test_intervals_reader_requires_unique_rows(tmp_path):
     [
         ("b,intersect,0.5", "row 3: expected 6 cells, got 3"),
         ("b,intersect,0.4,0.2,0.95,OK", "row 3: lower 0.4 exceeds upper 0.2"),
+        ("b,ls,nan,nan,0.975,OK", "row 3: endpoints nan, nan must be finite"),
+        ("b,ls,0.2,inf,0.975,OK", "row 3: endpoints 0.2, inf must be finite"),
+        ("b,ls,0.2,0.6,1.5,OK", "row 3: level 1.5 lies outside [0, 1]"),
     ],
 )
 def test_intervals_reader_bad_rows_name_file_and_line(tmp_path, capsys, row, message):

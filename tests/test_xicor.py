@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from welfarebounds.errors import DegenerateResponse, InvalidLevel, InvalidSample
 from welfarebounds.regress import LsFit, theta_interval_delta
-from welfarebounds.xicor import PairedSample, critical_value, ranks_after_sort, xi
+from welfarebounds.xicor import PairedSample, critical_value, response_rank_scale, xi
 
 
 def test_sample_validation():
@@ -20,22 +20,24 @@ def test_sample_validation():
 
 
 def test_ranks_strictly_monotone():
-    r, l = ranks_after_sort(PairedSample([3, 1, 2], [30, 10, 20]), rng_seed=0)
-    assert r.tolist() == [1, 2, 3]
-    assert l.tolist() == [3, 2, 1]
+    # tie-free response: plain ranks and the scale 3 / (n^2 - 1)
+    r, scale = response_rank_scale(np.array([30.0, 10.0, 20.0]))
+    assert r.tolist() == [3, 1, 2]
+    assert scale == 3 / 8
 
 
 def test_ranks_full_tie_counts():
-    # both response values are >= each other
-    r, l = ranks_after_sort(PairedSample([1, 2], [5, 5]), rng_seed=0)
-    assert l.tolist() == [2, 2]
-    assert r.tolist() == [2, 2]
+    # every value weakly above every other: the tie-aware denominator is 0
+    with pytest.raises(DegenerateResponse):
+        response_rank_scale(np.array([5.0, 5.0]))
 
 
 def test_ranks_mixed_ties_max_rank():
-    r, l = ranks_after_sort(PairedSample([1, 2, 3, 4], [7, 7, 1, 9]), rng_seed=0)
+    # max-ranks r = [3, 3, 1, 4]; weak-upper counts l = [3, 3, 4, 1] give
+    # sum l * (n - l) = 9, so the scale is n / (2 * 9)
+    r, scale = response_rank_scale(np.array([7.0, 7.0, 1.0, 9.0]))
     assert r.tolist() == [3, 3, 1, 4]
-    assert l.tolist() == [3, 3, 4, 1]
+    assert scale == 4 / 18
 
 
 @pytest.mark.parametrize("second", [[10, 20, 30], [30, 20, 10]])
