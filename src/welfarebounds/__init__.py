@@ -28,6 +28,7 @@ from .errors import (
     InvalidQuery,
     InvalidSample,
     InvalidTheta,
+    NearZeroSlope,
     NegativePriceChange,
     NonpositiveSlope,
     NumericalError,
@@ -72,6 +73,7 @@ __all__ = [
     "InvalidTheta",
     "LsFit",
     "McReport",
+    "NearZeroSlope",
     "NegativePriceChange",
     "NonpositiveSlope",
     "NumericalError",

@@ -127,7 +127,12 @@ class RunConfig:
             raise ConfigError(f"ls must be auto, ols, or tsls, got {self.ls_fit!r}")
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, command: str | None = None, reads=()) -> "RunConfig":
+        """A config from `key = value` lines ('#' comments, dashes or underscores).
+
+        With `command`, a key outside `reads` (the keys that command reads)
+        is a ConfigError, as an unknown or malformed key always is.
+        """
         converters = {f.name: _converter(f.type) for f in fields(cls)}
         cfg = cls()
         try:
@@ -146,6 +151,8 @@ class RunConfig:
             value = value.strip()
             if key not in converters:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if command is not None and key not in reads:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is not read by {command!r}")
             try:
                 setattr(cfg, key, converters[key](value))
             except ValueError as exc:
@@ -654,7 +661,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name."""
     parser = argparse.ArgumentParser(
         prog="welfarebounds",
         description="Confidence bounds on individual-level welfare loss from demand data.",
@@ -714,14 +722,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_d.add_argument("--data", default=S)
     p_d.add_argument("--jitter", type=float, default=S)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            cfg = RunConfig.from_file(args.config)
+            # the keys a command reads are the dests of its subparser
+            reads = {a.dest for a in subparsers[args.command]._actions}
+            cfg = RunConfig.from_file(args.config, args.command, reads)
         else:
             cfg = RunConfig()
         for key, value in vars(args).items():

@@ -7,6 +7,12 @@ acceptance region, and the reported interval is its hull (minimum to
 maximum accepted node).  The full profile is kept for diagnostics, including
 a segment count that flags disconnected acceptance regions.
 
+Exact ties in the residual (duplicate rows, discrete data) are broken at
+each node as `xi` breaks them, by uniforms seeded from the spawn path
+(seed, node index) and then by observation index.  Every profile value
+therefore equals `xi` at that node, whatever the chunking or the order in
+which nodes are evaluated.
+
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
 the bounded least-squares interval (clipped below at the positivity floor),
@@ -23,7 +29,7 @@ import numpy as np
 from .errors import InvalidGrid, InvalidLevel
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
-from .xicor import PairedSample, critical_value, response_rank_scale, xi
+from .xicor import PairedSample, critical_value, response_rank_scale, tie_uniforms, xi
 
 # Default cap of the xi-only search space when no least-squares interval
 # bounds it; a config value, not a structural constant.
@@ -107,6 +113,36 @@ def _effective_instrument(sample: GoodSample) -> np.ndarray:
     return sample.instrument if sample.instrument is not None else sample.price
 
 
+def _order_tied_runs(
+    order: np.ndarray, same: np.ndarray, nodes: np.ndarray, rng_seed: int
+) -> np.ndarray:
+    """Rows of `order` with each run of equal residuals put in `xi`'s tie order.
+
+    order[r] sorts node nodes[r]'s residuals, so equal residuals sit in
+    contiguous runs; same[r, j] says the residuals at sorted positions j and
+    j + 1 are equal.  Within a run, observations are ordered by the
+    node's tie_uniforms (seed child_seed(rng_seed, node)), then by index.
+    All rows go through one flat lexsort keyed by (run, uniform, index).
+    """
+    m, n = order.shape
+    u = np.empty((m, n))
+    for r, node in enumerate(nodes):
+        u[r] = tie_uniforms(child_seed(rng_seed, int(node)), n)
+    in_run = np.zeros((m, n), dtype=bool)
+    in_run[:, 1:] = same
+    in_run[:, :-1] |= same
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = ~same
+    row, pos = np.nonzero(in_run)
+    index = order[row, pos]
+    # Runs are numbered in slot order, so the sorted entries fill the same
+    # slots run by run.
+    run = np.cumsum(starts[row, pos])
+    out = order.copy()
+    out[row, pos] = index[np.lexsort((index, u[row, index], run))]
+    return out
+
+
 def profile_stats(
     price: np.ndarray,
     quantity: np.ndarray,
@@ -117,9 +153,11 @@ def profile_stats(
     """sqrt(n) * xi(price - theta/quantity, z) at every theta.
 
     Ranks are recomputed from scratch at each node (one sort per node,
-    vectorized in chunks).  Nodes whose transformed variable has exact ties
-    are redone through `xi` with a child seed of (rng_seed, node index), so
-    serial and parallel evaluation orders give identical results.
+    vectorized in chunks).  Exact ties in the residual are broken as `xi`
+    breaks them with the seed child_seed(rng_seed, node index): by uniforms
+    drawn for that node, then by observation index.  Only the tied runs are
+    reordered, for all tied nodes of a chunk at once, so every value equals
+    `xi` bit for bit and does not depend on chunking or evaluation order.
     """
     n = price.shape[0]
     ranks, scale = response_rank_scale(z)
@@ -129,18 +167,16 @@ def profile_stats(
     for start in range(0, thetas.shape[0], _CHUNK):
         chunk = thetas[start : start + _CHUNK]
         fm = price[None, :] - chunk[:, None] * inv_y[None, :]
-        # Unstable sort is fine: rows with exact ties are redone below, and
-        # on distinct keys every sort kind yields the same order.
+        # Unstable sort is fine: every sort kind puts equal residuals in one
+        # contiguous run, and the runs are reordered below.
         order = np.argsort(fm, axis=1)
-        sorted_first = np.take_along_axis(fm, order, axis=1)
+        sorted_fm = np.take_along_axis(fm, order, axis=1)
+        same = sorted_fm[:, 1:] == sorted_fm[:, :-1]
+        tied = np.nonzero(same.any(axis=1))[0]
+        if tied.size:
+            order[tied] = _order_tied_runs(order[tied], same[tied], start + tied, rng_seed)
         jumps = np.abs(np.diff(ranks[order], axis=1)).sum(axis=1)
-        vals = 1.0 - jumps * scale
-        tied = np.any(sorted_first[:, 1:] == sorted_first[:, :-1], axis=1)
-        for i in np.nonzero(tied)[0]:
-            node = start + int(i)
-            rep = xi(PairedSample(fm[i], z), child_seed(rng_seed, node))
-            vals[i] = rep.xi
-        stats[start : start + chunk.shape[0]] = root * vals
+        stats[start : start + chunk.shape[0]] = root * (1.0 - jumps * scale)
     return stats
 
 

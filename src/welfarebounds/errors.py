@@ -73,6 +73,10 @@ class NonpositiveSlope(NumericalError):
     """The fitted slope is not positive, so theta = 1/slope has no positive value."""
 
 
+class NearZeroSlope(NumericalError):
+    """The fitted slope is so near zero that theta = 1/slope has no finite interval."""
+
+
 class InvalidTheta(NumericalError):
     """A theta vector violates positivity or shape requirements."""
 

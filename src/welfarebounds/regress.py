@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     InvalidLevel,
     InvalidSample,
+    NearZeroSlope,
     NonpositiveSlope,
     SingularDesign,
     WeakFirstStage,
@@ -173,8 +174,15 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
             "the inverse-demand model does not fit this data"
         )
     theta = 1.0 / fit.beta_hat
-    se_theta = fit.se_beta / fit.beta_hat**2
+    # beta^2 underflows to 0 for a slope below ~1e-162
+    beta_sq = fit.beta_hat**2
+    se_theta = fit.se_beta / beta_sq if beta_sq > 0.0 else math.inf
     z = NormalDist().inv_cdf(p)
     lower = max(0.0, theta - z * se_theta)
     upper = theta + z * se_theta
+    if not math.isfinite(upper):
+        raise NearZeroSlope(
+            f"slope {fit.beta_hat:g} is so near zero that theta = 1/slope "
+            "has no finite delta-method interval"
+        )
     return Interval(lower=lower, upper=upper, level=level, source="LS")

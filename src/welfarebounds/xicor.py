@@ -103,6 +103,14 @@ def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
     return ranks, scale
 
 
+def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
+    """The n uniforms that order observations tied in the conditioning variable.
+
+    Observation k sorts by its value, then by the k-th uniform, then by k.
+    """
+    return np.random.default_rng(rng_seed).random(n)
+
+
 def xi(sample: PairedSample, rng_seed: int) -> XiReport:
     """Dependence of `second` on `first`, computed in O(n log n).
 
@@ -111,8 +119,7 @@ def xi(sample: PairedSample, rng_seed: int) -> XiReport:
     """
     ranks, scale = response_rank_scale(sample.second)
     # ascending order of `first`; exact ties are broken uniformly at random
-    u = np.random.default_rng(rng_seed).random(sample.n)
-    order = np.lexsort((u, sample.first))
+    order = np.lexsort((tie_uniforms(rng_seed, sample.n), sample.first))
     jumps = int(np.abs(np.diff(ranks[order])).sum())
     value = 1.0 - jumps * scale
     n = sample.n

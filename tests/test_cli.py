@@ -182,6 +182,16 @@ def test_exit_codes(tmp_path, capsys):
         "good_id,price,quantity\na,1.0,1.0\na,1.5,2.0\na,2.0,4.0\na,2.5,8.0\n",
     )
     assert main(["ci", "--data", bad, "--mode", "ls", "--out", str(tmp_path / "x")]) == 4
+    # a slope whose square underflows is a numerical error too, not a traceback
+    flat = _write(
+        tmp_path,
+        "flat.csv",
+        "good_id,price,quantity\na,1.1,2e200\na,1.4,1.5e200\na,1.8,1.1e200\na,2.0,1e200\n",
+    )
+    capsys.readouterr()
+    assert main(["ci", "--data", flat, "--mode", "ls", "--out", str(tmp_path / "f")]) == 4
+    assert capsys.readouterr().err.startswith("NearZeroSlope: a: slope ")
+    assert _rows(str(tmp_path / "f_intervals.csv"))[0]["status"] == "FAILED:NearZeroSlope"
     assert main(["simulate", "--seed", "1", "--theta", "0.2,1.5", "--out", str(tmp_path / "s")]) == 2
     assert main(["simulate", "--seed", "1", "--theta", "0,0.5", "--out", str(tmp_path / "s")]) == 2
     # a non-finite float flag is a config error that names the flag
@@ -500,6 +510,21 @@ def test_config_file_feeds_command(tmp_path):
     assert main(["ci", "--config", str(cfg)]) == 0
     rows = _rows(str(tmp_path / "cfgrun_intervals.csv"))
     assert {r["method"] for r in rows} == {"ls"}
+
+
+def test_config_key_the_command_does_not_read_is_config_error(tmp_path, capsys):
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    for argv, text, where in (
+        (["simulate", "--seed", "1", "--n", "50"], "alpha = 0.01\n", ":1: key 'alpha'"),
+        (["mc", "--table", "1", "--reps", "1", "--seed", "1"], "# study\ndata = x.csv\n", ":2: key 'data'"),
+        (["ci", "--data", data], "mode = ls\ntheta = 0.5\n", ":2: key 'theta'"),
+    ):
+        cfg = _write(tmp_path, "run.cfg", text)
+        capsys.readouterr()
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "nr")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ConfigError: {cfg}{where} is not read by '{argv[0]}'\n"
+    assert not list(tmp_path.glob("nr_*"))
 
 
 def test_intervals_reader_requires_unique_rows(tmp_path):

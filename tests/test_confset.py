@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from welfarebounds import confset, xicor
 from welfarebounds.confset import (
     GridSpec,
     XiProfile,
     bonferroni_share,
+    child_seed,
     cs_combined,
     cs_xi,
     intersect,
@@ -257,7 +261,7 @@ def test_profile_segments_counting():
 def test_profile_invariant_under_increasing_map_of_instrument(seed, n, duplicates, use_exp, a, b):
     # the statistic sees the instrument only through its ranks, so a strictly
     # increasing map leaves every profile value and the interval unchanged,
-    # also when duplicate rows send each node down the tie-redo path
+    # also when duplicate rows tie the residual at every node
     rng = np.random.default_rng(seed)
     z = rng.uniform(1.0, 1.5, n)
     shock = rng.uniform(0.0, 1.0, n)
@@ -277,3 +281,51 @@ def test_profile_invariant_under_increasing_map_of_instrument(seed, n, duplicate
     iv2, prof2 = cs_xi(GoodSample(price, quantity, instrument=increasing(z)), 0.05, grid, seed)
     assert np.array_equal(prof.stats, prof2.stats)
     assert repr(iv) == repr(iv2)
+
+
+def _coarse_uniforms(rng_seed, n):
+    # three values only, so equal uniforms fall back to the observation index
+    return np.floor(np.random.default_rng(rng_seed).random(n) * 3.0) / 3.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 40),
+    integer_valued=st.booleans(),
+    copies=st.integers(0, 3),
+    tied_instrument=st.booleans(),
+    nodes=st.integers(2, 300),
+    coarse=st.booleans(),
+)
+def test_profile_equals_xi_at_every_node(seed, n, integer_valued, copies, tied_instrument, nodes, coarse):
+    # the reference is xi at each node with the seed of (seed, node index):
+    # residual ties are broken by that node's uniforms, then by index
+    rng = np.random.default_rng(seed)
+    if integer_valued:
+        # exact arithmetic: residuals tie at some nodes and not at others
+        price = rng.integers(1, 9, n).astype(float)
+        quantity = rng.choice([0.5, 1.0, 2.0, 4.0], n)
+    else:
+        price = rng.uniform(1.0, 2.0, n)
+        quantity = rng.uniform(0.5, 2.0, n)
+
+    def instrument(size):
+        return rng.integers(0, 3, size).astype(float) if tied_instrument else rng.uniform(0, 1, size)
+
+    z = instrument(n)
+    if copies:
+        # duplicate (price, quantity) rows, up to 4 equal residuals at every
+        # node; each copy draws its own instrument, as after --jitter
+        rows = np.repeat(rng.integers(0, n, max(1, n // 4)), copies)
+        price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
+        z = np.concatenate([z, instrument(rows.size)])
+    assume(np.ptp(z) > 0)
+    thetas = np.linspace(0.0, (nodes - 1) / 8.0, nodes)
+    uniforms = _coarse_uniforms if coarse else xicor.tie_uniforms
+    with mock.patch.object(xicor, "tie_uniforms", uniforms), mock.patch.object(confset, "tie_uniforms", uniforms):
+        stats = profile_stats(price, quantity, z, thetas, seed)
+        inv_y = 1.0 / quantity
+        for j, theta in enumerate(thetas):
+            ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
+            assert stats[j] == ref.normalized

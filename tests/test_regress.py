@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from welfarebounds.errors import (
     InvalidLevel,
     InvalidSample,
+    NearZeroSlope,
     NonpositiveSlope,
     SingularDesign,
     WeakFirstStage,
@@ -113,6 +114,14 @@ def test_nonpositive_slope_raises():
     for beta in (-1.0, 0.0):
         fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=0.5, n=30, mode="OLS")
         with pytest.raises(NonpositiveSlope):
+            theta_interval_delta(fit, 0.95)
+
+
+def test_near_zero_slope_raises():
+    # beta^2 underflows (1e-170), 1/beta overflows (1e-320), or se/beta^2 overflows
+    for beta, se in ((1e-170, 0.5), (1e-320, 0.0), (1e-150, 1e10)):
+        fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se, n=30, mode="OLS")
+        with pytest.raises(NearZeroSlope):
             theta_interval_delta(fit, 0.95)
 
 
