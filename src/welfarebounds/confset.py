@@ -7,11 +7,14 @@ acceptance region, and the reported interval is its hull (minimum to
 maximum accepted node).  The full profile is kept for diagnostics, including
 a segment count that flags disconnected acceptance regions.
 
-Exact ties in the residual (duplicate rows, discrete data) are broken at
-each node as `xi` breaks them, by uniforms seeded from the spawn path
+The grid nodes are independent: `profile_stats` splits them into one
+contiguous block per CPU the process may use and evaluates the blocks in
+threads, each block chunk by chunk in buffers it allocates once.  Exact
+ties in the residual (duplicate rows, discrete data) are broken at each
+node as `xi` breaks them, by uniforms seeded from the spawn path
 (seed, node index) and then by observation index.  Every profile value
-therefore equals `xi` at that node, whatever the chunking or the order in
-which nodes are evaluated.
+therefore equals `xi` at that node, whatever the chunking, the number of
+threads or the order in which nodes are evaluated.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
@@ -22,6 +25,7 @@ which also supplies the parameter space that pure grid search lacks.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +147,66 @@ def _order_tied_runs(
     return out
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_block(
+    stats: np.ndarray,
+    start: int,
+    stop: int,
+    price: np.ndarray,
+    inv_y: np.ndarray,
+    thetas: np.ndarray,
+    ranks: np.ndarray,
+    scale: float,
+    rng_seed: int,
+) -> None:
+    """Fill stats[start:stop] chunk by chunk, in buffers allocated once.
+
+    Runs in a worker thread, so it writes only its own slice of `stats` and
+    calls no function that perfbench's tracer wraps (its span stack is not
+    thread-safe).
+    """
+    n = price.shape[0]
+    rows = min(_CHUNK, stop - start)
+    # residuals, sorted residuals, gather offsets (then ranks in sorted
+    # order), tie mask, rank jumps; a partial last chunk uses leading rows
+    buffers = (
+        np.empty((rows, n)),
+        np.empty((rows, n)),
+        np.empty((rows, n), dtype=np.intp),
+        np.empty((rows, n - 1), dtype=bool),
+        np.empty((rows, n - 1), dtype=ranks.dtype),
+    )
+    row_offset = np.arange(rows)[:, None] * n
+    root = math.sqrt(n)
+    for lo in range(start, stop, _CHUNK):
+        m = min(_CHUNK, stop - lo)
+        fm, sorted_fm, taken, same, jumps = (b[:m] for b in buffers)
+        # price - theta * inv_y, the same two roundings as a direct evaluation
+        np.multiply(thetas[lo : lo + m, None], inv_y[None, :], out=fm)
+        np.subtract(price[None, :], fm, out=fm)
+        # Unstable sort is fine: every sort kind puts equal residuals in one
+        # contiguous run, and the runs are reordered below.
+        order = np.argsort(fm, axis=1)
+        # Indices are in range; mode "raise" would copy through a temporary.
+        np.add(order, row_offset[:m], out=taken)
+        np.take(fm.ravel(), taken, out=sorted_fm, mode="wrap")
+        np.equal(sorted_fm[:, 1:], sorted_fm[:, :-1], out=same)
+        tied = np.nonzero(same.any(axis=1))[0]
+        if tied.size:
+            order[tied] = _order_tied_runs(order[tied], same[tied], lo + tied, rng_seed)
+        np.take(ranks, order, out=taken, mode="wrap")
+        np.subtract(taken[:, 1:], taken[:, :-1], out=jumps)
+        np.abs(jumps, out=jumps)
+        stats[lo : lo + m] = root * (1.0 - jumps.sum(axis=1) * scale)
+
+
 def profile_stats(
     price: np.ndarray,
     quantity: np.ndarray,
@@ -153,30 +217,36 @@ def profile_stats(
     """sqrt(n) * xi(price - theta/quantity, z) at every theta.
 
     Ranks are recomputed from scratch at each node (one sort per node,
-    vectorized in chunks).  Exact ties in the residual are broken as `xi`
-    breaks them with the seed child_seed(rng_seed, node index): by uniforms
-    drawn for that node, then by observation index.  Only the tied runs are
-    reordered, for all tied nodes of a chunk at once, so every value equals
-    `xi` bit for bit and does not depend on chunking or evaluation order.
+    vectorized in chunks of nodes).  The nodes are split into one contiguous
+    block of whole chunks per CPU in the process's affinity mask, and the
+    blocks run in threads (numpy releases the GIL in the sorts, gathers and
+    ufuncs); a single block runs in the calling thread.  Exact ties in the
+    residual are broken as `xi` breaks them with the seed
+    child_seed(rng_seed, node index): by uniforms drawn for that node, then
+    by observation index.  Only the tied runs are reordered, for all tied
+    nodes of a chunk at once, so every value equals `xi` bit for bit and
+    does not depend on the chunking, the blocks or the CPU count.
     """
-    n = price.shape[0]
     ranks, scale = response_rank_scale(z)
-    root = math.sqrt(n)
     inv_y = 1.0 / quantity
-    stats = np.empty(thetas.shape[0])
-    for start in range(0, thetas.shape[0], _CHUNK):
-        chunk = thetas[start : start + _CHUNK]
-        fm = price[None, :] - chunk[:, None] * inv_y[None, :]
-        # Unstable sort is fine: every sort kind puts equal residuals in one
-        # contiguous run, and the runs are reordered below.
-        order = np.argsort(fm, axis=1)
-        sorted_fm = np.take_along_axis(fm, order, axis=1)
-        same = sorted_fm[:, 1:] == sorted_fm[:, :-1]
-        tied = np.nonzero(same.any(axis=1))[0]
-        if tied.size:
-            order[tied] = _order_tied_runs(order[tied], same[tied], start + tied, rng_seed)
-        jumps = np.abs(np.diff(ranks[order], axis=1)).sum(axis=1)
-        stats[start : start + chunk.shape[0]] = root * (1.0 - jumps * scale)
+    total = thetas.shape[0]
+    stats = np.empty(total)
+    chunks = max(1, -(-total // _CHUNK))
+    per_block = -(-chunks // min(_cpu_count(), chunks)) * _CHUNK
+    blocks = [(lo, min(lo + per_block, total)) for lo in range(0, total, per_block)]
+    args = (price, inv_y, thetas, ranks, scale, rng_seed)
+    if len(blocks) < 2:
+        for lo, hi in blocks:
+            _fill_block(stats, lo, hi, *args)
+        return stats
+    # Imported here, not at the top: concurrent.futures adds ~7 % to the
+    # package's import time, which a command that runs no grid would pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        futures = [pool.submit(_fill_block, stats, lo, hi, *args) for lo, hi in blocks]
+        for future in futures:
+            future.result()
     return stats
 
 

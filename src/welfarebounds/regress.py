@@ -53,6 +53,12 @@ class GoodSample:
             raise InvalidSample(f"{self.good_id}: non-finite price or quantity")
         if np.any(price <= 0) or np.any(quantity <= 0):
             raise InvalidSample(f"{self.good_id}: price and quantity must be positive")
+        with np.errstate(over="ignore"):
+            inverse_finite = np.all(np.isfinite(1.0 / quantity))
+        if not inverse_finite:
+            raise InvalidSample(
+                f"{self.good_id}: a quantity is so small that its reciprocal overflows"
+            )
         object.__setattr__(self, "price", price)
         object.__setattr__(self, "quantity", quantity)
         if self.instrument is not None:

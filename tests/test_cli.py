@@ -192,6 +192,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["ci", "--data", flat, "--mode", "ls", "--out", str(tmp_path / "f")]) == 4
     assert capsys.readouterr().err.startswith("NearZeroSlope: a: slope ")
     assert _rows(str(tmp_path / "f_intervals.csv"))[0]["status"] == "FAILED:NearZeroSlope"
+    # a subnormal quantity: its reciprocal overflows, a data error up front
+    tiny = _write(
+        tmp_path,
+        "tiny.csv",
+        "good_id,price,quantity\na,1.0,1.0\na,1.5,2.0\na,2.0,1e-320\na,2.5,0.5\na,3.0,0.4\n",
+    )
+    capsys.readouterr()
+    assert main(["ci", "--data", tiny, "--mode", "all", "--grid-nodes", "20",
+                 "--out", str(tmp_path / "t")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidSample: a: a quantity is so small") and "Traceback" not in err
+    assert not list(tmp_path.glob("t_*"))
     assert main(["simulate", "--seed", "1", "--theta", "0.2,1.5", "--out", str(tmp_path / "s")]) == 2
     assert main(["simulate", "--seed", "1", "--theta", "0,0.5", "--out", str(tmp_path / "s")]) == 2
     # a non-finite float flag is a config error that names the flag
@@ -622,14 +634,15 @@ def test_wide_query_row_with_missing_cell(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # numpy is the only runtime dependency: no scipy module at all
+    # numpy is the only runtime dependency: no scipy module at all; and the
+    # import starts no thread (the grid's thread pool lives inside a call)
     src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = ("import sys, welfarebounds, welfarebounds.cli;"
-             " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    probe = ("import sys, threading, welfarebounds, welfarebounds.cli;"
+             " print(sorted(m for m in sys.modules if m.startswith('scipy')), threading.active_count())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 1"
 
 
 def test_level_that_rounds_to_one_is_invalid_level(tmp_path, capsys):

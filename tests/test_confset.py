@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -295,12 +295,25 @@ def _coarse_uniforms(rng_seed, n):
     integer_valued=st.booleans(),
     copies=st.integers(0, 3),
     tied_instrument=st.booleans(),
-    nodes=st.integers(2, 300),
+    # 1 to 4 nodes: fewer than the workers; up to 700: several 128-node
+    # chunks per block, the last one partial
+    nodes=st.one_of(st.integers(1, 4), st.integers(5, 700)),
     coarse=st.booleans(),
+    # 5 is more threads than most test machines have cores
+    workers=st.sampled_from([1, 2, 5]),
 )
-def test_profile_equals_xi_at_every_node(seed, n, integer_valued, copies, tied_instrument, nodes, coarse):
+@example(seed=3, n=20, integer_valued=False, copies=2, tied_instrument=False,
+         nodes=1, coarse=False, workers=5)
+@example(seed=4, n=12, integer_valued=True, copies=1, tied_instrument=True,
+         nodes=641, coarse=True, workers=5)
+@example(seed=5, n=30, integer_valued=False, copies=3, tied_instrument=False,
+         nodes=300, coarse=False, workers=2)
+def test_profile_equals_xi_at_every_node(
+    seed, n, integer_valued, copies, tied_instrument, nodes, coarse, workers
+):
     # the reference is xi at each node with the seed of (seed, node index):
-    # residual ties are broken by that node's uniforms, then by index
+    # residual ties are broken by that node's uniforms, then by index, so the
+    # worker count (one block of nodes per CPU) changes no bit
     rng = np.random.default_rng(seed)
     if integer_valued:
         # exact arithmetic: residuals tie at some nodes and not at others
@@ -323,7 +336,11 @@ def test_profile_equals_xi_at_every_node(seed, n, integer_valued, copies, tied_i
     assume(np.ptp(z) > 0)
     thetas = np.linspace(0.0, (nodes - 1) / 8.0, nodes)
     uniforms = _coarse_uniforms if coarse else xicor.tie_uniforms
-    with mock.patch.object(xicor, "tie_uniforms", uniforms), mock.patch.object(confset, "tie_uniforms", uniforms):
+    with (
+        mock.patch.object(xicor, "tie_uniforms", uniforms),
+        mock.patch.object(confset, "tie_uniforms", uniforms),
+        mock.patch.object(confset, "_cpu_count", lambda: workers),
+    ):
         stats = profile_stats(price, quantity, z, thetas, seed)
         inv_y = 1.0 / quantity
         for j, theta in enumerate(thetas):

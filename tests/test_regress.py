@@ -36,6 +36,14 @@ def test_sample_validation():
         GoodSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], instrument=[1.0, 2.0])
 
 
+def test_quantity_with_overflowing_reciprocal_is_invalid():
+    # 1/1e-320 overflows to inf; the check itself must not warn (pytest
+    # turns RuntimeWarning into an error)
+    with pytest.raises(InvalidSample, match="reciprocal overflows"):
+        GoodSample([1.0, 2.0, 3.0], [1.0, 1e-320, 3.0])
+    assert GoodSample([1.0, 2.0, 3.0], [1.0, 1e-300, 3.0]).n == 3
+
+
 def test_exact_linear_relation():
     # quantity = 0.5 / price gives 1/quantity = 2 * price with no residual
     p = np.linspace(1, 2, 50)
