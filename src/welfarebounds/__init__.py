@@ -47,7 +47,6 @@ from .welfare import (
     WelfareBounds,
     WelfareQuery,
     bounds_box,
-    bounds_box_batch,
     max_constrained,
     welfare_loss,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "XiReport",
     "bonferroni_share",
     "bounds_box",
-    "bounds_box_batch",
     "critical_value",
     "cs_combined",
     "cs_xi",

@@ -45,7 +45,7 @@ from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
     WelfareQuery,
-    bounds_box_batch,
+    bounds_box,
     max_constrained,
 )
 from .xicor import critical_value
@@ -312,17 +312,19 @@ def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> floa
     return value
 
 
-def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """Per-individual (delta, ystar) rows, in long or wide layout.
+def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQuery]:
+    """Individual ids and their N x K (delta, ystar) query, in long or wide layout.
 
     Long: columns id, good_id, delta, ystar with one row per (individual,
     good); a repeated pair raises InvalidQuery naming both rows.  Wide:
     columns id then K (delta, ystar) pairs in the good order of the
-    data/intervals file.  A negative or non-finite delta, or a nonpositive or
-    non-finite ystar, raises InvalidQuery naming the file and row.
+    data/intervals file; a repeated id raises InvalidQuery naming both rows.
+    A negative or non-finite delta, or a nonpositive or non-finite ystar,
+    raises InvalidQuery naming the file and row.
     """
     names, idx, rows = _read_table(path)
     K = len(good_ids)
+    values: list[float] = []  # delta, ystar per good, good by good, row by row
     if "good_id" in names:
         _check_columns(path, names, ("id", "delta", "ystar"))
         per: dict[str, dict[str, tuple[float, float, int]]] = {}
@@ -342,29 +344,34 @@ def read_query_csv(path: str, good_ids: list[str]) -> list[tuple[str, np.ndarray
                 _query_value(path, cells[idx["ystar"]], lineno, "ystar", "ystar"),
                 lineno,
             )
-        out = []
         for ind, entries in per.items():
             missing = [g for g in good_ids if g not in entries]
             if missing:
                 raise DataError(f"individual {ind!r}: missing goods {missing}")
-            delta = np.array([entries[g][0] for g in good_ids])
-            ystar = np.array([entries[g][1] for g in good_ids])
-            out.append((ind, delta, ystar))
-        return out
-    if names[0] != "id" or len(names) != 1 + 2 * K:
-        raise SchemaError(
-            f"{path}: wide layout needs columns id plus {K} (delta, ystar) pairs"
-        )
-    out = []
-    for lineno, cells in rows:
-        values = [
-            _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
-            for j, cell in enumerate(cells[1:])
-        ]
-        delta = np.array(values[0::2])
-        ystar = np.array(values[1::2])
-        out.append((cells[0], delta, ystar))
-    return out
+            for g in good_ids:
+                values += entries[g][:2]
+        ids = list(per)
+    else:
+        if names[0] != "id" or len(names) != 1 + 2 * K:
+            raise SchemaError(
+                f"{path}: wide layout needs columns id plus {K} (delta, ystar) pairs"
+            )
+        first_row: dict[str, int] = {}
+        for lineno, cells in rows:
+            ind = cells[0]
+            if ind in first_row:
+                raise InvalidQuery(
+                    f"{path}: rows {first_row[ind]} and {lineno}: individual {ind!r}"
+                    " is listed twice"
+                )
+            first_row[ind] = lineno
+            values += [
+                _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
+                for j, cell in enumerate(cells[1:])
+            ]
+        ids = list(first_row)
+    pairs = np.array(values).reshape(len(ids), K, 2)
+    return ids, WelfareQuery(pairs[..., 0], pairs[..., 1])
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
@@ -510,27 +517,22 @@ def cmd_welfare(cfg: RunConfig) -> int:
     """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
     cfg.validate()
     good_ids, box, code = _box_from_config(cfg)
-    queries = read_query_csv(_require(cfg.query, "--query"), good_ids)
+    ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
     constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
     if constraints.empty:
         status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
-        results = [[ind, None, None, None, status] for ind, _, _ in queries]
+        results = [[ind, None, None, None, status] for ind in ids]
     else:
         if cfg.sum_to is None:
-            shape = (len(queries), len(good_ids))
-            wl_min, wl_max = bounds_box_batch(
-                constraints,
-                np.reshape([delta for _, delta, _ in queries], shape),
-                np.reshape([ystar for _, _, ystar in queries], shape),
-            )
-            bounds = zip(wl_min.tolist(), wl_max.tolist())
+            wb = bounds_box(constraints, query)
+            bounds = zip(wb.wl_min.tolist(), wb.wl_max.tolist())
         else:
             bounds = []
-            for _, delta, ystar in queries:
+            for delta, ystar in zip(query.delta, query.y_star):
                 wb = max_constrained(constraints, WelfareQuery(delta, ystar))
                 bounds.append((wb.wl_min, wb.wl_max))
         level = constraints.joint_level()
-        results = [[ind, lo, hi, level, "OK"] for (ind, _, _), (lo, hi) in zip(queries, bounds)]
+        results = [[ind, lo, hi, level, "OK"] for ind, (lo, hi) in zip(ids, bounds)]
     results.sort(key=lambda r: (r[4] != "OK", r[2] if r[2] is not None else 0.0))
     rows = [[rank + 1] + r for rank, r in enumerate(results)]
     out_path = f"{cfg.out}_welfare.csv"

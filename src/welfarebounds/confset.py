@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidLevel
+from .errors import InvalidGrid, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
 from .xicor import PairedSample, critical_value, response_rank_scale, tie_uniforms, xi
@@ -225,10 +225,17 @@ def profile_stats(
     child_seed(rng_seed, node index): by uniforms drawn for that node, then
     by observation index.  Only the tied runs are reordered, for all tied
     nodes of a chunk at once, so every value equals `xi` bit for bit and
-    does not depend on the chunking, the blocks or the CPU count.
+    does not depend on the chunking, the blocks or the CPU count.  Raises
+    InvalidSample, before any block runs, when theta / quantity overflows
+    at the largest |theta|.
     """
     ranks, scale = response_rank_scale(z)
     inv_y = 1.0 / quantity
+    theta_top = float(np.abs(thetas).max(initial=0.0))
+    if not math.isfinite(theta_top * float(inv_y.max())):
+        raise InvalidSample(
+            f"a quantity is so small that theta / quantity overflows at theta {theta_top:g}"
+        )
     total = thetas.shape[0]
     stats = np.empty(total)
     chunks = max(1, -(-total // _CHUNK))

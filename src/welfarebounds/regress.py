@@ -130,7 +130,8 @@ def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
     has an instrument and OLS otherwise.  Raises SingularDesign on a
     constant price column and WeakFirstStage when the instrument-price
     covariance is exactly zero (the slope is then not identified by these
-    moments; rank-based inversion remains available).
+    moments; rank-based inversion remains available).  Raises InvalidSample
+    when the slope, intercept or standard error overflows.
     """
     kind = mode.upper()
     if kind == "AUTO":
@@ -148,19 +149,23 @@ def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
         w = sample.instrument
     else:
         w = x
-    xt = x - x.mean()
-    yt = y - y.mean()
-    wt = w - w.mean()
-    swx = float(wt @ xt)
-    if swx == 0.0:
-        raise WeakFirstStage(
-            f"{sample.good_id}: instrument has zero covariance with price"
-        )
-    beta = float(wt @ yt) / swx
-    intercept = float(y.mean() - beta * x.mean())
-    resid = y - intercept - beta * x
-    meat = float(np.sum((wt * resid) ** 2))
-    se = math.sqrt(n / (n - 2) * meat) / abs(swx)
+    # an overflow (a tiny quantity, a huge price) leaves a non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        xt = x - x.mean()
+        yt = y - y.mean()
+        wt = w - w.mean()
+        swx = float(wt @ xt)
+        if swx == 0.0:
+            raise WeakFirstStage(
+                f"{sample.good_id}: instrument has zero covariance with price"
+            )
+        beta = float(wt @ yt) / swx
+        intercept = float(y.mean() - beta * x.mean())
+        resid = y - intercept - beta * x
+        meat = float(np.sum((wt * resid) ** 2))
+        se = math.sqrt(n / (n - 2) * meat) / abs(swx)
+    if not all(map(math.isfinite, (beta, intercept, se))):
+        raise InvalidSample(f"{sample.good_id}: the least-squares fit overflows (slope {beta:g})")
     return LsFit(beta_hat=beta, intercept_hat=intercept, se_beta=se, n=n, mode=kind)
 
 

@@ -5,8 +5,8 @@ delta is sum_k theta_k * log(1 + delta_k * ystar_k / theta_k).  The function
 is strictly increasing and strictly concave in each theta_k wherever
 delta_k * ystar_k > 0, which drives both solvers here:
 
-  * over a plain box the extremes sit at the corners (bounds_box for one
-    individual, bounds_box_batch for many at once);
+  * over a plain box the extremes sit at the corners (bounds_box, for one
+    individual or for N at once: a query holds one row per individual);
   * with an added sum(theta) = s constraint the maximum has a closed form.
     The marginal log1p(c/theta) - c/(c+theta) depends on theta/c alone, so
     every coordinate with c > 0 is clip(g * c_k, lo_k, hi_k) for one common
@@ -45,19 +45,13 @@ _THETA_TINY = 1e-12
 _BNB_RTOL = 1e-12
 
 
-def _check_query_arrays(delta: np.ndarray, y_star: np.ndarray) -> None:
-    if not np.all(np.isfinite(delta)) or np.any(delta < 0):
-        raise NegativePriceChange(
-            "price changes must be finite and nonnegative; "
-            "price drops are outside the model's domain"
-        )
-    if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
-        raise ValueError("reference consumption must be finite and positive")
-
-
 @dataclass(frozen=True)
 class WelfareQuery:
-    """Counterfactual price increases and reference consumption for one individual."""
+    """Counterfactual price increases and reference consumption.
+
+    delta and y_star have shape (K,) for one individual or (N, K) for N,
+    one row each; the goods run along the last axis.
+    """
 
     delta: np.ndarray
     y_star: np.ndarray
@@ -65,15 +59,21 @@ class WelfareQuery:
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=float)
         y_star = np.asarray(self.y_star, dtype=float)
-        if delta.ndim != 1 or y_star.ndim != 1 or delta.shape != y_star.shape:
-            raise ValueError("delta and y_star must be 1-d arrays of equal length")
-        _check_query_arrays(delta, y_star)
+        if delta.ndim not in (1, 2) or delta.shape != y_star.shape:
+            raise ValueError("delta and y_star must be 1-d or 2-d arrays of equal shape")
+        if not np.all(np.isfinite(delta)) or np.any(delta < 0):
+            raise NegativePriceChange(
+                "price changes must be finite and nonnegative; "
+                "price drops are outside the model's domain"
+            )
+        if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
+            raise ValueError("reference consumption must be finite and positive")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "y_star", y_star)
 
     @property
     def K(self) -> int:
-        return self.delta.shape[0]
+        return self.delta.shape[-1]
 
     @property
     def spend_change(self) -> np.ndarray:
@@ -123,14 +123,15 @@ class ConstraintSet:
 class WelfareBounds:
     """Extremes of the loss over a constraint set, with the level they hold at.
 
-    kkt_residual reports the stationarity and feasibility gap of the
-    constrained maximizer (0.0 for box-only bounds, which are exact).  Both
-    extremes are exact, so min_certified is always True; the field is kept
-    for compatibility with callers that read it.
+    wl_min and wl_max are N-arrays for an N-row box query.  kkt_residual
+    reports the stationarity and feasibility gap of the constrained
+    maximizer (0.0 for box-only bounds, which are exact).  Both extremes
+    are exact, so min_certified is always True; the field is kept for
+    compatibility with callers that read it.
     """
 
-    wl_min: float
-    wl_max: float
+    wl_min: float | np.ndarray
+    wl_max: float | np.ndarray
     level: float
     argmax_theta: np.ndarray
     kkt_residual: float = 0.0
@@ -147,11 +148,13 @@ def _loss_terms(theta, c) -> np.ndarray:
     return np.where(live, t * np.log1p(c / t), 0.0)
 
 
-def welfare_loss(theta, query: WelfareQuery) -> float:
+def welfare_loss(theta, query: WelfareQuery) -> float | np.ndarray:
     """Loss sum_k theta_k * log(1 + delta_k * ystar_k / theta_k).
 
-    Goods with zero price change contribute exactly 0.
-    Raises InvalidTheta unless every theta_k is finite and positive.
+    A float for a one-individual query, an (N,) array for an N-row query;
+    theta is one K-vector either way.  Goods with zero price change
+    contribute exactly 0.  Raises InvalidTheta unless every theta_k is
+    finite and positive.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (query.K,):
@@ -160,47 +163,27 @@ def welfare_loss(theta, query: WelfareQuery) -> float:
         )
     if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
         raise InvalidTheta("theta entries must be finite and positive")
-    return float(_loss_terms(theta, query.spend_change).sum())
-
-
-def _box_corners(constraints: ConstraintSet, K: int) -> tuple[np.ndarray, np.ndarray]:
-    if constraints.sum_to is not None:
-        raise ValueError("constraint set has a sum target; use max_constrained")
-    lowers, uppers = constraints.bounds()
-    if constraints.K != K:
-        raise InvalidTheta(f"box has {constraints.K} goods, query has {K}")
-    return lowers, uppers
+    loss = _loss_terms(theta, query.spend_change).sum(axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
-    """Loss extremes over a box: monotonicity puts them at the corners."""
-    lowers, uppers = _box_corners(constraints, query.K)
+    """Loss extremes over a box: monotonicity puts them at the corners.
+
+    On an N-row query wl_min and wl_max are N-arrays; row i equals the
+    one-individual call on row i bit for bit.
+    """
+    if constraints.sum_to is not None:
+        raise ValueError("constraint set has a sum target; use max_constrained")
+    lowers, uppers = constraints.bounds()
+    if constraints.K != query.K:
+        raise InvalidTheta(f"box has {constraints.K} goods, query has {query.K}")
     return WelfareBounds(
         wl_min=welfare_loss(lowers, query),
         wl_max=welfare_loss(uppers, query),
         level=constraints.joint_level(),
         argmax_theta=uppers,
     )
-
-
-def bounds_box_batch(
-    constraints: ConstraintSet, delta, y_star
-) -> tuple[np.ndarray, np.ndarray]:
-    """Box loss extremes (wl_min, wl_max) for N individuals in one pass.
-
-    delta and y_star are N x K arrays, one individual per row.  Row i equals
-    bounds_box on (delta[i], y_star[i]) bit for bit: both sum the same loss
-    terms at the floored lower and the upper corner of the box.  The joint
-    level is constraints.joint_level().
-    """
-    delta = np.asarray(delta, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    if delta.ndim != 2 or delta.shape != y_star.shape:
-        raise ValueError("delta and y_star must be 2-d arrays of equal shape")
-    _check_query_arrays(delta, y_star)
-    lowers, uppers = _box_corners(constraints, delta.shape[1])
-    spend = delta * y_star
-    return _loss_terms(lowers, spend).sum(axis=1), _loss_terms(uppers, spend).sum(axis=1)
 
 
 def _marginal(theta, c):
@@ -330,16 +313,19 @@ def _solve_min(c, lo, hi, target) -> np.ndarray:
 
 
 def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
-    """Loss extremes under the box plus sum(theta) = sum_to.
+    """Loss extremes under the box plus sum(theta) = sum_to, for one individual.
 
-    Both extremes are exact.  The maximizer has a closed form: every
-    coordinate with delta_k * ystar_k > 0 is clip(g * c_k, lo_k, hi_k) for
-    the common ratio g that meets the sum, and kkt_residual reports its
-    stationarity and feasibility gap.  The minimum, which sits at a vertex
-    of the feasible polytope, comes from Falk-Soland branch-and-bound.
+    Raises ValueError on an N-row query.  Both extremes are exact.  The
+    maximizer has a closed form: every coordinate with delta_k * ystar_k > 0
+    is clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum,
+    and kkt_residual reports its stationarity and feasibility gap.  The
+    minimum, which sits at a vertex of the feasible polytope, comes from
+    Falk-Soland branch-and-bound.
     """
     if constraints.sum_to is None:
         raise ValueError("constraint set has no sum target; use bounds_box")
+    if query.delta.ndim != 1:
+        raise ValueError("max_constrained takes one individual; pass one query row")
     lowers, uppers = constraints.bounds()
     if constraints.K != query.K:
         raise InvalidTheta(

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,23 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("InvalidSample: a: a quantity is so small") and "Traceback" not in err
     assert not list(tmp_path.glob("t_*"))
+    # a normal but tiny quantity: theta / quantity overflows on the grid and
+    # the least-squares moments overflow; each mode fails as a data error
+    huge = _write(
+        tmp_path,
+        "huge.csv",
+        "good_id,price,quantity\na,1.0,1.0\na,1.5,2.0\na,2.0,1e-308\na,2.5,0.5\na,3.0,0.4\n",
+    )
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["ci", "--data", huge, "--mode", "all", "--grid-nodes", "20",
+                     "--out", str(tmp_path / "h")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidSample: a: ") and "Traceback" not in err
+    assert [r["status"] for r in _rows(str(tmp_path / "h_intervals.csv"))] == [
+        "FAILED:InvalidSample"
+    ] * 3
     assert main(["simulate", "--seed", "1", "--theta", "0.2,1.5", "--out", str(tmp_path / "s")]) == 2
     assert main(["simulate", "--seed", "1", "--theta", "0,0.5", "--out", str(tmp_path / "s")]) == 2
     # a non-finite float flag is a config error that names the flag
@@ -388,6 +406,15 @@ def test_welfare_from_intervals_long_and_wide(tmp_path):
     assert [r["rank"] for r in rows_l] == ["1", "2"]
     assert all(float(r["wl_min"]) <= float(r["wl_max"]) for r in rows_l)
     assert rows_l[0]["level"] == "0.9"
+    # a query with no individuals writes a header-only file, box and sum alike
+    for layout, text in (("long", "id,good_id,delta,ystar\n"),
+                         ("wide", "id,delta_a,ystar_a,delta_b,ystar_b\n")):
+        query = _write(tmp_path, f"q0_{layout}.csv", text)
+        for extra in ([], ["--sum-to", "1.0"]):
+            out = tmp_path / f"w0_{layout}"
+            assert main(["welfare", "--intervals", intervals, "--query", query,
+                         "--out", str(out)] + extra) == 0
+            assert _rows(f"{out}_welfare.csv") == []
 
 
 def test_welfare_header_states_no_alpha(tmp_path):
@@ -623,6 +650,13 @@ def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
         read_query_csv(dup, ["a", "b"])
     assert f"{dup}: rows 2 and 4" in str(err.value)
     assert main(["welfare", "--intervals", intervals, "--query", dup,
+                 "--out", str(tmp_path / "w")]) == 3
+    # so is a repeated id in the wide layout
+    dup_wide = _write(tmp_path, "qdupw.csv", wide_ok + "h1,0.1,0.3,0.4,0.5\n")
+    with pytest.raises(InvalidQuery) as err:
+        read_query_csv(dup_wide, ["a", "b"])
+    assert str(err.value) == f"{dup_wide}: rows 2 and 3: individual 'h1' is listed twice"
+    assert main(["welfare", "--intervals", intervals, "--query", dup_wide,
                  "--out", str(tmp_path / "w")]) == 3
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import kl_div
 
@@ -18,7 +20,6 @@ from welfarebounds.welfare import (
     ConstraintSet,
     WelfareQuery,
     bounds_box,
-    bounds_box_batch,
     max_constrained,
     welfare_loss,
 )
@@ -335,14 +336,50 @@ def test_batched_box_equals_single_queries_bit_for_bit():
     delta = rng.uniform(0.0, 1.0, (N, K)) * (rng.random((N, K)) > 0.1)
     y_star = rng.uniform(0.1, 2.0, (N, K))
     constraints = ConstraintSet(box)
-    wl_min, wl_max = bounds_box_batch(constraints, delta, y_star)
+    batch = bounds_box(constraints, WelfareQuery(delta, y_star))
     single = [bounds_box(constraints, WelfareQuery(d, y)) for d, y in zip(delta, y_star)]
-    assert wl_min.tolist() == [wb.wl_min for wb in single]
-    assert wl_max.tolist() == [wb.wl_max for wb in single]
+    assert batch.wl_min.shape == batch.wl_max.shape == (N,)
+    assert batch.wl_min.tolist() == [wb.wl_min for wb in single]
+    assert batch.wl_max.tolist() == [wb.wl_max for wb in single]
+    assert isinstance(single[0].wl_max, float)
+    assert batch.level == single[0].level
     with pytest.raises(NegativePriceChange):
-        bounds_box_batch(constraints, -delta, y_star)
+        WelfareQuery(-delta, y_star)
     with pytest.raises(InvalidTheta):
-        bounds_box_batch(constraints, delta[:, :3], y_star[:, :3])
+        bounds_box(constraints, WelfareQuery(delta[:, :3], y_star[:, :3]))
+    with pytest.raises(ValueError):
+        WelfareQuery(delta[None], y_star[None])  # 3-d
+    # the sum-constrained solver takes one individual at a time
+    with pytest.raises(ValueError, match="one individual"):
+        max_constrained(ConstraintSet(box, sum_to=float(lo.sum()) + 0.1),
+                        WelfareQuery(delta[:2], y_star[:2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 8),
+    N=st.integers(1, 30),
+    below_floor=st.floats(0.0, 1.0),
+)
+def test_box_bounds_hold_at_sampled_points(seed, K, N, below_floor):
+    # wl_min <= welfare_loss(theta) <= wl_max on every row for theta anywhere
+    # in the floored box, lowers below the floor included
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 0.5, K)
+    under = rng.random(K) < below_floor
+    lo[under] = rng.choice([0.0, 1e-9, 0.5 * POSITIVITY_FLOOR], int(under.sum()))
+    hi = np.maximum(lo, POSITIVITY_FLOOR) + rng.uniform(0.0, 1.0, K) * (rng.random(K) > 0.1)
+    box = tuple(Interval(l, h, 0.99, "BOX") for l, h in zip(lo, hi))
+    query = WelfareQuery(rng.uniform(0.0, 3.0, (N, K)) * (rng.random((N, K)) > 0.2),
+                         rng.uniform(0.05, 2.0, (N, K)))
+    wb = bounds_box(ConstraintSet(box), query)
+    floored = np.maximum(lo, POSITIVITY_FLOOR)
+    for theta in floored + rng.random((40, K)) * (hi - floored):
+        loss = welfare_loss(theta, query)
+        assert loss.shape == (N,)
+        assert np.all(wb.wl_min <= loss * (1 + 1e-12))
+        assert np.all(loss <= wb.wl_max * (1 + 1e-12))
 
 
 def test_monotonicity_and_concavity_by_finite_differences():
