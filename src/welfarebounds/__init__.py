@@ -22,7 +22,6 @@ from .errors import (
     DataError,
     DegenerateResponse,
     EmptyConfidenceSet,
-    InfeasibleConstraint,
     InvalidGrid,
     InvalidLevel,
     InvalidQuery,
@@ -63,7 +62,6 @@ __all__ = [
     "EmptyConfidenceSet",
     "GoodSample",
     "GridSpec",
-    "InfeasibleConstraint",
     "Interval",
     "InvalidGrid",
     "InvalidLevel",

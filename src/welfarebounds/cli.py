@@ -316,11 +316,12 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     """Individual ids and their N x K (delta, ystar) query, in long or wide layout.
 
     Long: columns id, good_id, delta, ystar with one row per (individual,
-    good); a repeated pair raises InvalidQuery naming both rows.  Wide:
-    columns id then K (delta, ystar) pairs in the good order of the
+    good); a repeated pair raises InvalidQuery naming both rows, and so does
+    an unknown good_id (naming its row) or an individual missing a good.
+    Wide: columns id then K (delta, ystar) pairs in the good order of the
     data/intervals file; a repeated id raises InvalidQuery naming both rows.
-    A negative or non-finite delta, or a nonpositive or non-finite ystar,
-    raises InvalidQuery naming the file and row.
+    An empty id, a negative or non-finite delta, or a nonpositive or
+    non-finite ystar raises InvalidQuery naming the file and row.
     """
     names, idx, rows = _read_table(path)
     K = len(good_ids)
@@ -331,8 +332,10 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
         for lineno, cells in rows:
             ind = cells[idx["id"]]
             gid = cells[idx["good_id"]]
+            if not ind:
+                raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
             if gid not in good_ids:
-                raise DataError(f"row {lineno}: unknown good_id {gid!r}")
+                raise InvalidQuery(f"{path}: row {lineno}: unknown good_id {gid!r}")
             entries = per.setdefault(ind, {})
             if gid in entries:
                 raise InvalidQuery(
@@ -347,7 +350,7 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
         for ind, entries in per.items():
             missing = [g for g in good_ids if g not in entries]
             if missing:
-                raise DataError(f"individual {ind!r}: missing goods {missing}")
+                raise InvalidQuery(f"{path}: individual {ind!r}: missing goods {missing}")
             for g in good_ids:
                 values += entries[g][:2]
         ids = list(per)
@@ -359,6 +362,8 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
         first_row: dict[str, int] = {}
         for lineno, cells in rows:
             ind = cells[0]
+            if not ind:
+                raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
             if ind in first_row:
                 raise InvalidQuery(
                     f"{path}: rows {first_row[ind]} and {lineno}: individual {ind!r}"

@@ -2,9 +2,10 @@
 
 The CLI maps these onto exit codes: ConfigError-family -> 2, DataError-family
 -> 3, NumericalError-family -> 4.  An empty confidence set is a result, not an
-error: the interval functions return it as an empty Interval.
-EmptyConfidenceSet is raised only when a library caller asks a ConstraintSet
-for the corners of a box that holds such an interval.
+error: the interval functions return it as an empty Interval, and
+ConstraintSet.empty flags a welfare constraint set that no theta meets (such
+an interval, or a sum target outside the box).  EmptyConfidenceSet is raised
+only when a library caller asks an empty ConstraintSet for its bounds.
 """
 
 
@@ -54,7 +55,8 @@ class ParseError(DataError):
 
 
 class InvalidQuery(DataError):
-    """A query row has a negative or non-finite delta, or a nonpositive or non-finite ystar."""
+    """A query row has an empty id, an unknown or missing good, a repeat, a negative or
+    non-finite delta, or a nonpositive or non-finite ystar."""
 
 
 class TooFewObservations(DataError):
@@ -85,13 +87,10 @@ class NegativePriceChange(NumericalError):
     """Price decreases are outside the model's domain."""
 
 
-class InfeasibleConstraint(NumericalError):
-    """The sum constraint cannot be met inside the box."""
-
-
 class EmptyConfidenceSet(WelfareBoundsError):
-    """A welfare box was asked for its corners but one of its intervals is empty.
+    """A welfare constraint set was asked for its bounds but holds no theta.
 
-    An interval counts as empty when it accepted no parameter value or lies
-    wholly below the positivity floor; ConstraintSet.empty tells in advance.
+    That is when an interval accepted no parameter value or lies wholly below
+    the positivity floor, or when the sum target lies outside the box;
+    ConstraintSet.empty tells in advance.
     """

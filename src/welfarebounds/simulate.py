@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .confset import GridSpec, child_seed, cs_xi
-from .errors import InfeasibleConstraint
 from .regress import GoodSample, Interval
 from .welfare import (
     POSITIVITY_FLOOR,
@@ -77,14 +76,9 @@ class DgpConfig:
         return self.theta.shape[0]
 
 
-def draw_sample(config: DgpConfig, rep: int = 0, return_latent: bool = False):
-    """One synthetic draw per good; price - theta/quantity equals the shock.
-
-    With return_latent=True also returns the per-good shock arrays for
-    testing the generator identity.
-    """
+def draw_sample(config: DgpConfig, rep: int = 0) -> list[GoodSample]:
+    """One synthetic draw per good; price - theta/quantity equals the shock."""
     samples = []
-    latents = []
     for k in range(config.K):
         rng = substream(config.seed, _DRAW, rep, k)
         if config.endogeneity is None:
@@ -104,9 +98,6 @@ def draw_sample(config: DgpConfig, rep: int = 0, return_latent: bool = False):
                 good_id=f"good{k + 1}",
             )
         )
-        latents.append(shock)
-    if return_latent:
-        return samples, latents
     return samples
 
 
@@ -273,12 +264,8 @@ def mc_table1(
 
     def welfare(n, boxes):
         wl_ii = [bounds_box(ConstraintSet(box), query).wl_max for box in boxes]
-        wl_i = []
-        for box in boxes:
-            try:
-                wl_i.append(max_constrained(ConstraintSet(box, sum_to=1.0), query).wl_max)
-            except InfeasibleConstraint:
-                pass
+        on_slice = [ConstraintSet(box, sum_to=1.0) for box in boxes]
+        wl_i = [max_constrained(cs, query).wl_max for cs in on_slice if not cs.empty]
         rows = [WelfareSummary(n, "i", _mean(wl_i))] if wl_i else []
         if wl_ii:
             rows.append(WelfareSummary(n, "ii", _mean(wl_ii)))

@@ -23,15 +23,11 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyConfidenceSet,
-    InfeasibleConstraint,
-    InvalidTheta,
-    NegativePriceChange,
-)
+from .errors import EmptyConfidenceSet, InvalidTheta, NegativePriceChange
 
 # Lower edge of the admissible theta space; also the default grid floor.
 POSITIVITY_FLOOR = 1e-6
@@ -101,18 +97,30 @@ class ConstraintSet:
     def K(self) -> int:
         return len(self.box)
 
-    @property
+    @cached_property
     def empty(self) -> bool:
-        """True when some interval is empty or lies wholly below the floor."""
-        return any(iv.empty or iv.upper < self.positivity_floor for iv in self.box)
+        """True when some interval is empty or lies wholly below the floor, or when
+        sum_to lies outside [sum of floored lowers, sum of uppers] beyond a relative 1e-12."""
+        if any(iv.empty or iv.upper < self.positivity_floor for iv in self.box):
+            return True
+        if self.sum_to is None:
+            return False
+        lowers, uppers = self._endpoints()
+        eps = 1e-12 * max(1.0, abs(self.sum_to))
+        return not lowers.sum() - eps <= self.sum_to <= uppers.sum() + eps
+
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        lowers = np.array([max(iv.lower, self.positivity_floor) for iv in self.box], dtype=float)
+        return lowers, np.array([iv.upper for iv in self.box], dtype=float)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Floored lower and raw upper endpoints; raises EmptyConfidenceSet if empty."""
         if self.empty:
-            raise EmptyConfidenceSet("a box interval is empty or lies below the positivity floor")
-        lowers = np.array([max(iv.lower, self.positivity_floor) for iv in self.box], dtype=float)
-        uppers = np.array([iv.upper for iv in self.box], dtype=float)
-        return lowers, uppers
+            raise EmptyConfidenceSet(
+                "a box interval is empty or lies below the positivity floor,"
+                " or the sum target lies outside the box"
+            )
+        return self._endpoints()
 
     def joint_level(self) -> float:
         """Union-bound confidence level of the whole box."""
@@ -315,7 +323,9 @@ def _solve_min(c, lo, hi, target) -> np.ndarray:
 def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
     """Loss extremes under the box plus sum(theta) = sum_to, for one individual.
 
-    Raises ValueError on an N-row query.  Both extremes are exact.  The
+    Raises ValueError on an N-row query, and EmptyConfidenceSet when
+    constraints.empty (an empty or below-floor interval, or a sum_to no
+    theta in the box meets).  Both extremes are exact.  The
     maximizer has a closed form: every coordinate with delta_k * ystar_k > 0
     is clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum,
     and kkt_residual reports its stationarity and feasibility gap.  The
@@ -332,11 +342,6 @@ def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareB
             f"box has {constraints.K} goods, query has {query.K}"
         )
     target = float(constraints.sum_to)
-    eps = 1e-12 * max(1.0, abs(target))
-    if not (lowers.sum() - eps <= target <= uppers.sum() + eps):
-        raise InfeasibleConstraint(
-            f"sum target {target:g} lies outside [{lowers.sum():g}, {uppers.sum():g}]"
-        )
     c = query.spend_change
     theta_max, lam = _solve_max(c, lowers, uppers, target)
     wl_max = welfare_loss(theta_max, query)

@@ -374,6 +374,10 @@ def test_welfare_from_data_with_unusable_good(tmp_path, case, mode, code, status
     direct = (tmp_path / "direct_welfare.csv").read_bytes()
     assert direct == (tmp_path / "two_welfare.csv").read_bytes()
     assert [r[1] for r in _welfare_rows(str(tmp_path / "direct_welfare.csv"))] == [status] * 3
+    # an unmeetable sum target keeps the unusable good's status and exit code
+    assert main(["welfare", "--data", data, "--mode", mode, "--query", query, "--sum-to", "-1",
+                 "--out", str(tmp_path / "sum")] + common) == code
+    assert (tmp_path / "sum_welfare.csv").read_bytes() == direct
 
 
 def test_welfare_from_intervals_long_and_wide(tmp_path):
@@ -453,7 +457,7 @@ def test_welfare_empty_interval_propagates(tmp_path, capsys):
         assert rows[0]["wl_max"] == ""
 
 
-def test_welfare_with_sum_constraint(tmp_path):
+def test_welfare_with_sum_constraint(tmp_path, capsys):
     intervals = _write(
         tmp_path,
         "iv.csv",
@@ -461,11 +465,24 @@ def test_welfare_with_sum_constraint(tmp_path):
         "a,intersect,0.2,0.6,0.95,OK\n"
         "b,intersect,0.3,0.7,0.95,OK\n",
     )
-    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.5\nh1,b,0.5,0.5\n")
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.5\nh1,b,0.5,0.5\n"
+                   "h2,a,0.1,0.5\nh2,b,0.2,0.5\n")
     assert main(["welfare", "--intervals", intervals, "--query", query,
                  "--sum-to", "0.9", "--out", str(tmp_path / "w")]) == 0
     row = _rows(str(tmp_path / "w_welfare.csv"))[0]
     assert float(row["wl_min"]) <= float(row["wl_max"])
+    # a target no theta in the box meets (sums span [0.5, 1.3]) empties the set:
+    # EMPTY rows, exit 0 and nothing on stderr, as for an interval below the floor
+    header_only = _write(tmp_path, "q0.csv", "id,good_id,delta,ystar\n")
+    for target in ("0.1", "1.4", "-1"):
+        for q, ids in ((query, {"h1", "h2"}), (header_only, set())):
+            capsys.readouterr()
+            assert main(["welfare", "--intervals", intervals, "--query", q,
+                         "--sum-to", target, "--out", str(tmp_path / "e")]) == 0
+            assert capsys.readouterr().err == ""
+            rows = _rows(str(tmp_path / "e_welfare.csv"))
+            assert {r["id"] for r in rows} == ids
+            assert all(r["status"] == "EMPTY" and r["wl_max"] == "" for r in rows)
 
 
 def test_diagnose_reports_unbounded_above(tmp_path):
@@ -608,8 +625,9 @@ def test_intervals_reader_bad_rows_name_file_and_line(tmp_path, capsys, row, mes
 
 def test_query_reader_validates(tmp_path):
     path = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\n")
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidQuery) as err:
         read_query_csv(path, ["a", "b"])  # h1 is missing good b
+    assert str(err.value) == f"{path}: individual 'h1': missing goods ['b']"
     wide = _write(tmp_path, "qw.csv", "id,d,y\nh1,0.5,0.2\n")
     with pytest.raises(SchemaError):
         read_query_csv(wide, ["a", "b"])  # needs 2K + 1 columns
@@ -625,13 +643,16 @@ def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
     )
     long_ok = "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n"
     wide_ok = "id,delta_a,ystar_a,delta_b,ystar_b\nh1,0.5,0.2,0.2,0.8\n"
-    bad = [  # (query text, offending column kind, its line in the file)
+    bad = [  # (query text, what the message names, its line in the file)
         (long_ok.replace("h1,b,0.2,0.8", "h1,b,0.2,0"), "ystar", 3),
         (long_ok.replace("h1,a,0.5,0.2", "h1,a,-0.5,0.2"), "delta", 2),
         (long_ok.replace("h1,b,0.2,0.8", "h1,b,nan,0.8"), "delta", 3),
         (wide_ok.replace("0.2,0.8\n", "0.2,-1\n"), "ystar", 2),
         (wide_ok.replace("0.2,0.8\n", "0.2,inf\n"), "ystar", 2),
         (wide_ok.replace("h1,0.5,", "h1,-0.5,"), "delta", 2),
+        (long_ok + "h1,c,0.1,0.3\n", "unknown good_id 'c'", 4),
+        (long_ok.replace("h1,b,", ",b,"), "empty individual id", 3),
+        (wide_ok.replace("h1,", ","), "empty individual id", 2),
     ]
     for i, (text, kind, line) in enumerate(bad):
         query = _write(tmp_path, f"q{i}.csv", text)

@@ -21,10 +21,18 @@ def test_config_validation():
         DgpConfig(theta=np.array([0.5]), n=0, seed=1)
 
 
+def _shock(cfg, rep, k):
+    """Good k's shock, redrawn from its stream (purpose 0) in the generator's order."""
+    rng = substream(cfg.seed, 0, rep, k)
+    rng.uniform(size=cfg.n)  # price, or the instrument of the endogenous variant
+    return rng.uniform(0.0, 1.0, cfg.n)
+
+
 def test_first_order_condition_identity():
     cfg = DgpConfig(theta=np.array([0.2, 0.3, 0.5]), n=2000, seed=5)
-    samples, shocks = draw_sample(cfg, rep=3, return_latent=True)
-    for k, (s, w) in enumerate(zip(samples, shocks)):
+    samples = draw_sample(cfg, rep=3)
+    for k, s in enumerate(samples):
+        w = _shock(cfg, 3, k)
         residual = s.price - cfg.theta[k] / s.quantity
         assert_allclose(residual, w, atol=1e-12)
         assert np.all(s.quantity > 0)
@@ -41,8 +49,7 @@ def test_inverse_quantity_moment():
 
 def test_endogenous_variant():
     cfg = DgpConfig(theta=np.array([0.4]), n=20_000, seed=2, endogeneity=0.5)
-    samples, shocks = draw_sample(cfg, return_latent=True)
-    s, w = samples[0], shocks[0]
+    s, w = draw_sample(cfg)[0], _shock(cfg, 0, 0)
     assert_allclose(s.price - 0.4 / s.quantity, w, atol=1e-12)
     assert not np.array_equal(s.instrument, s.price)
     # price loads on the shock; the instrument does not

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import kl_div
 
-from welfarebounds.errors import (
-    EmptyConfidenceSet,
-    InfeasibleConstraint,
-    InvalidTheta,
-    NegativePriceChange,
-)
+from welfarebounds.errors import EmptyConfidenceSet, InvalidTheta, NegativePriceChange
 from welfarebounds.regress import Interval
 from welfarebounds.welfare import (
     POSITIVITY_FLOOR,
@@ -171,10 +166,13 @@ def test_tight_box_with_sum():
 
 
 def test_infeasible_sum_raises():
-    with pytest.raises(InfeasibleConstraint):
-        max_constrained(ConstraintSet(_box(0.1, 0.2, 3), sum_to=1.0), THREE_GOOD_QUERY)
-    with pytest.raises(InfeasibleConstraint):
-        max_constrained(ConstraintSet(_box(0.4, 0.9, 3), sum_to=1.0), THREE_GOOD_QUERY)
+    # a sum target outside [sum of lowers, sum of uppers] leaves the set empty
+    for lo, hi in ((0.1, 0.2), (0.4, 0.9)):
+        constraints = ConstraintSet(_box(lo, hi, 3), sum_to=1.0)
+        assert constraints.empty
+        assert not ConstraintSet(constraints.box).empty
+        with pytest.raises(EmptyConfidenceSet, match="sum target"):
+            max_constrained(constraints, THREE_GOOD_QUERY)
 
 
 def _random_instance(rng, K):
@@ -380,6 +378,43 @@ def test_box_bounds_hold_at_sampled_points(seed, K, N, below_floor):
         assert loss.shape == (N,)
         assert np.all(wb.wl_min <= loss * (1 + 1e-12))
         assert np.all(loss <= wb.wl_max * (1 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 8),
+    below_floor=st.floats(0.0, 1.0),
+    side=st.sampled_from(["below", "inside", "above"]),
+    frac=st.floats(0.0, 1.0),
+    gap=st.floats(1e-9, 1.0),
+)
+def test_sum_slice_bounds_hold_at_sampled_points(seed, K, below_floor, side, frac, gap):
+    # the slice is empty exactly when the target leaves [sum lo, sum hi] of the
+    # floored box; otherwise wl_min <= welfare_loss(theta) <= wl_max for every
+    # theta on it, lowers below the floor included
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 0.5, K)
+    under = rng.random(K) < below_floor
+    lo[under] = rng.choice([0.0, 1e-9, 0.5 * POSITIVITY_FLOOR], int(under.sum()))
+    floored = np.maximum(lo, POSITIVITY_FLOOR)
+    hi = floored + rng.uniform(0.0, 1.0, K) * (rng.random(K) > 0.1)
+    s_lo, s_hi = float(floored.sum()), float(hi.sum())
+    target = {"below": s_lo - gap, "inside": s_lo + frac * (s_hi - s_lo), "above": s_hi + gap}[side]
+    box = tuple(Interval(l, h, 0.99, "BOX") for l, h in zip(lo, hi))
+    constraints = ConstraintSet(box, sum_to=target)
+    query = WelfareQuery(rng.uniform(0.0, 3.0, K) * (rng.random(K) > 0.2), rng.uniform(0.05, 2.0, K))
+    assert constraints.empty == (side != "inside")
+    if constraints.empty:
+        with pytest.raises(EmptyConfidenceSet):
+            max_constrained(constraints, query)
+        return
+    wb = max_constrained(constraints, query)
+    vertices, mixes = _sampled_slice(rng, floored, hi, target, 20)
+    for theta in np.concatenate((vertices, mixes)):
+        loss = welfare_loss(theta, query)
+        assert wb.wl_min <= loss * (1 + 1e-12)
+        assert loss <= wb.wl_max * (1 + 1e-12)
 
 
 def test_monotonicity_and_concavity_by_finite_differences():
