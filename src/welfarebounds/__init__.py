@@ -49,7 +49,7 @@ from .welfare import (
     max_constrained,
     welfare_loss,
 )
-from .xicor import PairedSample, XiReport, critical_value, xi
+from .xicor import PairedSample, critical_value, xi
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "WelfareBoundsError",
     "WelfareQuery",
     "XiProfile",
-    "XiReport",
     "bonferroni_share",
     "bounds_box",
     "critical_value",

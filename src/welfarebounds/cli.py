@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -136,9 +137,9 @@ class RunConfig:
         converters = {f.name: _converter(f.type) for f in fields(cls)}
         cfg = cls()
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -170,14 +171,26 @@ def _converter(annotation: str):
 
 
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers; '#' comment lines skipped."""
+    """CSV rows with their 1-based line numbers; '#' comment lines skipped.
+
+    The file is UTF-8, with or without a leading byte-order mark; a byte
+    that does not decode raises ParseError naming the file and row.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after any byte-order mark
+        bad = exc.object
+        lineno = bad.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: row {lineno}: byte 0x{bad[exc.start]:02x} is not UTF-8") from None
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip() or raw.lstrip().startswith("#"):
-                continue
-            parsed = next(csv.reader([raw]))
-            out.append((lineno, [cell.strip() for cell in parsed]))
+    for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
+        if not raw.strip() or raw.lstrip().startswith("#"):
+            continue
+        parsed = next(csv.reader([raw]))
+        out.append((lineno, [cell.strip() for cell in parsed]))
     return out
 
 
@@ -185,11 +198,7 @@ def _cell_float(cell: str, lineno: int, col: str) -> float:
     try:
         return float(cell)
     except ValueError:
-        raise ParseError(
-            f"row {lineno}: column {col!r} value {cell!r} is not a number",
-            row=lineno,
-            col=col,
-        ) from None
+        raise ParseError(f"row {lineno}: column {col!r} value {cell!r} is not a number") from None
 
 
 def _check_columns(path: str, names: list[str], required) -> None:
@@ -210,10 +219,7 @@ def _read_table(path: str, required=()) -> tuple[list[str], dict[str, int], list
     _check_columns(path, names, required)
     for lineno, cells in rows[1:]:
         if len(cells) != len(names):
-            raise ParseError(
-                f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}",
-                row=lineno,
-            )
+            raise ParseError(f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}")
     return names, {name: names.index(name) for name in names}, rows[1:]
 
 
@@ -231,7 +237,7 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     for lineno, cells in rows:
         gid = cells[idx["good_id"]]
         if not gid:
-            raise ParseError(f"row {lineno}: empty good_id", row=lineno, col="good_id")
+            raise ParseError(f"row {lineno}: empty good_id")
         price = _cell_float(cells[idx["price"]], lineno, "price")
         quantity = _cell_float(cells[idx["quantity"]], lineno, "quantity")
         if price <= 0 or quantity <= 0:
@@ -294,7 +300,7 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
                 upper = _cell_float(cells[idx["upper"]], lineno, "upper")
                 out[gid] = Interval(lower, upper, level, source)
         except ValueError as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}", row=lineno) from None
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
     return out

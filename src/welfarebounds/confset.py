@@ -372,8 +372,9 @@ def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDi
     """
     c = critical_value(alpha)
     z = _effective_instrument(sample)
-    s0 = xi(PairedSample(sample.price, z), child_seed(rng_seed, 0)).normalized
-    s1 = xi(PairedSample(sample.quantity, z), child_seed(rng_seed, 1)).normalized
+    root_n = math.sqrt(sample.n)
+    s0 = root_n * xi(PairedSample(sample.price, z), child_seed(rng_seed, 0))
+    s1 = root_n * xi(PairedSample(sample.quantity, z), child_seed(rng_seed, 1))
     if s0 > c and s1 > c:
         case = CASE_BOUNDED
     elif s0 > c:

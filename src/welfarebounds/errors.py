@@ -46,12 +46,7 @@ class SchemaError(DataError):
 
 
 class ParseError(DataError):
-    """A CSV cell could not be parsed; carries row and column."""
-
-    def __init__(self, message, row=None, col=None):
-        super().__init__(message)
-        self.row = row
-        self.col = col
+    """A CSV row or cell could not be read; the message names the row, and the column of a bad cell."""
 
 
 class InvalidQuery(DataError):

@@ -131,18 +131,14 @@ class ConstraintSet:
 class WelfareBounds:
     """Extremes of the loss over a constraint set, with the level they hold at.
 
-    wl_min and wl_max are N-arrays for an N-row box query.  kkt_residual
-    reports the stationarity and feasibility gap of the constrained
-    maximizer (0.0 for box-only bounds, which are exact).  Both extremes
-    are exact, so min_certified is always True; the field is kept for
-    compatibility with callers that read it.
+    wl_min and wl_max are N-arrays for an N-row box query.  Both extremes
+    are exact, so min_certified is always True; only perfbench's traced
+    run reads it.
     """
 
     wl_min: float | np.ndarray
     wl_max: float | np.ndarray
     level: float
-    argmax_theta: np.ndarray
-    kkt_residual: float = 0.0
     min_certified: bool = True
 
 
@@ -190,13 +186,7 @@ def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds
         wl_min=welfare_loss(lowers, query),
         wl_max=welfare_loss(uppers, query),
         level=constraints.joint_level(),
-        argmax_theta=uppers,
     )
-
-
-def _marginal(theta, c):
-    """d/dtheta of theta*log(1 + c/theta); strictly decreasing in theta for c > 0."""
-    return np.log1p(c / theta) - c / (c + theta)
 
 
 def _waterfill(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
@@ -210,18 +200,6 @@ def _waterfill(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
         theta[k] += add
         slack -= add
     return theta
-
-
-def _kkt_residual(theta, lam, c, lo, hi, target) -> float:
-    """Max violation of stationarity/bound conditions plus the sum gap."""
-    resid = abs(float(theta.sum()) - target)
-    g = np.where(c > 0, _marginal(np.maximum(theta, 1e-300), np.maximum(c, 1e-300)), 0.0)
-    at_lo = theta <= lo + 1e-11
-    at_hi = theta >= hi - 1e-11
-    viol = np.abs(g - lam)
-    viol = np.where(at_hi & (g >= lam), 0.0, viol)
-    viol = np.where(at_lo & (g <= lam), 0.0, viol)
-    return max(resid, float(viol.max(initial=0.0)))
 
 
 def _common_ratio(c, lo, hi, budget: float) -> float:
@@ -246,8 +224,8 @@ def _common_ratio(c, lo, hi, budget: float) -> float:
     return left + (budget - s_left) * (right - left) / (total(right) - s_left)
 
 
-def _solve_max(c, lo, hi, target):
-    """Maximizer of the loss on the box with sum(theta) = target, and its multiplier.
+def _solve_max(c, lo, hi, target) -> np.ndarray:
+    """Maximizer of the loss on the box with sum(theta) = target.
 
     Goods with c > 0 share one ratio theta_k / c_k wherever they are inside
     their bounds; goods with c = 0 add nothing and take what the others
@@ -255,7 +233,7 @@ def _solve_max(c, lo, hi, target):
     """
     active = c > 0
     if not np.any(active):
-        return _waterfill(lo, hi, target), 0.0
+        return _waterfill(lo, hi, target)
     free = ~active
     ca, loa, hia = c[active], lo[active], hi[active]
     rest = float(target - lo[free].sum())
@@ -264,10 +242,7 @@ def _solve_max(c, lo, hi, target):
     theta[active] = np.clip(g * ca, loa, hia)
     if np.any(free):
         theta[free] = _waterfill(lo[free], hi[free], target - float(theta[active].sum()))
-    # Once the active goods are all at their upper bounds, the free goods
-    # above their lower bounds set the multiplier: their marginal is 0.
-    lam = 0.0 if rest > hia.sum() else float(_marginal(g, 1.0))
-    return theta, lam
+    return theta
 
 
 def _solve_min(c, lo, hi, target) -> np.ndarray:
@@ -327,9 +302,8 @@ def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareB
     constraints.empty (an empty or below-floor interval, or a sum_to no
     theta in the box meets).  Both extremes are exact.  The
     maximizer has a closed form: every coordinate with delta_k * ystar_k > 0
-    is clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum,
-    and kkt_residual reports its stationarity and feasibility gap.  The
-    minimum, which sits at a vertex of the feasible polytope, comes from
+    is clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum.
+    The minimum, which sits at a vertex of the feasible polytope, comes from
     Falk-Soland branch-and-bound.
     """
     if constraints.sum_to is None:
@@ -343,13 +317,10 @@ def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareB
         )
     target = float(constraints.sum_to)
     c = query.spend_change
-    theta_max, lam = _solve_max(c, lowers, uppers, target)
-    wl_max = welfare_loss(theta_max, query)
+    wl_max = welfare_loss(_solve_max(c, lowers, uppers, target), query)
     wl_min = welfare_loss(_solve_min(c, lowers, uppers, target), query)
     return WelfareBounds(
         wl_min=min(wl_min, wl_max),
         wl_max=wl_max,
         level=constraints.joint_level(),
-        argmax_theta=theta_max,
-        kkt_residual=_kkt_residual(theta_max, lam, c, lowers, uppers, target),
     )

@@ -9,9 +9,7 @@ critical values here are built from.
 
 Ties are handled in two distinct ways:
   * ties in the conditioning variable are broken uniformly at random from a
-    caller-supplied seed (never global RNG state), and the number of
-    randomized orderings is reported so callers can detect accidental
-    discreteness;
+    caller-supplied seed (never global RNG state), so a seed fixes the value;
   * ties in the response switch the denominator to a tie-aware form built
     from l_i, the count of response values weakly above the i-th one.
 
@@ -67,20 +65,6 @@ class PairedSample:
         return self.first.shape[0]
 
 
-@dataclass(frozen=True)
-class XiReport:
-    """One evaluation of the dependence statistic.
-
-    `normalized` is exactly sqrt(n) * xi; `ties_broken` counts how many
-    orderings of the conditioning variable were decided by the seeded RNG.
-    """
-
-    xi: float
-    n: int
-    normalized: float
-    ties_broken: int
-
-
 def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
     """Max-ranks of the response plus the factor turning rank jumps into xi.
 
@@ -111,25 +95,18 @@ def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(rng_seed).random(n)
 
 
-def xi(sample: PairedSample, rng_seed: int) -> XiReport:
+def xi(sample: PairedSample, rng_seed: int) -> float:
     """Dependence of `second` on `first`, computed in O(n log n).
 
     The value lies in [-1/2, 1] and cannot exceed 1 - 3/(n+1) on tie-free
-    data.  Raises DegenerateResponse when every response value is equal.
+    data; sqrt(n) times it is the statistic the critical values are for.
+    Raises DegenerateResponse when every response value is equal.
     """
     ranks, scale = response_rank_scale(sample.second)
     # ascending order of `first`; exact ties are broken uniformly at random
     order = np.lexsort((tie_uniforms(rng_seed, sample.n), sample.first))
     jumps = int(np.abs(np.diff(ranks[order])).sum())
-    value = 1.0 - jumps * scale
-    n = sample.n
-    ties_broken = n - int(np.unique(sample.first).shape[0])
-    return XiReport(
-        xi=value,
-        n=n,
-        normalized=math.sqrt(n) * value,
-        ties_broken=ties_broken,
-    )
+    return 1.0 - jumps * scale
 
 
 def critical_value(alpha: float) -> float:

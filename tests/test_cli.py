@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import welfarebounds
 
@@ -35,6 +40,14 @@ b,1.2,0.9
 b,1.5,0.7
 b,1.9,0.5
 """
+
+
+TWO_GOOD_INTERVALS = """good_id,method,lower,upper,level,status
+a,ls,0.2,0.4,0.95,OK
+b,ls,0.5,0.8,0.95,OK
+"""
+LONG_QUERY = "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n"
+WIDE_QUERY = "id,delta_a,ystar_a,delta_b,ystar_b\nh1,0.5,0.2,0.2,0.8\n"
 
 
 def _rows(path):
@@ -67,8 +80,7 @@ def test_ingest_nonnumeric_cell(tmp_path):
     text = TWO_GOOD_CSV.replace("1.5,0.7", "1.5,seven")
     with pytest.raises(ParseError) as err:
         ingest_csv(_write(tmp_path, "d.csv", text))
-    assert err.value.col == "quantity"
-    assert "row 6" in str(err.value)
+    assert "row 6: column 'quantity'" in str(err.value)
 
 
 def test_ingest_rejects_nonpositive_rows(tmp_path):
@@ -713,3 +725,96 @@ def test_level_that_rounds_to_one_is_invalid_level(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("InvalidLevel: ") and "Traceback" not in err
     assert not list(tmp_path.glob("x_*"))
+
+
+# flag: (valid file text, line given a non-UTF-8 byte, error name, exit code)
+_NON_UTF8_CASES = {
+    "--data": (TWO_GOOD_CSV, 4, "ParseError", 3),
+    "--query": (LONG_QUERY, 3, "ParseError", 3),
+    "--config": ("mode = ls\nseed = 1\n", 2, "ConfigError", 2),
+}
+
+
+@pytest.mark.parametrize("flag", list(_NON_UTF8_CASES))
+def test_non_utf8_input_is_named_and_a_bom_is_read(tmp_path, capsys, flag):
+    text, line, error, code = _NON_UTF8_CASES[flag]
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    intervals = _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS)
+    argv = {
+        "--data": ["ci", "--mode", "ls", "--data"],
+        "--query": ["welfare", "--intervals", intervals, "--query"],
+        "--config": ["ci", "--data", data, "--config"],
+    }[flag]
+    lines = text.encode().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(b"\n", b"\xff\n")
+    outputs = {}
+    for name, raw in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode()),
+                      ("bad", b"".join(lines))):
+        path = tmp_path / f"in_{name}"
+        path.write_bytes(raw)
+        capsys.readouterr()
+        got = main(argv + [str(path), "--out", str(tmp_path / name)])
+        err = capsys.readouterr().err
+        outputs[name] = [f.read_bytes() for f in sorted(tmp_path.glob(f"{name}_*"))]
+        if name == "bad":
+            assert got == code and "Traceback" not in err
+            if error == "ParseError":
+                assert err == f"ParseError: {path}: row {line}: byte 0xff is not UTF-8\n"
+            else:
+                assert err.startswith(f"ConfigError: cannot read config file {path}: ")
+        else:
+            assert got == 0, err
+    # a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write it, changes nothing
+    assert outputs["bom"] == outputs["plain"] != []
+    assert outputs["bad"] == []
+
+
+_ODD_CELLS = st.one_of(
+    st.sampled_from(["", "a", "b", "h1", "0", "-1", "1e-320", "1e308", "nan", "-inf",
+                     "EMPTY", "FAILED:X", "xi", "ls", '"', '"a,b"', "#", "\ufeff"]),
+    st.floats().map(repr),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _malformed(draw, valid: str) -> bytes:
+    """`valid` with data cells swapped or added and a row dropped, then raw bytes spliced in."""
+    header, *rows = [line.split(",") for line in valid.splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        j = draw(st.integers(0, len(row)))
+        row[j:j + 1] = [draw(_ODD_CELLS)]
+    lines = [header] + rows
+    drop = draw(st.integers(-1, len(lines) - 1))
+    raw = "".join(",".join(r) + "\n" for i, r in enumerate(lines) if i != drop).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+    return raw
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=_malformed(TWO_GOOD_CSV),
+    intervals=_malformed(TWO_GOOD_INTERVALS),
+    query=st.one_of(_malformed(LONG_QUERY), _malformed(WIDE_QUERY)),
+)
+def test_cli_error_contract_under_fuzzing(data, intervals, query):
+    # every malformed input ends in a documented exit code, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, raw in (("d.csv", data), ("iv.csv", intervals), ("q.csv", query)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(raw)
+        out = os.path.join(tmp, "out")
+        for argv in (
+            ["ci", "--mode", "ls", "--data", paths["d.csv"], "--out", out],
+            ["welfare", "--intervals", paths["iv.csv"], "--query", paths["q.csv"], "--out", out],
+        ):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()

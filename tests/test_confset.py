@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -57,7 +58,7 @@ def test_profile_at_zero_matches_price_statistic_exactly():
     sample = draw_sample(DgpConfig(theta=np.array([0.3]), n=400, seed=2))[0]
     _, prof = cs_xi(sample, 0.1, GridSpec(0.0, 1.0, 25), rng_seed=7)
     direct = xi(PairedSample(sample.price, sample.instrument), rng_seed=99)
-    assert prof.stats[0] == direct.normalized
+    assert prof.stats[0] == math.sqrt(sample.n) * direct
 
 
 def test_profile_large_theta_matches_quantity_statistic():
@@ -67,7 +68,7 @@ def test_profile_large_theta_matches_quantity_statistic():
         stat = profile_stats(
             sample.price, sample.quantity, sample.instrument, np.array([theta_big]), 1
         )[0]
-        ref = xi(PairedSample(sample.quantity, sample.instrument), 1).normalized
+        ref = math.sqrt(sample.n) * xi(PairedSample(sample.quantity, sample.instrument), 1)
         assert abs(stat - ref) < 0.05
 
 
@@ -345,4 +346,4 @@ def test_profile_equals_xi_at_every_node(
         inv_y = 1.0 / quantity
         for j, theta in enumerate(thetas):
             ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
-            assert stats[j] == ref.normalized
+            assert stats[j] == math.sqrt(price.size) * ref

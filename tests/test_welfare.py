@@ -14,6 +14,7 @@ from welfarebounds.welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
     WelfareQuery,
+    _solve_max,
     bounds_box,
     max_constrained,
     welfare_loss,
@@ -26,6 +27,34 @@ THREE_GOOD_QUERY = WelfareQuery(
 
 def _box(lo, hi, K, level=1.0):
     return tuple(Interval(lo, hi, level, "BOX") for _ in range(K))
+
+
+def kkt_gap(theta, c, lo, hi, target) -> float:
+    """How far theta is from a KKT point of the sum-constrained maximum.
+
+    With g the marginal of the loss, a multiplier exists iff max g over the
+    coordinates below their upper bound is at most min g over those above
+    their lower bound.  The gap is the larger of that shortfall and the
+    miss of the sum target.
+    """
+    safe = np.maximum(theta, 1e-300)
+    g = np.where(c > 0, np.log1p(c / safe) - c / (c + safe), 0.0)
+    spread = g[theta < hi - 1e-11].max(initial=-np.inf) - g[theta > lo + 1e-11].min(initial=np.inf)
+    return max(abs(float(theta.sum()) - target), float(spread), 0.0)
+
+
+def max_with_argmax(constraints, q):
+    """max_constrained's bounds, the closed-form maximizer and its KKT gap.
+
+    The maximizer is welfare._solve_max on the floored bounds that
+    ConstraintSet.bounds() returns, and its loss is wl_max bit for bit.
+    """
+    wb = max_constrained(constraints, q)
+    lo, hi = constraints.bounds()
+    target = float(constraints.sum_to)
+    theta = _solve_max(q.spend_change, lo, hi, target)
+    assert welfare_loss(theta, q) == wb.wl_max
+    return wb, theta, kkt_gap(theta, q.spend_change, lo, hi, target)
 
 
 def brute_force_max(c, lo, hi, target, step=1e-3):
@@ -141,18 +170,19 @@ def test_bounds_box_rejects_sum_target_and_empty_interval():
 def test_simplex_max_matches_analytic_solution():
     # interior optimum: all coordinates share c_k/theta_k, so the value is
     # log(1 + sum(c)) with sum(c) = 0.74
-    wb = max_constrained(ConstraintSet(_box(POSITIVITY_FLOOR, 1.0, 3), sum_to=1.0), THREE_GOOD_QUERY)
+    constraints = ConstraintSet(_box(POSITIVITY_FLOOR, 1.0, 3), sum_to=1.0)
+    wb, theta, gap = max_with_argmax(constraints, THREE_GOOD_QUERY)
     assert_allclose(wb.wl_max, math.log(1.74), atol=1e-9)
-    assert_allclose(wb.argmax_theta, THREE_GOOD_QUERY.spend_change / 0.74, atol=1e-7)
-    assert abs(wb.argmax_theta.sum() - 1.0) < 1e-10
-    assert wb.kkt_residual <= 1e-8
+    assert_allclose(theta, THREE_GOOD_QUERY.spend_change / 0.74, atol=1e-7)
+    assert abs(theta.sum() - 1.0) < 1e-10
+    assert gap <= 1e-8
     assert wb.min_certified
 
 
 def test_symmetric_two_goods():
     q = WelfareQuery(delta=np.array([0.3, 0.3]), y_star=np.array([1.0, 1.0]))
-    wb = max_constrained(ConstraintSet(_box(0.1, 0.9, 2), sum_to=1.0), q)
-    assert_allclose(wb.argmax_theta, [0.5, 0.5], atol=1e-8)
+    wb, theta, _ = max_with_argmax(ConstraintSet(_box(0.1, 0.9, 2), sum_to=1.0), q)
+    assert_allclose(theta, [0.5, 0.5], atol=1e-8)
     assert_allclose(wb.wl_max, math.log(1.6), atol=1e-10)
 
 
@@ -189,20 +219,20 @@ def test_solver_matches_brute_force(K):
     rng = np.random.default_rng(100 + K)
     for _ in range(20):
         constraints, q, lo, hi, target = _random_instance(rng, K)
-        wb = max_constrained(constraints, q)
+        wb, _, gap = max_with_argmax(constraints, q)
         ref_max, ref_min = brute_force_max(q.spend_change, lo, hi, target)
         assert abs(wb.wl_max - ref_max) <= 1e-4
         # the closed form is exact, so no grid point may beat it
         assert wb.wl_max >= ref_max - 1e-12
         assert abs(wb.wl_min - ref_min) <= 1e-4
-        assert wb.kkt_residual <= 1e-8
+        assert gap <= 1e-8
 
 
 def test_zero_delta_with_sum_constraint():
     q = WelfareQuery(delta=np.zeros(3), y_star=np.ones(3))
-    wb = max_constrained(ConstraintSet(_box(0.1, 0.9, 3), sum_to=1.0), q)
+    wb, theta, _ = max_with_argmax(ConstraintSet(_box(0.1, 0.9, 3), sum_to=1.0), q)
     assert wb.wl_max == 0.0 and wb.wl_min == 0.0
-    assert abs(wb.argmax_theta.sum() - 1.0) < 1e-12
+    assert abs(theta.sum() - 1.0) < 1e-12
 
 
 def test_dropping_sum_constraint_cannot_shrink_max():
@@ -272,41 +302,42 @@ def test_large_k_bounds_hold_at_sampled_points(K):
         q = WelfareQuery(rng.uniform(0.1, 1.0, K) * (rng.random(K) > 0.1),
                          rng.uniform(0.2, 1.2, K))
         box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
-        wb = max_constrained(ConstraintSet(box, sum_to=target), q)
+        wb, _, gap = max_with_argmax(ConstraintSet(box, sum_to=target), q)
         vertices, mixes = _sampled_slice(rng, lo, hi, target, 400)
         c = q.spend_change
         assert wb.wl_min <= _loss(vertices, c).min() * (1 + 1e-12)
         assert wb.wl_max >= np.concatenate((_loss(vertices, c), _loss(mixes, c))).max() * (1 - 1e-12)
-        assert wb.kkt_residual <= 1e-10
+        assert gap <= 1e-10
         assert wb.min_certified
 
 
 def _sum_bounds(lo, hi, delta, y_star, target):
+    """max_with_argmax on a unit-level box, with the query it built."""
     box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
     q = WelfareQuery(np.asarray(delta, float), np.asarray(y_star, float))
-    return max_constrained(ConstraintSet(box, sum_to=target), q), q
+    return *max_with_argmax(ConstraintSet(box, sum_to=target), q), q
 
 
 def test_closed_form_max_edge_cases():
     # K = 1: the sum pins theta
-    wb, q = _sum_bounds([0.2], [0.9], [0.5], [0.8], 0.6)
-    assert_allclose(wb.argmax_theta, [0.6], rtol=1e-15)
+    wb, theta, _, q = _sum_bounds([0.2], [0.9], [0.5], [0.8], 0.6)
+    assert_allclose(theta, [0.6], rtol=1e-15)
     assert_allclose([wb.wl_min, wb.wl_max], welfare_loss(np.array([0.6]), q), rtol=1e-15)
     # every c = 0: nothing to lose, any feasible split
-    wb, _ = _sum_bounds([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], [0, 0, 0], [1, 1, 1], 1.2)
-    assert wb.wl_max == wb.wl_min == 0.0 and wb.kkt_residual <= 1e-12
-    assert abs(wb.argmax_theta.sum() - 1.2) <= 1e-12
+    wb, theta, gap, _ = _sum_bounds([0.1, 0.2, 0.3], [0.5, 0.6, 0.7], [0, 0, 0], [1, 1, 1], 1.2)
+    assert wb.wl_max == wb.wl_min == 0.0 and gap <= 1e-12
+    assert abs(theta.sum() - 1.2) <= 1e-12
     # budget at either end of the slice: the only feasible point is a corner
     lo, hi = np.array([0.1, 0.2, 0.3]), np.array([0.5, 0.4, 0.9])
     for target, corner in ((lo.sum(), lo), (hi.sum(), hi)):
-        wb, q = _sum_bounds(lo, hi, [0.5, 0.8, 0.2], [0.2, 0.6, 0.8], float(target))
-        assert_allclose(wb.argmax_theta, corner, rtol=0, atol=1e-15)
+        wb, theta, gap, q = _sum_bounds(lo, hi, [0.5, 0.8, 0.2], [0.2, 0.6, 0.8], float(target))
+        assert_allclose(theta, corner, rtol=0, atol=1e-15)
         assert_allclose([wb.wl_min, wb.wl_max], welfare_loss(corner, q), rtol=1e-14)
-        assert wb.kkt_residual <= 1e-12
+        assert gap <= 1e-12
     # repeated lo/c ratios (all 0.5): an interior optimum proportional to c
     c = np.array([0.2, 0.4, 0.6])
-    wb, q = _sum_bounds(0.5 * c, 0.5 * c + 0.5, c, np.ones(3), 1.5)
-    assert_allclose(wb.argmax_theta, 1.5 * c / c.sum(), rtol=1e-14)
+    wb, theta, _, q = _sum_bounds(0.5 * c, 0.5 * c + 0.5, c, np.ones(3), 1.5)
+    assert_allclose(theta, 1.5 * c / c.sum(), rtol=1e-14)
     assert_allclose(wb.wl_max, 1.5 * math.log1p(c.sum() / 1.5), rtol=1e-14)
     ref_max, ref_min = brute_force_max(c, 0.5 * c, 0.5 * c + 0.5, 1.5)
     assert ref_max - 1e-12 <= wb.wl_max <= ref_max + 1e-4
@@ -315,14 +346,14 @@ def test_closed_form_max_edge_cases():
     box = (Interval(1e-9, POSITIVITY_FLOOR, 1.0, "BOX"), Interval(0.1, 0.8, 1.0, "BOX"),
            Interval(0.2, 0.6, 1.0, "BOX"))
     q = WelfareQuery(np.array([0.5, 0.8, 0.2]), np.array([0.2, 0.6, 0.8]))
-    wb = max_constrained(ConstraintSet(box, sum_to=0.9), q)
-    assert wb.argmax_theta[0] == POSITIVITY_FLOOR
+    wb, theta, gap = max_with_argmax(ConstraintSet(box, sum_to=0.9), q)
+    assert theta[0] == POSITIVITY_FLOOR
     lo = np.array([POSITIVITY_FLOOR, 0.1, 0.2])
     hi = np.array([POSITIVITY_FLOOR, 0.8, 0.6])
     ref_max, ref_min = brute_force_max(q.spend_change, lo, hi, 0.9)
     assert ref_max - 1e-12 <= wb.wl_max <= ref_max + 1e-4
     assert abs(wb.wl_min - ref_min) <= 1e-4
-    assert wb.kkt_residual <= 1e-12
+    assert gap <= 1e-12
 
 
 def test_batched_box_equals_single_queries_bit_for_bit():
