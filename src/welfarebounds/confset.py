@@ -9,12 +9,20 @@ a segment count that flags disconnected acceptance regions.
 
 The grid nodes are independent: `profile_stats` splits them into one
 contiguous block per CPU the process may use and evaluates the blocks in
-threads, each block chunk by chunk in buffers it allocates once.  Exact
-ties in the residual (duplicate rows, discrete data) are broken at each
-node as `xi` breaks them, by uniforms seeded from the spawn path
-(seed, node index) and then by observation index.  Every profile value
-therefore equals `xi` at that node, whatever the chunking, the number of
-threads or the order in which nodes are evaluated.
+threads, each block chunk by chunk in buffers it allocates once.  A node
+sorts packed keys: the residual with its low b = n.bit_length() mantissa
+bits replaced by the observation's instrument rank, so one float sort
+yields the rank sequence without an argsort and two gathers.  Residuals
+are finite and never -0.0 (price > 0, and x - x is +0), so keys whose
+high parts (key >> b) differ sort in their residuals' order.  A node where
+two adjacent sorted keys share a high part (an exact tie, or residuals a
+few ulps apart) is redone alone on the exact path: argsort of the
+residuals, and exact ties broken as `xi` breaks them, by uniforms seeded
+from the spawn path (seed, node index) and then by observation index.  A
+sample with a repeated (price, quantity) row ties at every node and goes
+to the exact path whole.  Every profile value therefore equals `xi` at
+that node, whatever the chunking, the number of threads or the order in
+which nodes are evaluated.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
@@ -147,12 +155,57 @@ def _order_tied_runs(
     return out
 
 
+def _repeats_a_row(price: np.ndarray, quantity: np.ndarray) -> bool:
+    """Whether two observations share (price, quantity), so their residuals tie at every node."""
+    order = np.lexsort((quantity, price))
+    p, q = price[order], quantity[order]
+    return bool(np.any((p[1:] == p[:-1]) & (q[1:] == q[:-1])))
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on (its affinity mask where the OS has one)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _residuals(price: np.ndarray, inv_y: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> None:
+    """out[r] = price - thetas[r] * inv_y, the same two roundings as a direct evaluation."""
+    np.multiply(thetas[:, None], inv_y[None, :], out=out)
+    np.subtract(price[None, :], out, out=out)
+
+
+def _jump_sums(seq: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """Sum of |seq[:, j + 1] - seq[:, j]| along each row, through `jumps`."""
+    np.subtract(seq[:, 1:], seq[:, :-1], out=jumps)
+    np.abs(jumps, out=jumps)
+    return jumps.sum(axis=1)
+
+
+def _exact_jump_sums(
+    buffers: list, ranks: np.ndarray, row_offset: np.ndarray, nodes: np.ndarray, rng_seed: int
+) -> np.ndarray:
+    """Rank-jump sums of the residual rows buffers[0], ties broken as `xi` breaks them.
+
+    buffers holds, with one row per node: the residuals, then the sorted
+    residuals, gather offsets (intp) and ranks in sorted order (ranks'
+    dtype) of the same shape, and an adjacent-equal mask and rank jumps
+    one column narrower.  Row r is grid node nodes[r]; row_offset[r] = r * n.
+    """
+    fm, sorted_fm, taken, seq, same, jumps = buffers
+    # Unstable sort is fine: every sort kind puts equal residuals in one
+    # contiguous run, and the runs are reordered below.
+    order = np.argsort(fm, axis=1)
+    # Indices are in range; mode "raise" would copy through a temporary.
+    np.add(order, row_offset, out=taken)
+    np.take(fm.ravel(), taken, out=sorted_fm, mode="wrap")
+    np.equal(sorted_fm[:, 1:], sorted_fm[:, :-1], out=same)
+    tied = np.nonzero(same.any(axis=1))[0]
+    if tied.size:
+        order[tied] = _order_tied_runs(order[tied], same[tied], nodes[tied], rng_seed)
+    np.take(ranks, order, out=seq, mode="wrap")
+    return _jump_sums(seq, jumps)
 
 
 def _fill_block(
@@ -165,8 +218,22 @@ def _fill_block(
     ranks: np.ndarray,
     scale: float,
     rng_seed: int,
+    packed: bool,
 ) -> None:
     """Fill stats[start:stop] chunk by chunk, in buffers allocated once.
+
+    With `packed`, the low b = n.bit_length() mantissa bits of each
+    residual are overwritten, through an int64 view, with its instrument
+    max-rank (1..n), and the rows of keys are sorted in place as floats;
+    the rank sequence is read back as key & (2**b - 1).  Keys whose high
+    parts (key >> b) differ keep their residuals' order, for either sign,
+    and a key is never +-0 (its rank is at least 1), so a row is exact iff
+    no two adjacent sorted keys share a high part.  A row where two do (an
+    exact tie or residuals a few ulps apart) is redone alone: its residuals
+    are recomputed into the leading rows of the same buffers and go through
+    `_exact_jump_sums`.  Without `packed` every row goes that way.  The
+    float order of the keys is their residuals' order only because no
+    residual is -0.0: price > 0, and x - x is +0.
 
     Runs in a worker thread, so it writes only its own slice of `stats` and
     calls no function that perfbench's tracer wraps (its span stack is not
@@ -174,12 +241,16 @@ def _fill_block(
     """
     n = price.shape[0]
     rows = min(_CHUNK, stop - start)
-    # residuals, sorted residuals, gather offsets (then ranks in sorted
-    # order), tie mask, rank jumps; a partial last chunk uses leading rows
+    bits = n.bit_length()
+    low = (1 << bits) - 1
+    # residuals (then keys), sorted residuals, gather offsets (or high
+    # parts), ranks in sorted order, adjacent-equal mask, rank jumps; a
+    # partial last chunk and the redone rows use leading rows
     buffers = (
         np.empty((rows, n)),
         np.empty((rows, n)),
         np.empty((rows, n), dtype=np.intp),
+        np.empty((rows, n), dtype=ranks.dtype),
         np.empty((rows, n - 1), dtype=bool),
         np.empty((rows, n - 1), dtype=ranks.dtype),
     )
@@ -187,24 +258,27 @@ def _fill_block(
     root = math.sqrt(n)
     for lo in range(start, stop, _CHUNK):
         m = min(_CHUNK, stop - lo)
-        fm, sorted_fm, taken, same, jumps = (b[:m] for b in buffers)
-        # price - theta * inv_y, the same two roundings as a direct evaluation
-        np.multiply(thetas[lo : lo + m, None], inv_y[None, :], out=fm)
-        np.subtract(price[None, :], fm, out=fm)
-        # Unstable sort is fine: every sort kind puts equal residuals in one
-        # contiguous run, and the runs are reordered below.
-        order = np.argsort(fm, axis=1)
-        # Indices are in range; mode "raise" would copy through a temporary.
-        np.add(order, row_offset[:m], out=taken)
-        np.take(fm.ravel(), taken, out=sorted_fm, mode="wrap")
-        np.equal(sorted_fm[:, 1:], sorted_fm[:, :-1], out=same)
-        tied = np.nonzero(same.any(axis=1))[0]
-        if tied.size:
-            order[tied] = _order_tied_runs(order[tied], same[tied], lo + tied, rng_seed)
-        np.take(ranks, order, out=taken, mode="wrap")
-        np.subtract(taken[:, 1:], taken[:, :-1], out=jumps)
-        np.abs(jumps, out=jumps)
-        stats[lo : lo + m] = root * (1.0 - jumps.sum(axis=1) * scale)
+        fm, _, taken, seq, same, jumps = (b[:m] for b in buffers)
+        _residuals(price, inv_y, thetas[lo : lo + m], fm)
+        if packed:
+            keys = fm.view(np.int64)
+            keys &= ~low
+            keys |= ranks
+            fm.sort(axis=1)
+            np.right_shift(keys, bits, out=taken)
+            np.equal(taken[:, 1:], taken[:, :-1], out=same)
+            redo = np.nonzero(same.any(axis=1))[0]
+            np.bitwise_and(keys, low, out=seq, casting="unsafe")
+            stats[lo : lo + m] = root * (1.0 - _jump_sums(seq, jumps) * scale)
+            if not redo.size:
+                continue
+            _residuals(price, inv_y, thetas[lo + redo], buffers[0][: redo.size])
+        else:
+            redo = np.arange(m)
+        k = redo.size
+        bufs = [b[:k] for b in buffers]
+        sums = _exact_jump_sums(bufs, ranks, row_offset[:k], lo + redo, rng_seed)
+        stats[lo + redo] = root * (1.0 - sums * scale)
 
 
 def profile_stats(
@@ -216,11 +290,15 @@ def profile_stats(
 ) -> np.ndarray:
     """sqrt(n) * xi(price - theta/quantity, z) at every theta.
 
-    Ranks are recomputed from scratch at each node (one sort per node,
-    vectorized in chunks of nodes).  The nodes are split into one contiguous
-    block of whole chunks per CPU in the process's affinity mask, and the
-    blocks run in threads (numpy releases the GIL in the sorts, gathers and
-    ufuncs); a single block runs in the calling thread.  Exact ties in the
+    price must be positive and finite, as GoodSample makes it.  Ranks are
+    recomputed from scratch at each node (one sort of packed residual/rank
+    keys per node, vectorized in chunks of nodes; see _fill_block).  The
+    nodes are split into one contiguous block of whole chunks per CPU in
+    the process's affinity mask, and the blocks run in threads (numpy
+    releases the GIL in the sorts, gathers and ufuncs); a single block runs
+    in the calling thread.  A node whose keys collide is redone on the
+    exact path, and a sample with a repeated (price, quantity) row sends
+    every node there, found once per call.  On that path exact ties in the
     residual are broken as `xi` breaks them with the seed
     child_seed(rng_seed, node index): by uniforms drawn for that node, then
     by observation index.  Only the tied runs are reordered, for all tied
@@ -230,6 +308,9 @@ def profile_stats(
     at the largest |theta|.
     """
     ranks, scale = response_rank_scale(z)
+    # Ranks and rank jumps fit in 32 bits (n < 2**31), which halves the
+    # traffic of the passes over them.
+    ranks = ranks.astype(np.int32)
     inv_y = 1.0 / quantity
     theta_top = float(np.abs(thetas).max(initial=0.0))
     if not math.isfinite(theta_top * float(inv_y.max())):
@@ -241,7 +322,9 @@ def profile_stats(
     chunks = max(1, -(-total // _CHUNK))
     per_block = -(-chunks // min(_cpu_count(), chunks)) * _CHUNK
     blocks = [(lo, min(lo + per_block, total)) for lo in range(0, total, per_block)]
-    args = (price, inv_y, thetas, ranks, scale, rng_seed)
+    # A repeated row sends every node to the exact path; skip the packed sort.
+    packed = not _repeats_a_row(price, quantity)
+    args = (price, inv_y, thetas, ranks, scale, rng_seed, packed)
     if len(blocks) < 2:
         for lo, hi in blocks:
             _fill_block(stats, lo, hi, *args)

@@ -185,9 +185,13 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
             "the inverse-demand model does not fit this data"
         )
     theta = 1.0 / fit.beta_hat
-    # beta^2 underflows to 0 for a slope below ~1e-162
-    beta_sq = fit.beta_hat**2
-    se_theta = fit.se_beta / beta_sq if beta_sq > 0.0 else math.inf
+    try:
+        # beta^2 underflows to 0 for a slope below ~1e-162
+        beta_sq = fit.beta_hat**2
+        se_theta = fit.se_beta / beta_sq if beta_sq > 0.0 else math.inf
+    except OverflowError:
+        # beta^2 overflows for a slope above ~1.3e154; divide by beta twice
+        se_theta = fit.se_beta / fit.beta_hat / fit.beta_hat
     z = NormalDist().inv_cdf(p)
     lower = max(0.0, theta - z * se_theta)
     upper = theta + z * se_theta

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -813,6 +814,59 @@ def test_cli_error_contract_under_fuzzing(data, intervals, query):
             ["ci", "--mode", "ls", "--data", paths["d.csv"], "--out", out],
             ["welfare", "--intervals", paths["iv.csv"], "--query", paths["q.csv"], "--out", out],
         ):
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
+
+
+# per column: a binary exponent, moderate or extreme, and the special values
+# (zero and -1 make a rejected row); a quantity's reciprocal must stay finite
+_PRICE = (st.integers(-1074, 1000), [5e-324, 1.0 + 2.0**-52, 1.7e308, 0.0, -1.0])
+_QUANTITY = (st.integers(-1020, 1000), [2.2250738585072014e-308, 1.0 + 2.0**-52, 1.7e308, 0.0, -1.0])
+
+
+@st.composite
+def _numeric_demand(draw) -> str:
+    """A two-good demand CSV whose cells are all numbers: extreme, repeated and near-equal rows."""
+    lines = ["good_id,price,quantity,instrument"]
+    for good in ("a", "b"):
+        cells = []
+        for wide, special in (_PRICE, _QUANTITY):
+            e = draw(st.one_of(st.integers(-4, 4), wide))
+            # numbers near the column's magnitude, one in four a special value
+            near = st.floats(0.5, 2.0).map(lambda v, e=e: math.ldexp(v, e))
+            cells.append(st.one_of(near, near, near, st.sampled_from(special)))
+        rows = [[draw(cells[0]), draw(cells[1]), draw(st.floats(-1e6, 1e6))]
+                for _ in range(draw(st.integers(3, 8)))]
+        for _ in range(draw(st.integers(0, 3))):
+            price, quantity, _ = draw(st.sampled_from(rows))
+            if draw(st.booleans()):
+                # a near-equal row: the next float up in price, same quantity
+                price = float(np.nextafter(price, np.inf))
+            rows.append([price, quantity, draw(st.floats(-1e6, 1e6))])
+        lines += [f"{good},{p!r},{q!r},{z!r}" for p, q, z in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=_numeric_demand(),
+    grid_hi=st.sampled_from(["2.0", "1e6", "1e150", "1e300", "1.7e308"]),
+    jitter=st.sampled_from(["0", "0.005"]),
+)
+def test_cli_error_contract_under_numeric_fuzzing(data, grid_hi, jitter):
+    # parseable files whose numbers reach the grid's extreme exponents end
+    # in a documented exit code, never a traceback or a numpy warning
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        out = os.path.join(tmp, "out")
+        for mode in ("xi", "all"):
+            argv = ["ci", "--mode", mode, "--data", path, "--out", out, "--seed", "1",
+                    "--grid-nodes", "40", "--grid-hi", grid_hi, "--jitter", jitter]
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)

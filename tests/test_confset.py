@@ -347,3 +347,73 @@ def test_profile_equals_xi_at_every_node(
         for j, theta in enumerate(thetas):
             ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
             assert stats[j] == math.sqrt(price.size) * ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # n at the edges of the rank field's width b = n.bit_length()
+    k=st.integers(2, 9),
+    offset=st.sampled_from([-1, 0, 1]),
+    near=st.integers(1, 4),
+    same_price=st.booleans(),
+    duplicates=st.booleans(),
+    # power-of-two price scale: subnormal residuals, and exponents near the top
+    exponent=st.sampled_from([0, -1060, 1000]),
+    nodes=st.integers(1, 300),
+    workers=st.sampled_from([1, 2, 5]),
+)
+@example(seed=1, k=3, offset=0, near=2, same_price=False, duplicates=False,
+         exponent=0, nodes=260, workers=5)
+@example(seed=2, k=4, offset=-1, near=1, same_price=True, duplicates=False,
+         exponent=-1060, nodes=129, workers=2)
+def test_profile_equals_xi_where_residuals_nearly_tie(
+    seed, k, offset, near, same_price, duplicates, exponent, nodes, workers
+):
+    # Row pairs one ulp apart in price with equal quantity leave residuals
+    # that differ only in their lowest bits (or round to a tie) at every
+    # node, so their packed keys collide and the node is redone exactly.
+    # The grid runs past price * quantity, where residuals turn negative.
+    n = 2**k + offset
+    rng = np.random.default_rng(seed)
+    ndup = max(1, n // 4) if duplicates else 0
+    near = min(near, (n - ndup) // 2)
+    base = n - near - ndup
+    price = rng.uniform(1.0, 2.0, base) * 2.0**exponent
+    # an even significand, so its next float up differs in bit 0 alone
+    price = (price.view(np.int64) & ~1).view(np.float64)
+    quantity = rng.uniform(0.5, 2.0, base)
+    if same_price:
+        # a tie at theta = 0 only: equal prices, different quantities
+        price[-1] = price[0]
+    pairs = rng.choice(base, near, replace=False)
+    price = np.concatenate([price, np.nextafter(price[pairs], np.inf)])
+    quantity = np.concatenate([quantity, quantity[pairs]])
+    if ndup:
+        rows = rng.integers(0, price.size, ndup)
+        price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
+    assert price.size == n
+    z = rng.uniform(0.0, 1.0, n)
+    thetas = np.linspace(0.0, 1.5 * float(np.max(price * quantity)), nodes)
+    redone = []
+    exact = confset._exact_jump_sums
+
+    def spy(*args):
+        redone.extend(args[-2].tolist())
+        return exact(*args)
+
+    with (
+        mock.patch.object(confset, "_exact_jump_sums", spy),
+        mock.patch.object(confset, "_cpu_count", lambda: workers),
+    ):
+        stats = profile_stats(price, quantity, z, thetas, seed)
+    inv_y = 1.0 / quantity
+    for j, theta in enumerate(thetas):
+        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
+        assert stats[j] == math.sqrt(n) * ref
+    if duplicates:
+        # a repeated row ties every node: the whole grid takes the exact path
+        assert sorted(redone) == list(range(nodes))
+    else:
+        # theta = 0 leaves the prices, whose near pairs collide in the key
+        assert 0 in redone

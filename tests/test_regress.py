@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -131,6 +133,16 @@ def test_near_zero_slope_raises():
         fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se, n=30, mode="OLS")
         with pytest.raises(NearZeroSlope):
             theta_interval_delta(fit, 0.95)
+
+
+def test_huge_slope_has_a_finite_interval():
+    # beta^2 overflows above ~1.3e154; se/beta/beta is the same quantity
+    beta, se = 1.3407807929942597e154, 1.6421143998800672e154
+    fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se, n=3, mode="TSLS")
+    iv = theta_interval_delta(fit, 0.975)
+    half = NormalDist().inv_cdf(0.9875) * (se / beta / beta)
+    assert iv.lower == max(0.0, 1.0 / beta - half) and iv.upper == 1.0 / beta + half
+    assert 0.0 < iv.upper < 1e-153
 
 
 def test_bad_level_raises():
