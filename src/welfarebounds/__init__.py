@@ -46,7 +46,6 @@ from .welfare import (
     WelfareBounds,
     WelfareQuery,
     bounds_box,
-    max_constrained,
     welfare_loss,
 )
 from .xicor import PairedSample, critical_value, xi
@@ -94,7 +93,6 @@ __all__ = [
     "draw_sample",
     "fit_inverse_demand",
     "intersect",
-    "max_constrained",
     "mc_table1",
     "mc_table2",
     "shape_diagnostic",

@@ -2,7 +2,8 @@
 
 Commands: ci, welfare, simulate, mc, diagnose.  All randomness flows from a
 single --seed flag (mandatory for simulate/mc).  Exit codes: 0 success,
-2 config error, 3 data error, 4 numerical error; empty confidence sets
+2 config error, 3 data error, 4 numerical error or an allocation too large
+for memory (one `MemoryError: <message>` line); empty confidence sets
 produce EMPTY rows instead of failures, and a data or numerical error in one
 good becomes that good's FAILED:<ErrorName> row while the other goods are
 still written (the exit code is then that of the first failure).  Output
@@ -42,13 +43,7 @@ from .errors import (
 )
 from .regress import GoodSample, Interval
 from .simulate import MC_ALPHA, DgpConfig, draw_sample, mc_table1, mc_table2
-from .welfare import (
-    POSITIVITY_FLOOR,
-    ConstraintSet,
-    WelfareQuery,
-    bounds_box,
-    max_constrained,
-)
+from .welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery, bounds_box
 from .xicor import critical_value
 
 EXIT_OK = 0
@@ -102,6 +97,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name.replace('_', '-')} must be finite, got {value}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.grid_nodes < 2:
             raise ConfigError(f"grid-nodes must be at least 2, got {self.grid_nodes}")
         if self.grid_lo < 0:
@@ -534,16 +531,9 @@ def cmd_welfare(cfg: RunConfig) -> int:
         status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
         results = [[ind, None, None, None, status] for ind in ids]
     else:
-        if cfg.sum_to is None:
-            wb = bounds_box(constraints, query)
-            bounds = zip(wb.wl_min.tolist(), wb.wl_max.tolist())
-        else:
-            bounds = []
-            for delta, ystar in zip(query.delta, query.y_star):
-                wb = max_constrained(constraints, WelfareQuery(delta, ystar))
-                bounds.append((wb.wl_min, wb.wl_max))
-        level = constraints.joint_level()
-        results = [[ind, lo, hi, level, "OK"] for ind, (lo, hi) in zip(ids, bounds)]
+        wb = bounds_box(constraints, query)
+        bounds = zip(wb.wl_min.tolist(), wb.wl_max.tolist())
+        results = [[ind, lo, hi, wb.level, "OK"] for ind, (lo, hi) in zip(ids, bounds)]
     results.sort(key=lambda r: (r[4] != "OK", r[2] if r[2] is not None else 0.0))
     rows = [[rank + 1] + r for rank, r in enumerate(results)]
     out_path = f"{cfg.out}_welfare.csv"
@@ -753,9 +743,9 @@ def main(argv=None) -> int:
                 continue
             setattr(cfg, key, value)
         return _COMMANDS[args.command](cfg)
-    except (WelfareBoundsError, OSError) as exc:
-        name = "OSError" if isinstance(exc, OSError) else type(exc).__name__
-        print(f"{name}: {exc}", file=sys.stderr)
+    except (WelfareBoundsError, OSError, MemoryError) as exc:
+        kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))
+        print(f"{kind.__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 
 

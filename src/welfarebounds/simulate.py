@@ -20,7 +20,6 @@ from .welfare import (
     ConstraintSet,
     WelfareQuery,
     bounds_box,
-    max_constrained,
     welfare_loss,
 )
 
@@ -259,13 +258,13 @@ def mc_table1(
     query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
     fixed_box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(K))
     wl_iv = bounds_box(ConstraintSet(fixed_box), query).wl_max
-    wl_iii = max_constrained(ConstraintSet(fixed_box, sum_to=1.0), query).wl_max
+    wl_iii = bounds_box(ConstraintSet(fixed_box, sum_to=1.0), query).wl_max
     true_wl = welfare_loss(theta, query)
 
     def welfare(n, boxes):
         wl_ii = [bounds_box(ConstraintSet(box), query).wl_max for box in boxes]
         on_slice = [ConstraintSet(box, sum_to=1.0) for box in boxes]
-        wl_i = [max_constrained(cs, query).wl_max for cs in on_slice if not cs.empty]
+        wl_i = [bounds_box(cs, query).wl_max for cs in on_slice if not cs.empty]
         rows = [WelfareSummary(n, "i", _mean(wl_i))] if wl_i else []
         if wl_ii:
             rows.append(WelfareSummary(n, "ii", _mean(wl_ii)))

@@ -5,8 +5,7 @@ delta is sum_k theta_k * log(1 + delta_k * ystar_k / theta_k).  The function
 is strictly increasing and strictly concave in each theta_k wherever
 delta_k * ystar_k > 0, which drives both solvers here:
 
-  * over a plain box the extremes sit at the corners (bounds_box, for one
-    individual or for N at once: a query holds one row per individual);
+  * over a plain box the extremes sit at the corners;
   * with an added sum(theta) = s constraint the maximum has a closed form.
     The marginal log1p(c/theta) - c/(c+theta) depends on theta/c alone, so
     every coordinate with c > 0 is clip(g * c_k, lo_k, hi_k) for one common
@@ -15,6 +14,9 @@ delta_k * ystar_k > 0, which drives both solvers here:
   * the minimum of the concave objective over the same slice is found by
     Falk-Soland branch-and-bound (Falk & Soland 1969, Management Science
     15:550), exact to a relative 1e-12 at any number of goods.
+
+bounds_box is the one entry point for both, for one individual or for N at
+once (a query holds one row per individual).
 """
 
 from __future__ import annotations
@@ -131,15 +133,13 @@ class ConstraintSet:
 class WelfareBounds:
     """Extremes of the loss over a constraint set, with the level they hold at.
 
-    wl_min and wl_max are N-arrays for an N-row box query.  Both extremes
-    are exact, so min_certified is always True; only perfbench's traced
-    run reads it.
+    wl_min and wl_max are floats for a one-individual query and N-arrays
+    for an N-row query.  Both extremes are exact.
     """
 
     wl_min: float | np.ndarray
     wl_max: float | np.ndarray
     level: float
-    min_certified: bool = True
 
 
 def _loss_terms(theta, c) -> np.ndarray:
@@ -169,24 +169,6 @@ def welfare_loss(theta, query: WelfareQuery) -> float | np.ndarray:
         raise InvalidTheta("theta entries must be finite and positive")
     loss = _loss_terms(theta, query.spend_change).sum(axis=-1)
     return float(loss) if loss.ndim == 0 else loss
-
-
-def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
-    """Loss extremes over a box: monotonicity puts them at the corners.
-
-    On an N-row query wl_min and wl_max are N-arrays; row i equals the
-    one-individual call on row i bit for bit.
-    """
-    if constraints.sum_to is not None:
-        raise ValueError("constraint set has a sum target; use max_constrained")
-    lowers, uppers = constraints.bounds()
-    if constraints.K != query.K:
-        raise InvalidTheta(f"box has {constraints.K} goods, query has {query.K}")
-    return WelfareBounds(
-        wl_min=welfare_loss(lowers, query),
-        wl_max=welfare_loss(uppers, query),
-        level=constraints.joint_level(),
-    )
 
 
 def _waterfill(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
@@ -295,32 +277,30 @@ def _solve_min(c, lo, hi, target) -> np.ndarray:
     return best_theta
 
 
-def max_constrained(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
-    """Loss extremes under the box plus sum(theta) = sum_to, for one individual.
+def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds:
+    """Loss extremes over the box, or over its slice sum(theta) = sum_to.
 
-    Raises ValueError on an N-row query, and EmptyConfidenceSet when
-    constraints.empty (an empty or below-floor interval, or a sum_to no
-    theta in the box meets).  Both extremes are exact.  The
-    maximizer has a closed form: every coordinate with delta_k * ystar_k > 0
-    is clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum.
-    The minimum, which sits at a vertex of the feasible polytope, comes from
-    Falk-Soland branch-and-bound.
+    Over the box they sit at the corners.  On the slice the maximizer has a
+    closed form (every coordinate with delta_k * ystar_k > 0 is
+    clip(g * c_k, lo_k, hi_k) for the common ratio g that meets the sum)
+    and the minimum, at a vertex of the feasible polytope, comes from
+    Falk-Soland branch-and-bound, one individual at a time.  On an N-row
+    query wl_min and wl_max are N-arrays, and row i equals the
+    one-individual call on row i bit for bit.  Raises EmptyConfidenceSet
+    when constraints.empty.
     """
-    if constraints.sum_to is None:
-        raise ValueError("constraint set has no sum target; use bounds_box")
-    if query.delta.ndim != 1:
-        raise ValueError("max_constrained takes one individual; pass one query row")
     lowers, uppers = constraints.bounds()
     if constraints.K != query.K:
-        raise InvalidTheta(
-            f"box has {constraints.K} goods, query has {query.K}"
-        )
-    target = float(constraints.sum_to)
+        raise InvalidTheta(f"box has {constraints.K} goods, query has {query.K}")
     c = query.spend_change
-    wl_max = welfare_loss(_solve_max(c, lowers, uppers, target), query)
-    wl_min = welfare_loss(_solve_min(c, lowers, uppers, target), query)
-    return WelfareBounds(
-        wl_min=min(wl_min, wl_max),
-        wl_max=wl_max,
-        level=constraints.joint_level(),
-    )
+    if constraints.sum_to is None:
+        theta_min, theta_max = lowers, uppers
+    else:
+        target, rows = float(constraints.sum_to), c.reshape(-1, query.K)
+        theta_min = np.array([_solve_min(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
+        theta_max = np.array([_solve_max(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
+    wl_max = _loss_terms(theta_max, c).sum(axis=-1)
+    wl_min = np.minimum(_loss_terms(theta_min, c).sum(axis=-1), wl_max)
+    if c.ndim == 1:
+        wl_min, wl_max = float(wl_min), float(wl_max)
+    return WelfareBounds(wl_min=wl_min, wl_max=wl_max, level=constraints.joint_level())

@@ -21,7 +21,6 @@ from welfarebounds.welfare import (
     ConstraintSet,
     WelfareQuery,
     bounds_box,
-    max_constrained,
     welfare_loss,
 )
 from welfarebounds.xicor import PairedSample, critical_value, xi
@@ -72,7 +71,7 @@ def test_deterministic_welfare_values():
     wl = welfare_loss(np.array([0.2, 0.3, 0.5]), THREE_GOOD_QUERY)
     box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(3))
     box_max = bounds_box(ConstraintSet(box), THREE_GOOD_QUERY).wl_max
-    simplex_max = max_constrained(ConstraintSet(box, sum_to=1.0), THREE_GOOD_QUERY).wl_max
+    simplex_max = bounds_box(ConstraintSet(box, sum_to=1.0), THREE_GOOD_QUERY).wl_max
     elapsed = time.perf_counter() - t0
     ok = (
         abs(wl - 0.507) <= 0.0005
@@ -228,7 +227,7 @@ def test_solver_against_brute_force_oracle():
     for K in (2, 3):
         for _ in range(20):
             constraints, q, lo, hi, target = _random_instance(rng, K)
-            wb = max_constrained(constraints, q)
+            wb = bounds_box(constraints, q)
             ref_max, _ = brute_force_max(q.spend_change, lo, hi, target)
             worst = max(worst, abs(wb.wl_max - ref_max))
 

@@ -266,6 +266,26 @@ def test_exit_codes(tmp_path, capsys):
             main(argv + ["--out", str(tmp_path / "na")])
         assert exc.value.code == 2
     assert not list(tmp_path.glob("na_*"))
+    # a negative seed, as a flag or a config key, is a config error naming the seed
+    sim = ["simulate", "--theta", "0.3", "--n", "20"]
+    commands = (["ci", "--data", data], sim, ["mc", "--table", "2", "--k", "1", "--reps", "1"],
+                ["diagnose", "--data", data])
+    neg_cfg = _write(tmp_path, "neg.cfg", "seed = -1\n")
+    for argv in [c + ["--seed", "-1"] for c in commands] + [sim + ["--config", neg_cfg]]:
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "ns")]) == 2
+        assert capsys.readouterr().err == "ConfigError: seed must be nonnegative, got -1\n"
+    assert not list(tmp_path.glob("ns_*"))
+    # an allocation too large for memory is one line and exit 4: 10**15
+    # float64s is about 8 PB, beyond any address space, so numpy refuses the
+    # allocation before touching memory
+    for argv in (["ci", "--mode", "xi", "--data", data, "--grid-nodes", str(10**15)],
+                 ["simulate", "--seed", "1", "--n", str(10**15)]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "m")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("MemoryError: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("m_*"))
 
 
 def _three_goods_one_constant_price(tmp_path):
