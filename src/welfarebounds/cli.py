@@ -9,6 +9,8 @@ good becomes that good's FAILED:<ErrorName> row while the other goods are
 still written (the exit code is then that of the first failure).  Output
 files are plain CSV with one leading '#' comment line naming units and
 levels; given the same config and seed they are byte-identical across runs.
+Each profile file's name percent-encodes `%`, `/`, `\\` and NUL in the good
+id.  Theta's lower edge is the constant welfare.POSITIVITY_FLOOR; no flag sets it.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ _SEED_CS = 9
 _SEED_JITTER = 8
 _SEED_DIAG = 7
 
+# Percent-encoding that turns a good id into a file-name part, one to one.
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C", "\0": "%00"})
+
 
 def _fmt(x) -> str:
     if x is None or (isinstance(x, float) and np.isnan(x)):
@@ -77,7 +82,6 @@ class RunConfig:
     seed: int | None = None
     jitter: float = 0.0
     sum_to: float | None = None
-    floor: float = POSITIVITY_FLOOR
     out: str = "out"
     data: str | None = None
     intervals: str | None = None
@@ -111,8 +115,6 @@ class RunConfig:
             raise ConfigError(f"mode must be xi, ls, intersect, or all, got {self.mode!r}")
         if self.jitter < 0:
             raise ConfigError(f"jitter must be nonnegative, got {self.jitter}")
-        if self.floor <= 0:
-            raise ConfigError(f"floor must be positive, got {self.floor}")
         if self.table not in (1, 2):
             raise ConfigError(f"table must be 1 or 2, got {self.table}")
         if self.reps < 1:
@@ -323,12 +325,14 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     an unknown good_id (naming its row) or an individual missing a good.
     Wide: columns id then K (delta, ystar) pairs in the good order of the
     data/intervals file; a repeated id raises InvalidQuery naming both rows.
-    An empty id, a negative or non-finite delta, or a nonpositive or
-    non-finite ystar raises InvalidQuery naming the file and row.
+    An empty id, a negative or non-finite delta, a nonpositive or non-finite
+    ystar, or a delta * ystar that overflows raises InvalidQuery naming the
+    file and row.
     """
     names, idx, rows = _read_table(path)
     K = len(good_ids)
     values: list[float] = []  # delta, ystar per good, good by good, row by row
+    lines: list[int] = []  # the file row of each (delta, ystar) pair
     if "good_id" in names:
         _check_columns(path, names, ("id", "delta", "ystar"))
         per: dict[str, dict[str, tuple[float, float, int]]] = {}
@@ -356,6 +360,7 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
                 raise InvalidQuery(f"{path}: individual {ind!r}: missing goods {missing}")
             for g in good_ids:
                 values += entries[g][:2]
+                lines.append(entries[g][2])
         ids = list(per)
     else:
         if names[0] != "id" or len(names) != 1 + 2 * K:
@@ -377,18 +382,27 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
                 _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
                 for j, cell in enumerate(cells[1:])
             ]
+            lines += [lineno] * K
         ids = list(first_row)
     pairs = np.array(values).reshape(len(ids), K, 2)
+    with np.errstate(over="ignore"):
+        overflows = np.flatnonzero(~np.isfinite(pairs[..., 0] * pairs[..., 1]))
+    if overflows.size:
+        first = int(overflows[0])
+        raise InvalidQuery(f"{path}: row {lines[first]}: delta times ystar for good"
+                           f" {good_ids[first % K]!r} overflows; it must be finite")
     return ids, WelfareQuery(pairs[..., 0], pairs[..., 1])
 
 
 def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
+    """Write one output file, then print `wrote <path>`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(cell) for cell in row])
+    print(f"wrote {path}")
 
 
 def _require(value, flag: str):
@@ -469,7 +483,7 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
         s_seed = child_seed(seed, _SEED_CS, i)
         for m in modes:
             result, failed_code, status = _isolated(
-                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.floor, cfg.ls_fit
+                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.ls_fit
             )
             code = code or failed_code
             iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
@@ -482,29 +496,24 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
 
 def cmd_ci(cfg: RunConfig) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
-    cfg.validate()
     samples = _load_samples(cfg)
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
     rows, profiles, code = _good_intervals(samples, cfg, modes)
-    out_path = f"{cfg.out}_intervals.csv"
     _write_csv(
-        out_path,
+        f"{cfg.out}_intervals.csv",
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
         " 'level' is the per-good confidence level",
         ["good_id", "method", "lower", "upper", "level", "status"],
         ([gid, m, iv.lower, iv.upper, iv.level, status] for gid, m, iv, status in rows),
     )
-    print(f"wrote {out_path}")
     for gid, prof in profiles.items():
-        prof_path = f"{cfg.out}_profile_{gid}.csv"
         _write_csv(
-            prof_path,
+            f"{cfg.out}_profile_{gid.translate(_FILE_NAME_ESCAPES)}.csv",
             "normalized rank-dependence statistic by theta (nominal price units);"
             f" critical value = {_fmt(prof.critical)}",
             ["theta", "stat"],
             zip(prof.thetas, prof.stats),
         )
-        print(f"wrote {prof_path}")
     return code
 
 
@@ -523,10 +532,9 @@ def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval], int]:
 
 def cmd_welfare(cfg: RunConfig) -> int:
     """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
-    cfg.validate()
     good_ids, box, code = _box_from_config(cfg)
     ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
-    constraints = ConstraintSet(tuple(box), sum_to=cfg.sum_to, positivity_floor=cfg.floor)
+    constraints = ConstraintSet(box, sum_to=cfg.sum_to)
     if constraints.empty:
         status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
         results = [[ind, None, None, None, status] for ind in ids]
@@ -536,15 +544,13 @@ def cmd_welfare(cfg: RunConfig) -> int:
         results = [[ind, lo, hi, wb.level, "OK"] for ind, (lo, hi) in zip(ids, bounds)]
     results.sort(key=lambda r: (r[4] != "OK", r[2] if r[2] is not None else 0.0))
     rows = [[rank + 1] + r for rank, r in enumerate(results)]
-    out_path = f"{cfg.out}_welfare.csv"
     _write_csv(
-        out_path,
+        f"{cfg.out}_welfare.csv",
         "welfare-loss bounds per individual in units of the numeraire;"
         " 'level' is the joint box level",
         ["rank", "id", "wl_min", "wl_max", "level", "status"],
         rows,
     )
-    print(f"wrote {out_path}")
     return code
 
 
@@ -562,7 +568,6 @@ def _parse_theta(text: str) -> np.ndarray:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Write one synthetic draw as an ingestible CSV."""
-    cfg.validate()
     seed = _require(cfg.seed, "--seed")
     config = DgpConfig(
         theta=_parse_theta(cfg.theta), n=cfg.n_obs, seed=seed, endogeneity=cfg.endogeneity
@@ -572,28 +577,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
     for s in samples:
         for i in range(s.n):
             rows.append([s.good_id, s.price[i], s.quantity[i], s.instrument[i]])
-    out_path = f"{cfg.out}_data.csv"
     _write_csv(
-        out_path,
+        f"{cfg.out}_data.csv",
         "synthetic demand draws; price and instrument in nominal units",
         ["good_id", "price", "quantity", "instrument"],
         rows,
     )
-    print(f"wrote {out_path}")
     return EXIT_OK
 
 
 def cmd_mc(cfg: RunConfig) -> int:
     """Run a Monte Carlo study and write its report tables."""
-    cfg.validate()
     seed = _require(cfg.seed, "--seed")
     if cfg.table == 1:
         report = mc_table1(cfg.reps, seed)
     else:
         report = mc_table2(cfg.k_goods, cfg.reps, seed)
-    iv_path = f"{cfg.out}_mc_intervals.csv"
     _write_csv(
-        iv_path,
+        f"{cfg.out}_mc_intervals.csv",
         "average interval endpoints (theta, nominal price units) over"
         f" {report.reps} replications; joint alpha = {_fmt(MC_ALPHA)}",
         ["n", "good_id", "theta_true", "avg_lower", "avg_upper", "avg_length", "coverage", "n_empty"],
@@ -602,18 +603,15 @@ def cmd_mc(cfg: RunConfig) -> int:
             for r in report.intervals
         ],
     )
-    wl_path = f"{cfg.out}_mc_welfare.csv"
     wl_rows = [[r.n, r.label, r.value] for r in report.welfare]
     wl_rows += [[n, "joint_coverage", v] for n, v in sorted(report.joint_coverage.items())]
     _write_csv(
-        wl_path,
+        f"{cfg.out}_mc_welfare.csv",
         f"welfare-loss figures in units of the numeraire; joint alpha = {_fmt(MC_ALPHA)};"
         f" true loss = {_fmt(report.true_welfare_loss)}",
         ["n", "label", "value"],
         wl_rows,
     )
-    print(f"wrote {iv_path}")
-    print(f"wrote {wl_path}")
     print(report.interval_table())
     print(report.welfare_table())
     for stage, seconds in report.timings.items():
@@ -628,7 +626,6 @@ def cmd_diagnose(cfg: RunConfig) -> int:
 
     A FAILED:<ErrorName> row still carries the critical value (alpha alone sets it).
     """
-    cfg.validate()
     samples = _load_samples(cfg)
     seed = cfg.seed if cfg.seed is not None else 0
     critical = critical_value(cfg.alpha)
@@ -643,15 +640,13 @@ def cmd_diagnose(cfg: RunConfig) -> int:
             rows.append([s.good_id, None, None, critical, status])
         else:
             rows.append([s.good_id, diag.stat_at_zero, diag.stat_at_inf, critical, diag.case_id])
-    out_path = f"{cfg.out}_diagnostics.csv"
     _write_csv(
-        out_path,
+        f"{cfg.out}_diagnostics.csv",
         f"confidence-set shape diagnostics at alpha = {_fmt(cfg.alpha)};"
         " stats are sqrt(n) * xi (dimensionless)",
         ["good_id", "stat_at_zero", "stat_at_inf", "critical", "case_id"],
         rows,
     )
-    print(f"wrote {out_path}")
     return code
 
 
@@ -682,7 +677,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--grid-nodes", type=int, default=S, dest="grid_nodes")
         p.add_argument("--grid-lo", type=float, default=S, dest="grid_lo")
         p.add_argument("--grid-hi", type=float, default=S, dest="grid_hi")
-        p.add_argument("--floor", type=float, default=S)
 
     p_ci = sub.add_parser("ci", help="per-good confidence intervals")
     add_common(p_ci)
@@ -742,6 +736,7 @@ def main(argv=None) -> int:
             if key in ("command", "config"):
                 continue
             setattr(cfg, key, value)
+        cfg.validate()
         return _COMMANDS[args.command](cfg)
     except (WelfareBoundsError, OSError, MemoryError) as exc:
         kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))

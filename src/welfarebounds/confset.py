@@ -26,7 +26,7 @@ which nodes are evaluated.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
-the bounded least-squares interval (clipped below at the positivity floor),
+the bounded least-squares interval (clipped below at POSITIVITY_FLOOR),
 which also supplies the parameter space that pure grid search lacks.
 """
 
@@ -397,7 +397,6 @@ def cs_combined(
     mode: str,
     grid: GridSpec,
     rng_seed: int = 0,
-    floor: float = POSITIVITY_FLOOR,
     ls_mode: str = "auto",
 ) -> tuple[Interval, XiProfile | None]:
     """One good's interval at per-good error share alpha_share, and its profile.
@@ -408,7 +407,7 @@ def cs_combined(
                       fit_inverse_demand); `grid` is unused.
     mode "intersect": both pieces at 1 - alpha_share/2, `grid.nodes` nodes
                       laid over the least-squares interval clipped below at
-                      `floor`, then intersected.
+                      POSITIVITY_FLOOR, then intersected.
     The profile is None outside xi mode.  An empty outcome is an empty
     interval at level 1 - alpha_share.
     """
@@ -427,7 +426,7 @@ def cs_combined(
 
     half = alpha_share / 2.0
     ls = theta_interval_delta(fit, 1.0 - half)
-    lo = max(ls.lower, floor)
+    lo = max(ls.lower, POSITIVITY_FLOOR)
     hi = ls.upper
     if hi < lo:
         # the least-squares interval sits below the positivity floor

@@ -86,6 +86,6 @@ class EmptyConfidenceSet(WelfareBoundsError):
     """A welfare constraint set was asked for its bounds but holds no theta.
 
     That is when an interval accepted no parameter value or lies wholly below
-    the positivity floor, or when the sum target lies outside the box;
+    welfare.POSITIVITY_FLOOR, or when the sum target lies outside the box;
     ConstraintSet.empty tells in advance.
     """

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyConfidenceSet, InvalidTheta, NegativePriceChange
 
-# Lower edge of the admissible theta space; also the default grid floor.
+# Lower edge of the admissible theta space, and the default grid_lo.
 POSITIVITY_FLOOR = 1e-6
 
 # Below this (far under the positivity floor) a loss term takes its analytic
@@ -66,6 +66,9 @@ class WelfareQuery:
             )
         if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
             raise ValueError("reference consumption must be finite and positive")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(delta * y_star)):
+                raise ValueError("delta * y_star must be finite")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "y_star", y_star)
 
@@ -81,18 +84,18 @@ class WelfareQuery:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Per-good theta intervals, an optional sum(theta) target, and a floor."""
+    """Per-good theta intervals and an optional sum(theta) target.
+
+    Theta lives on [POSITIVITY_FLOOR, inf): each lower endpoint is floored there.
+    """
 
     box: tuple
     sum_to: float | None = None
-    positivity_floor: float = POSITIVITY_FLOOR
 
     def __post_init__(self):
         box = tuple(self.box)
         if not box:
             raise ValueError("constraint box must contain at least one interval")
-        if self.positivity_floor <= 0:
-            raise ValueError("positivity floor must be positive")
         object.__setattr__(self, "box", box)
 
     @property
@@ -103,7 +106,7 @@ class ConstraintSet:
     def empty(self) -> bool:
         """True when some interval is empty or lies wholly below the floor, or when
         sum_to lies outside [sum of floored lowers, sum of uppers] beyond a relative 1e-12."""
-        if any(iv.empty or iv.upper < self.positivity_floor for iv in self.box):
+        if any(iv.empty or iv.upper < POSITIVITY_FLOOR for iv in self.box):
             return True
         if self.sum_to is None:
             return False
@@ -112,7 +115,7 @@ class ConstraintSet:
         return not lowers.sum() - eps <= self.sum_to <= uppers.sum() + eps
 
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        lowers = np.array([max(iv.lower, self.positivity_floor) for iv in self.box], dtype=float)
+        lowers = np.array([max(iv.lower, POSITIVITY_FLOOR) for iv in self.box], dtype=float)
         return lowers, np.array([iv.upper for iv in self.box], dtype=float)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +149,19 @@ def _loss_terms(theta, c) -> np.ndarray:
     """Terms theta * log1p(c/theta), broadcast over theta and c.
 
     A term is exactly 0 where c is 0, and where theta is below _THETA_TINY.
+    Where c/theta overflows, the term is theta * (log c - log theta +
+    log1p(theta/c)), the same value without the overflow.
     """
     live = (c > 0) & (theta >= _THETA_TINY)
     t = np.where(live, theta, 1.0)
-    return np.where(live, t * np.log1p(c / t), 0.0)
+    try:
+        with np.errstate(over="raise"):
+            return np.where(live, t * np.log1p(c / t), 0.0)
+    except FloatingPointError:
+        with np.errstate(all="ignore"):  # every value it spoils is masked out below
+            ratio = c / t
+            wide = t * (np.log(c) - np.log(t) + np.log1p(t / c))
+        return np.where(live, np.where(np.isinf(ratio), wide, t * np.log1p(ratio)), 0.0)
 
 
 def welfare_loss(theta, query: WelfareQuery) -> float | np.ndarray:
@@ -171,17 +183,9 @@ def welfare_loss(theta, query: WelfareQuery) -> float | np.ndarray:
     return float(loss) if loss.ndim == 0 else loss
 
 
-def _waterfill(lo: np.ndarray, hi: np.ndarray, total: float) -> np.ndarray:
-    """Any feasible split of `total` over [lo, hi]; deterministic front-fill."""
-    theta = lo.astype(float).copy()
-    slack = total - float(lo.sum())
-    for k in range(theta.shape[0]):
-        if slack <= 0:
-            break
-        add = min(slack, hi[k] - lo[k])
-        theta[k] += add
-        slack -= add
-    return theta
+def _fill(room: np.ndarray, budget: float) -> np.ndarray:
+    """Shares of `budget` poured into `room` front to back, each capped at its room."""
+    return np.clip(budget - (np.cumsum(room) - room), 0.0, room)
 
 
 def _common_ratio(c, lo, hi, budget: float) -> float:
@@ -214,16 +218,14 @@ def _solve_max(c, lo, hi, target) -> np.ndarray:
     leave of the target, filled front to back.
     """
     active = c > 0
-    if not np.any(active):
-        return _waterfill(lo, hi, target)
     free = ~active
-    ca, loa, hia = c[active], lo[active], hi[active]
-    rest = float(target - lo[free].sum())
-    g = _common_ratio(ca, loa, hia, float(np.clip(rest, loa.sum(), hia.sum())))
-    theta = lo.astype(float).copy()
-    theta[active] = np.clip(g * ca, loa, hia)
-    if np.any(free):
-        theta[free] = _waterfill(lo[free], hi[free], target - float(theta[active].sum()))
+    theta = lo.astype(float)
+    if np.any(active):
+        ca, loa, hia = c[active], lo[active], hi[active]
+        rest = float(target - lo[free].sum())
+        g = _common_ratio(ca, loa, hia, float(np.clip(rest, loa.sum(), hia.sum())))
+        theta[active] = np.clip(g * ca, loa, hia)
+    theta[free] += _fill(hi[free] - lo[free], target - theta.sum())
     return theta
 
 
@@ -247,7 +249,7 @@ def _solve_min(c, lo, hi, target) -> np.ndarray:
         order = np.argsort(slope, kind="stable")
         room = width[order]
         theta = lo_n.copy()
-        theta[order] += np.clip(target - lo_n.sum() - (np.cumsum(room) - room), 0.0, room)
+        theta[order] += _fill(room, target - lo_n.sum())
         envelope = f_lo + slope * (theta - lo_n)
         return float(envelope.sum()), theta, envelope
 

@@ -136,6 +136,20 @@ def test_round_trip_simulate_ci(tmp_path):
     assert (tmp_path / "run_profile_good1.csv").exists()
 
 
+def test_profile_file_names_percent_encode_the_good_id(tmp_path):
+    # %, /, \ and NUL become %25, %2F, %5C and %00: one file per good, even
+    # for an id that is another id's encoding
+    names = {"milk/2%": "milk%2F2%25", "eggs": "eggs", "a\0b": "a%00b", "c\\d": "c%5Cd",
+             "milk%2F2%25": "milk%252F2%2525"}
+    data = _write(tmp_path, "d.csv", "good_id,price,quantity\n" + "".join(
+        f"{gid},{p},{q}\n" for gid in names for p, q in ((1.1, 2.0), (1.4, 1.5), (1.8, 1.1))))
+    assert main(["ci", "--data", data, "--mode", "xi", "--grid-nodes", "20",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert [r["good_id"] for r in _rows(str(tmp_path / "r_intervals.csv"))] == list(names)
+    assert sorted(p.name for p in tmp_path.glob("r_profile_*.csv")) == sorted(
+        f"r_profile_{name}.csv" for name in names.values())
+
+
 def test_byte_identical_reruns(tmp_path):
     data = _write(
         tmp_path,
@@ -248,9 +262,7 @@ def test_exit_codes(tmp_path, capsys):
     for argv, flag in (
         (["ci", "--data", data, "--seed", "1", "--jitter", "inf"], "jitter"),
         (["ci", "--data", data, "--seed", "1", "--jitter", "nan"], "jitter"),
-        (["ci", "--data", data, "--floor", "nan"], "floor"),
         (["ci", "--data", data, "--grid-hi", "inf"], "grid-hi"),
-        (welfare + ["--floor", "nan"], "floor"),
         (welfare + ["--sum-to", "inf"], "sum-to"),
         (welfare + ["--sum-to", "nan"], "sum-to"),
         (["simulate", "--seed", "1", "--endogeneity", "nan"], "endogeneity"),
@@ -259,12 +271,20 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "nf")]) == 2
         assert capsys.readouterr().err.startswith(f"ConfigError: {flag} must be finite")
     assert not list(tmp_path.glob("nf_*"))
-    # mc and simulate read no alpha, so they take no --alpha flag
+    # mc and simulate read no alpha, so they take no --alpha flag; theta's
+    # lower edge is a constant, so no command takes --floor or a floor key
     for argv in (["mc", "--table", "2", "--k", "2", "--reps", "1", "--seed", "4", "--alpha", "0.01"],
-                 ["simulate", "--seed", "1", "--alpha", "0.3"]):
+                 ["simulate", "--seed", "1", "--alpha", "0.3"],
+                 ["ci", "--data", data, "--floor", "1e-6"],
+                 welfare + ["--floor", "1e-6"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "na")])
         assert exc.value.code == 2
+    floor_cfg = _write(tmp_path, "floor.cfg", "floor = 1e-6\n")
+    for argv in (["ci", "--data", data], welfare):
+        capsys.readouterr()
+        assert main(argv + ["--config", floor_cfg, "--out", str(tmp_path / "na")]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {floor_cfg}:1: unknown key 'floor'\n"
     assert not list(tmp_path.glob("na_*"))
     # a negative seed, as a flag or a config key, is a config error naming the seed
     sim = ["simulate", "--theta", "0.3", "--n", "20"]
@@ -518,6 +538,28 @@ def test_welfare_with_sum_constraint(tmp_path, capsys):
             assert all(r["status"] == "EMPTY" and r["wl_max"] == "" for r in rows)
 
 
+def test_welfare_where_c_over_theta_overflows(tmp_path, capsys):
+    # delta * ystar = 1e305 over theta = 1e-6 overflows: wl_min is the loss at
+    # (1e-6, 0.3), box and slice alike, with nothing on stderr
+    intervals = _write(
+        tmp_path,
+        "iv.csv",
+        "good_id,method,lower,upper,level,status\n"
+        "a,ls,0.0000001,0.6,0.95,OK\n"
+        "b,ls,0.3,0.7,0.95,OK\n",
+    )
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,1e305,1\nh1,b,0.2,0.8\n")
+    on_slice = 0.2 * math.log(1e305 / 0.2) + 0.7 * math.log1p(0.16 / 0.7)  # at (0.2, 0.7)
+    for extra, wl_min in (([], 0.128949), (["--sum-to", "0.9"], on_slice)):
+        capsys.readouterr()
+        assert main(["welfare", "--intervals", intervals, "--query", query,
+                     "--out", str(tmp_path / "w")] + extra) == 0
+        assert capsys.readouterr().err == ""
+        row = _rows(str(tmp_path / "w_welfare.csv"))[0]
+        assert float(row["wl_min"]) == pytest.approx(wl_min, abs=1e-6)
+        assert float(row["wl_min"]) < float(row["wl_max"])
+
+
 def test_diagnose_reports_unbounded_above(tmp_path):
     rng = np.random.default_rng(6)
     n = 1500
@@ -686,6 +728,8 @@ def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
         (long_ok + "h1,c,0.1,0.3\n", "unknown good_id 'c'", 4),
         (long_ok.replace("h1,b,", ",b,"), "empty individual id", 3),
         (wide_ok.replace("h1,", ","), "empty individual id", 2),
+        (long_ok.replace("h1,a,0.5,0.2", "h1,a,1e200,1e200"), "delta times ystar", 2),
+        (wide_ok.replace("0.2,0.8\n", "1e200,1e200\n"), "delta times ystar", 2),
     ]
     for i, (text, kind, line) in enumerate(bad):
         query = _write(tmp_path, f"q{i}.csv", text)

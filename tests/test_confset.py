@@ -23,6 +23,7 @@ from welfarebounds.confset import (
 from welfarebounds.errors import InvalidGrid, InvalidLevel
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, draw_sample
+from welfarebounds.welfare import POSITIVITY_FLOOR
 from welfarebounds.xicor import PairedSample, critical_value, xi
 
 
@@ -166,9 +167,13 @@ def test_cs_combined_intersect_is_subset_of_pieces():
     xi_only, prof = cs_combined(sample, share, "xi", grid, 4)
     assert np.array_equal(prof.thetas, grid.values())
     assert xi_only.contains(0.4) and combined.contains(0.4)
-    # a floor above the least-squares interval empties the intersection
-    empty, prof = cs_combined(sample, share, "intersect", grid, 4, floor=ls.upper + 1.0)
-    assert empty.empty and prof is None
+    # a least-squares interval below the positivity floor empties the
+    # intersection: exact inverse demand with theta = 1e-9
+    p = np.linspace(1.0, 2.0, 60)
+    below = GoodSample(p, 1e-9 / p)
+    assert cs_combined(below, share, "ls", grid)[0].upper < POSITIVITY_FLOOR
+    empty, prof = cs_combined(below, share, "intersect", grid, 4)
+    assert empty.empty and empty.source == "INTERSECT" and prof is None
     assert empty.level == 1 - share
 
 

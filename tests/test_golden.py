@@ -1,0 +1,84 @@
+"""Byte contract of the primary outputs.
+
+Every command runs in-process on fixed inputs, and each file it writes must
+have the sha256 pinned below.  A change that alters an output on purpose
+updates that file's hash here and says so in CHANGES.md.
+"""
+
+import hashlib
+
+from welfarebounds.cli import main
+
+GOLDEN = {
+    "dg_diagnostics.csv": "2604965dad9fd1fc972e8b9f4f6f41c1ac9442973310d8883d45790c563b6a32",
+    "mc1_mc_intervals.csv": "528ec73bbc9c1944262c8c2e82882bbdccf96ec2dc28cbe9f3607dd1ec161c77",
+    "mc1_mc_welfare.csv": "803afb63d3d9d1fcab4b5ab2233774c6ecea6a799f170c94248356baf1e59797",
+    "mc2_mc_intervals.csv": "93ca177641bdc09020df808a8c96beb69feb023e6582b53b9500fde66d3886c7",
+    "mc2_mc_welfare.csv": "c1dab287e1f5d18e1117bf0e9baad7a2a95fd5d4e2c14167e7e74b1f7787b8df",
+    "run_intervals.csv": "e6585ccdf4e98df7fc1cf6337cdc8f610d6bc8a724cc2b7ed80477a6ed34c398",
+    "run_profile_good1.csv": "0e4bcbbc5ee5bdfaea2578f4a35b71afd4ad0e35635441176d1a9ee668d2202a",
+    "run_profile_good2.csv": "7513338ef0fd8cfe0a16ceaf53bb5aabdb2b79b07d20e2270ecda0f2119491e0",
+    "run_profile_tie.csv": "941ff8b5415296fa8293a377b5d2b27c82b42cee4225530cece4bcdcde211521",
+    "sim_data.csv": "11fecfd5b9407e737ae5587c4c393e29251ecfed4ac9d3f5c663ad090892bfe8",
+    "w_long_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
+    "w_long_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
+    "w_wide_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
+    "w_wide_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
+}
+
+
+def _tie_good_rows() -> list[str]:
+    # 80 rows from quasi-random (z, w) and the first four of them again: a
+    # repeated row sends the grid down its exact tie-breaking path
+    rows = []
+    for j in range(84):
+        z, w = 1.0 + j % 80 * 0.6180339887 % 1.0, j % 80 * 0.4142135624 % 1.0 * 0.5
+        rows.append(f"tie,{z!r},{0.4 / (z - w)!r},{z!r}")
+    return rows
+
+
+def test_primary_outputs_keep_their_bytes(tmp_path, capsys):
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def out(stem):
+        return str(tmp_path / stem)
+
+    run(["simulate", "--seed", "1", "--theta", "0.2,0.5", "--n", "300", "--out", out("sim")])
+    data = tmp_path / "data.csv"
+    data.write_text(
+        (tmp_path / "sim_data.csv").read_text(encoding="utf-8")
+        + "\n".join(_tie_good_rows()) + "\n",
+        encoding="utf-8",
+    )
+    lines = run(["ci", "--data", str(data), "--mode", "all", "--alpha", "0.1", "--grid-nodes",
+                 "300", "--grid-hi", "1.5", "--seed", "3", "--out", out("run")])
+    assert lines == [f"wrote {out('run')}_intervals.csv"] + [
+        f"wrote {out('run')}_profile_{g}.csv" for g in ("good1", "good2", "tie")
+    ]
+    run(["diagnose", "--data", str(data), "--seed", "3", "--out", out("dg")])
+    # h4 has no price change on good2, a zero loss term on both solvers' paths
+    households = [(f"h{h}", [(0.1 * (h + 1) * (h != 4 or k != 1), 0.5 + 0.2 * k) for k in range(3)])
+                  for h in range(5)]
+    long_q = tmp_path / "q_long.csv"
+    long_q.write_text("id,good_id,delta,ystar\n" + "".join(
+        f"{ind},{g},{d!r},{y!r}\n"
+        for ind, pairs in households for g, (d, y) in zip(("good1", "good2", "tie"), pairs)
+    ), encoding="utf-8")
+    wide_q = tmp_path / "q_wide.csv"
+    wide_q.write_text("id,delta_good1,ystar_good1,delta_good2,ystar_good2,delta_tie,ystar_tie\n"
+                      + "".join(f"{ind}," + ",".join(f"{d!r},{y!r}" for d, y in pairs) + "\n"
+                                for ind, pairs in households), encoding="utf-8")
+    for layout, query in (("long", long_q), ("wide", wide_q)):
+        for name, extra in (("box", []), ("sum", ["--sum-to", "1.2"])):
+            lines = run(["welfare", "--intervals", f"{out('run')}_intervals.csv", "--mode", "xi",
+                         "--query", str(query), "--out", out(f"w_{layout}_{name}")] + extra)
+            assert lines == [f"wrote {out(f'w_{layout}_{name}')}_welfare.csv"]
+    run(["mc", "--table", "1", "--reps", "2", "--seed", "11", "--out", out("mc1")])
+    run(["mc", "--table", "2", "--k", "5", "--reps", "2", "--seed", "11", "--out", out("mc2")])
+    assert {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+        if p.name not in ("data.csv", "q_long.csv", "q_wide.csv")
+    } == GOLDEN

@@ -126,6 +126,8 @@ def test_invalid_inputs():
         WelfareQuery(delta=np.array([-0.1, 0.2]), y_star=np.ones(2))
     with pytest.raises(ValueError):
         WelfareQuery(delta=np.array([0.1, 0.2]), y_star=np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="must be finite"):  # each finite, the product not
+        WelfareQuery(delta=np.array([1e200, 0.2]), y_star=np.array([1e200, 1.0]))
 
 
 def test_kl_div_identity():
@@ -169,6 +171,27 @@ def test_bounds_box_rejects_sum_target_and_empty_interval():
     box = (Interval.make_empty(0.9, "XI"),) + _box(0.1, 0.9, 2)
     with pytest.raises(EmptyConfidenceSet):
         bounds_box(ConstraintSet(box), THREE_GOOD_QUERY)
+
+
+def test_bounds_where_c_over_theta_overflows():
+    # c = 1e305 over theta = 1e-6 overflows; the term is then
+    # theta * (log c - log theta + log1p(theta / c)), and the bounds are the
+    # loss at the corners (box) and at the slice's two vertices (sum 0.9)
+    box = (Interval(1e-7, 0.6, 0.95, "LS"), Interval(0.3, 0.7, 0.95, "LS"))
+    q = WelfareQuery(np.array([1e305, 0.2]), np.array([1.0, 0.8]))
+
+    def loss(theta):
+        return sum(t * (math.log(c) - math.log(t) + math.log1p(t / c))
+                   for t, c in zip(theta, q.spend_change))
+
+    assert welfare_loss(np.array([1e-6, 0.3]), q) == pytest.approx(loss([1e-6, 0.3]), rel=1e-14)
+    wb = bounds_box(ConstraintSet(box), q)
+    assert wb.wl_min == pytest.approx(0.128949, abs=1e-6)
+    assert wb.wl_min == pytest.approx(loss([1e-6, 0.3]), rel=1e-14)
+    assert wb.wl_max == pytest.approx(loss([0.6, 0.7]), rel=1e-14)
+    on_slice = bounds_box(ConstraintSet(box, sum_to=0.9), q)
+    assert on_slice.wl_min == pytest.approx(loss([0.2, 0.7]), rel=1e-12)
+    assert on_slice.wl_max == pytest.approx(loss([0.6, 0.3]), rel=1e-12)
 
 
 def test_simplex_max_matches_analytic_solution():
