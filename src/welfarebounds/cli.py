@@ -1,6 +1,9 @@
 """Command-line surface: ingest CSVs, build intervals, bound welfare, run studies.
 
-Commands: ci, welfare, simulate, mc, diagnose.  All randomness flows from a
+Commands: ci, welfare, simulate, mc, diagnose.  Each command's subparser is
+the one declaration of its parameters; a --config file of `key = value`
+lines sets that subparser's defaults, a key being the flag's name without
+its dashes, and flags on the command line win.  All randomness flows from a
 single --seed flag (mandatory for simulate/mc).  Exit codes: 0 success,
 2 config error, 3 data error, 4 numerical error or an allocation too large
 for memory (one `MemoryError: <message>` line); empty confidence sets
@@ -20,7 +23,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,105 +72,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-@dataclass
-class RunConfig:
-    """Flat bag of run parameters; also read from `key = value` text files."""
-
-    alpha: float = 0.05
-    grid_nodes: int = 5000
-    grid_lo: float = POSITIVITY_FLOOR
-    grid_hi: float = DEFAULT_GRID_HI
-    mode: str = "all"
-    seed: int | None = None
-    jitter: float = 0.0
-    sum_to: float | None = None
-    out: str = "out"
-    data: str | None = None
-    intervals: str | None = None
-    query: str | None = None
-    table: int = 1
-    reps: int = 500
-    k_goods: int = 10
-    n_obs: int = 1000
-    theta: str = "0.2,0.3,0.5"
-    endogeneity: float | None = None
-    ls_fit: str = "auto"
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{f.name.replace('_', '-')} must be finite, got {value}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.grid_nodes < 2:
-            raise ConfigError(f"grid-nodes must be at least 2, got {self.grid_nodes}")
-        if self.grid_lo < 0:
-            raise ConfigError(f"grid-lo must be nonnegative, got {self.grid_lo}")
-        if not self.grid_hi > self.grid_lo:
-            raise ConfigError(
-                f"grid-hi ({self.grid_hi}) must exceed grid-lo ({self.grid_lo})"
-            )
-        if self.mode not in ("xi", "ls", "intersect", "all"):
-            raise ConfigError(f"mode must be xi, ls, intersect, or all, got {self.mode!r}")
-        if self.jitter < 0:
-            raise ConfigError(f"jitter must be nonnegative, got {self.jitter}")
-        if self.table not in (1, 2):
-            raise ConfigError(f"table must be 1 or 2, got {self.table}")
-        if self.reps < 1:
-            raise ConfigError(f"reps must be at least 1, got {self.reps}")
-        if self.k_goods < 1:
-            raise ConfigError(f"k must be at least 1, got {self.k_goods}")
-        if self.n_obs < 3:
-            raise ConfigError(f"n must be at least 3, got {self.n_obs}")
-        if self.ls_fit not in ("auto", "ols", "tsls"):
-            raise ConfigError(f"ls must be auto, ols, or tsls, got {self.ls_fit!r}")
-
-    @classmethod
-    def from_file(cls, path: str, command: str | None = None, reads=()) -> "RunConfig":
-        """A config from `key = value` lines ('#' comments, dashes or underscores).
-
-        With `command`, a key outside `reads` (the keys that command reads)
-        is a ConfigError, as an unknown or malformed key always is.
-        """
-        converters = {f.name: _converter(f.type) for f in fields(cls)}
-        cfg = cls()
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in converters:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if command is not None and key not in reads:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} is not read by {command!r}")
-            try:
-                setattr(cfg, key, converters[key](value))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        return cfg
-
-
-def _converter(annotation: str):
-    """Parser for a RunConfig field from its annotation string, e.g. 'float | None'."""
-    base = annotation.removesuffix(" | None")
-    conv = {"int": int, "float": float, "str": str}[base]
-    if base == annotation:
-        return conv
-    return lambda text: None if text.lower() in ("", "none") else conv(text)
-
-
 def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     """CSV rows with their 1-based line numbers; '#' comment lines skipped.
 
@@ -193,11 +96,11 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     return out
 
 
-def _cell_float(cell: str, lineno: int, col: str) -> float:
+def _cell_float(path: str, cell: str, lineno: int, col: str) -> float:
     try:
         return float(cell)
     except ValueError:
-        raise ParseError(f"row {lineno}: column {col!r} value {cell!r} is not a number") from None
+        raise ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number") from None
 
 
 def _check_columns(path: str, names: list[str], required) -> None:
@@ -236,9 +139,9 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     for lineno, cells in rows:
         gid = cells[idx["good_id"]]
         if not gid:
-            raise ParseError(f"row {lineno}: empty good_id")
-        price = _cell_float(cells[idx["price"]], lineno, "price")
-        quantity = _cell_float(cells[idx["quantity"]], lineno, "quantity")
+            raise ParseError(f"{path}: row {lineno}: empty good_id")
+        price = _cell_float(path, cells[idx["price"]], lineno, "price")
+        quantity = _cell_float(path, cells[idx["quantity"]], lineno, "quantity")
         if price <= 0 or quantity <= 0:
             if reject_log is not None:
                 reject_log.append((lineno, "nonpositive price or quantity"))
@@ -248,7 +151,7 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
         group["quantity"].append(quantity)
         if has_z:
             group["instrument"].append(
-                _cell_float(cells[idx["instrument"]], lineno, "instrument")
+                _cell_float(path, cells[idx["instrument"]], lineno, "instrument")
             )
     samples = []
     for gid, cols in groups.items():
@@ -288,15 +191,15 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
             raise ConfigError(
                 f"{path}: several rows for good {gid!r}; pass --mode to pick one method"
             )
-        level = _cell_float(cells[idx["level"]], lineno, "level")
+        level = _cell_float(path, cells[idx["level"]], lineno, "level")
         status = cells[idx["status"]]
         source = "FAILED" if status.startswith("FAILED:") else method.upper()
         try:
             if status == "EMPTY" or source == "FAILED":
                 out[gid] = Interval.make_empty(level, source)
             else:
-                lower = _cell_float(cells[idx["lower"]], lineno, "lower")
-                upper = _cell_float(cells[idx["upper"]], lineno, "upper")
+                lower = _cell_float(path, cells[idx["lower"]], lineno, "lower")
+                upper = _cell_float(path, cells[idx["upper"]], lineno, "upper")
                 out[gid] = Interval(lower, upper, level, source)
         except ValueError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
@@ -307,7 +210,7 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
 
 def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> float:
     """A delta (finite, >= 0) or ystar (finite, > 0) cell of a query file."""
-    value = _cell_float(cell, lineno, col)
+    value = _cell_float(path, cell, lineno, col)
     if kind == "delta":
         ok, need = value >= 0, "finite and nonnegative"
     else:
@@ -324,7 +227,9 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     good); a repeated pair raises InvalidQuery naming both rows, and so does
     an unknown good_id (naming its row) or an individual missing a good.
     Wide: columns id then K (delta, ystar) pairs in the good order of the
-    data/intervals file; a repeated id raises InvalidQuery naming both rows.
+    data/intervals file, read by position; a column named delta_<g> or
+    ystar_<g> for a known good g where the order puts another column raises
+    SchemaError, and a repeated id raises InvalidQuery naming both rows.
     An empty id, a negative or non-finite delta, a nonpositive or non-finite
     ystar, or a delta * ystar that overflows raises InvalidQuery naming the
     file and row.
@@ -367,6 +272,11 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
             raise SchemaError(
                 f"{path}: wide layout needs columns id plus {K} (delta, ystar) pairs"
             )
+        wanted = [f"{kind}_{g}".lower() for g in good_ids for kind in ("delta", "ystar")]
+        known = set(wanted)
+        for j, (name, want) in enumerate(zip(names[1:], wanted), start=2):
+            if name != want and name in known:
+                raise SchemaError(f"{path}: column {j} is {name!r} where the good order puts {want!r}")
         first_row: dict[str, int] = {}
         for lineno, cells in rows:
             ind = cells[0]
@@ -411,7 +321,7 @@ def _require(value, flag: str):
     return value
 
 
-def _load_samples(cfg: RunConfig, flag: str = "--data") -> list[GoodSample]:
+def _load_samples(cfg: argparse.Namespace, flag: str = "--data") -> list[GoodSample]:
     """Ingest the data file, smooth instruments if --jitter, report rejected rows."""
     reject_log: list = []
     samples = ingest_csv(_require(cfg.data, flag), reject_log)
@@ -459,7 +369,7 @@ def _isolated(good_id: str, compute, *args):
         return None, _exit_code(exc), f"FAILED:{name}"
 
 
-def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
+def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes):
     """Each good's interval in each mode, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
@@ -471,7 +381,7 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
     needs an instrument for every good, else SchemaError before any work.
     """
     needs_ls = any(m != "xi" for m in modes)
-    if needs_ls and cfg.ls_fit == "tsls" and any(s.instrument is None for s in samples):
+    if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
         raise SchemaError("column 'instrument' is required for TSLS")
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
@@ -483,7 +393,7 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
         s_seed = child_seed(seed, _SEED_CS, i)
         for m in modes:
             result, failed_code, status = _isolated(
-                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.ls_fit
+                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.ls
             )
             code = code or failed_code
             iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
@@ -494,7 +404,7 @@ def _good_intervals(samples: list[GoodSample], cfg: RunConfig, modes):
     return rows, profiles, code
 
 
-def cmd_ci(cfg: RunConfig) -> int:
+def cmd_ci(cfg: argparse.Namespace) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
     samples = _load_samples(cfg)
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
@@ -517,7 +427,7 @@ def cmd_ci(cfg: RunConfig) -> int:
     return code
 
 
-def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval], int]:
+def _box_from_config(cfg: argparse.Namespace) -> tuple[list[str], list[Interval], int]:
     """Good ids, the box, and the exit code of the first per-good failure."""
     if cfg.intervals is not None:
         mode = None if cfg.mode == "all" else cfg.mode
@@ -530,7 +440,7 @@ def _box_from_config(cfg: RunConfig) -> tuple[list[str], list[Interval], int]:
     return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
 
 
-def cmd_welfare(cfg: RunConfig) -> int:
+def cmd_welfare(cfg: argparse.Namespace) -> int:
     """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
     good_ids, box, code = _box_from_config(cfg)
     ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
@@ -566,11 +476,11 @@ def _parse_theta(text: str) -> np.ndarray:
     return theta
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Write one synthetic draw as an ingestible CSV."""
     seed = _require(cfg.seed, "--seed")
     config = DgpConfig(
-        theta=_parse_theta(cfg.theta), n=cfg.n_obs, seed=seed, endogeneity=cfg.endogeneity
+        theta=_parse_theta(cfg.theta), n=cfg.n, seed=seed, endogeneity=cfg.endogeneity
     )
     samples = draw_sample(config)
     rows = []
@@ -586,13 +496,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mc(cfg: RunConfig) -> int:
+def cmd_mc(cfg: argparse.Namespace) -> int:
     """Run a Monte Carlo study and write its report tables."""
     seed = _require(cfg.seed, "--seed")
     if cfg.table == 1:
         report = mc_table1(cfg.reps, seed)
     else:
-        report = mc_table2(cfg.k_goods, cfg.reps, seed)
+        report = mc_table2(cfg.k, cfg.reps, seed)
     _write_csv(
         f"{cfg.out}_mc_intervals.csv",
         "average interval endpoints (theta, nominal price units) over"
@@ -621,7 +531,7 @@ def cmd_mc(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_diagnose(cfg: RunConfig) -> int:
+def cmd_diagnose(cfg: argparse.Namespace) -> int:
     """Classify each good's confidence-set shape from its endpoint statistics.
 
     A FAILED:<ErrorName> row still carries the critical value (alpha alone sets it).
@@ -660,66 +570,137 @@ _COMMANDS = {
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's subparser, by command name."""
+    """The top-level parser and each command's subparser, by command name.
+
+    Each subparser is the one declaration of its command's parameters: the
+    flag, its type, choices and default, and (without the dashes) its
+    config key and attribute name.
+    """
     parser = argparse.ArgumentParser(
         prog="welfarebounds",
         description="Confidence bounds on individual-level welfare loss from demand data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
 
     def add_common(p):
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--seed", type=int, default=S)
-        p.add_argument("--out", default=S, help="output path stem")
+        p.add_argument("--config", help="key = value config file; flags override it")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", default="out", help="output path stem")
 
-    def add_grid(p):
-        p.add_argument("--grid-nodes", type=int, default=S, dest="grid_nodes")
-        p.add_argument("--grid-lo", type=float, default=S, dest="grid_lo")
-        p.add_argument("--grid-hi", type=float, default=S, dest="grid_hi")
+    def add_data(p):
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="joint error level (welfare --intervals takes the file's levels)")
+        p.add_argument("--data", help="input CSV (good_id,price,quantity[,instrument])")
+        p.add_argument("--jitter", type=float, default=0.0, help="instrument smoothing half-width")
+
+    def add_intervals(p):
+        p.add_argument("--grid-nodes", type=int, default=5000)
+        p.add_argument("--grid-lo", type=float, default=POSITIVITY_FLOOR)
+        p.add_argument("--grid-hi", type=float, default=DEFAULT_GRID_HI)
+        p.add_argument("--mode", choices=["xi", "ls", "intersect", "all"], default="all")
+        p.add_argument("--ls", choices=["auto", "ols", "tsls"], default="auto")
 
     p_ci = sub.add_parser("ci", help="per-good confidence intervals")
-    add_common(p_ci)
-    add_grid(p_ci)
-    p_ci.add_argument("--alpha", type=float, default=S, help="joint error level")
-    p_ci.add_argument("--data", default=S, help="input CSV (good_id,price,quantity[,instrument])")
-    p_ci.add_argument("--mode", choices=["xi", "ls", "intersect", "all"], default=S)
-    p_ci.add_argument("--jitter", type=float, default=S, help="instrument smoothing half-width")
-    p_ci.add_argument("--ls", choices=["auto", "ols", "tsls"], default=S, dest="ls_fit")
+    for add in (add_common, add_data, add_intervals):
+        add(p_ci)
 
     p_w = sub.add_parser("welfare", help="per-individual welfare-loss bounds")
-    add_common(p_w)
-    add_grid(p_w)
-    p_w.add_argument("--alpha", type=float, default=S,
-                     help="joint error level with --data; --intervals takes the file's levels")
-    p_w.add_argument("--data", default=S)
-    p_w.add_argument("--intervals", default=S, help="intervals CSV written by `ci`")
-    p_w.add_argument("--query", default=S, help="per-individual (delta, ystar) CSV")
-    p_w.add_argument("--mode", choices=["xi", "ls", "intersect", "all"], default=S)
-    p_w.add_argument("--jitter", type=float, default=S)
-    p_w.add_argument("--sum-to", type=float, default=S, dest="sum_to")
-    p_w.add_argument("--ls", choices=["auto", "ols", "tsls"], default=S, dest="ls_fit")
+    for add in (add_common, add_data, add_intervals):
+        add(p_w)
+    p_w.add_argument("--intervals", help="intervals CSV written by `ci`")
+    p_w.add_argument("--query", help="per-individual (delta, ystar) CSV")
+    p_w.add_argument("--sum-to", type=float)
 
     p_s = sub.add_parser("simulate", help="write a synthetic demand CSV")
     add_common(p_s)
-    p_s.add_argument("--theta", default=S, help="comma-separated true theta values")
-    p_s.add_argument("--n", type=int, default=S, dest="n_obs")
-    p_s.add_argument("--endogeneity", type=float, default=S)
+    p_s.add_argument("--theta", default="0.2,0.3,0.5", help="comma-separated true theta values")
+    p_s.add_argument("--n", type=int, default=1000)
+    p_s.add_argument("--endogeneity", type=float)
 
     p_mc = sub.add_parser("mc", help="run a Monte Carlo study")
     add_common(p_mc)
-    p_mc.add_argument("--table", type=int, choices=[1, 2], default=S,
+    p_mc.add_argument("--table", type=int, choices=[1, 2], default=1,
                       help="1 = three-good study, 2 = many-goods study (needs --k)")
-    p_mc.add_argument("--reps", type=int, default=S)
-    p_mc.add_argument("--k", type=int, default=S, dest="k_goods")
+    p_mc.add_argument("--reps", type=int, default=500)
+    p_mc.add_argument("--k", type=int, default=10)
 
     p_d = sub.add_parser("diagnose", help="confidence-set shape diagnostics")
     add_common(p_d)
-    p_d.add_argument("--alpha", type=float, default=S)
-    p_d.add_argument("--data", default=S)
-    p_d.add_argument("--jitter", type=float, default=S)
+    add_data(p_d)
 
     return parser, sub.choices
+
+
+def _read_config(path: str, command: str, subparsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Set the defaults of `command`'s subparser from a `key = value` file.
+
+    '#' starts a comment; a key is a flag name without its dashes, written
+    with dashes or underscores.  Each value is converted with its flag's
+    type and checked against its choices; `none` or an empty value is None
+    where the default is None.  A malformed line, an unknown key, a key the
+    command does not read and a bad value are ConfigErrors naming the file
+    and line.
+    """
+    actions = {a.dest: a for a in subparsers[command]._actions}
+    known = {a.dest for p in subparsers.values() for a in p._actions} - {"help", "config"}
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    defaults = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, text = line.partition("=")
+        key, text = key.strip().replace("-", "_"), text.strip()
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in actions:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is not read by {command!r}")
+        action = actions[key]
+        try:
+            if action.default is None and text.lower() in ("", "none"):
+                value = None
+            else:
+                value = (action.type or str)(text)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(f"{value!r} is not one of {', '.join(map(str, action.choices))}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        defaults[key] = value
+    subparsers[command].set_defaults(**defaults)
+
+
+def validate(cfg: argparse.Namespace, actions) -> None:
+    """The range checks argparse does not make, on the parameters the command has."""
+    for action in actions:
+        value = getattr(cfg, action.dest, None)
+        if action.type is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{action.dest.replace('_', '-')} must be finite, got {value}")
+    if "alpha" in cfg and not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError(f"alpha must lie strictly in (0, 1), got {cfg.alpha}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+    if "grid_nodes" in cfg:
+        if cfg.grid_nodes < 2:
+            raise ConfigError(f"grid-nodes must be at least 2, got {cfg.grid_nodes}")
+        if cfg.grid_lo < 0:
+            raise ConfigError(f"grid-lo must be nonnegative, got {cfg.grid_lo}")
+        if not cfg.grid_hi > cfg.grid_lo:
+            raise ConfigError(f"grid-hi ({cfg.grid_hi}) must exceed grid-lo ({cfg.grid_lo})")
+    if "jitter" in cfg and cfg.jitter < 0:
+        raise ConfigError(f"jitter must be nonnegative, got {cfg.jitter}")
+    if "reps" in cfg:
+        if cfg.reps < 1:
+            raise ConfigError(f"reps must be at least 1, got {cfg.reps}")
+        if cfg.k < 1:
+            raise ConfigError(f"k must be at least 1, got {cfg.k}")
+    if "n" in cfg and cfg.n < 3:
+        raise ConfigError(f"n must be at least 3, got {cfg.n}")
 
 
 def main(argv=None) -> int:
@@ -727,17 +708,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            # the keys a command reads are the dests of its subparser
-            reads = {a.dest for a in subparsers[args.command]._actions}
-            cfg = RunConfig.from_file(args.config, args.command, reads)
-        else:
-            cfg = RunConfig()
-        for key, value in vars(args).items():
-            if key in ("command", "config"):
-                continue
-            setattr(cfg, key, value)
-        cfg.validate()
-        return _COMMANDS[args.command](cfg)
+            _read_config(args.config, args.command, subparsers)
+            args = parser.parse_args(argv)
+        validate(args, subparsers[args.command]._actions)
+        return _COMMANDS[args.command](args)
     except (WelfareBoundsError, OSError, MemoryError) as exc:
         kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))
         print(f"{kind.__name__}: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ class SchemaError(DataError):
 
 
 class ParseError(DataError):
-    """A CSV row or cell could not be read; the message names the row, and the column of a bad cell."""
+    """A CSV row or cell could not be read; the message names the file and row, and the column of a bad cell."""
 
 
 class InvalidQuery(DataError):

@@ -188,26 +188,30 @@ def _fill(room: np.ndarray, budget: float) -> np.ndarray:
     return np.clip(budget - (np.cumsum(room) - room), 0.0, room)
 
 
-def _common_ratio(c, lo, hi, budget: float) -> float:
-    """The g with sum(clip(g * c, lo, hi)) = budget, for c > 0 and sum(lo) <= budget <= sum(hi).
+def _common_ratio_fill(c, lo, hi, budget: float) -> np.ndarray:
+    """clip(g * c, lo, hi) for the g whose sum is budget, for c > 0 and sum(lo) <= budget <= sum(hi).
 
     The sum is piecewise linear and nondecreasing in g, with breakpoints at
     lo/c and hi/c: locate the segment that holds the budget by bisection over
-    the sorted breakpoints, then interpolate on it.
+    the sorted breakpoints, taken as logs so that none overflows.  On that
+    segment the goods inside their bounds share what the others leave in
+    proportion to c, so g itself (which overflows for a subnormal c) is
+    never formed.
     """
-    points = np.sort(np.concatenate((lo / c, hi / c)))
+    log_c, log_hi = np.log(c), np.log(hi)
+    lo_ratio, hi_ratio = np.log(lo) - log_c, log_hi - log_c
+    points = np.sort(np.concatenate((lo_ratio, hi_ratio)))
 
-    def total(g):
-        return float(np.clip(g * c, lo, hi).sum())
+    def total(t):
+        return float(np.clip(np.exp(np.minimum(t + log_c, log_hi)), lo, hi).sum())
 
-    i = bisect.bisect_right(points, budget, key=total) - 1
-    if i < 0:
-        return float(points[0])
-    if i == points.shape[0] - 1:
-        return float(points[-1])
-    left, right = float(points[i]), float(points[i + 1])
-    s_left = total(left)
-    return left + (budget - s_left) * (right - left) / (total(right) - s_left)
+    i = min(max(bisect.bisect_right(points, budget, key=total) - 1, 0), points.shape[0] - 2)
+    left, right = points[i], points[i + 1]
+    theta = np.where(hi_ratio <= left, hi, lo)
+    free = (lo_ratio <= left) & (hi_ratio >= right)
+    if np.any(free):
+        theta[free] = (budget - theta[~free].sum()) * (c[free] / c[free].sum())
+    return np.clip(theta, lo, hi)
 
 
 def _solve_max(c, lo, hi, target) -> np.ndarray:
@@ -223,8 +227,7 @@ def _solve_max(c, lo, hi, target) -> np.ndarray:
     if np.any(active):
         ca, loa, hia = c[active], lo[active], hi[active]
         rest = float(target - lo[free].sum())
-        g = _common_ratio(ca, loa, hia, float(np.clip(rest, loa.sum(), hia.sum())))
-        theta[active] = np.clip(g * ca, loa, hia)
+        theta[active] = _common_ratio_fill(ca, loa, hia, float(np.clip(rest, loa.sum(), hia.sum())))
     theta[free] += _fill(hi[free] - lo[free], target - theta.sum())
     return theta
 

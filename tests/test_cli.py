@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import welfarebounds
 
+from welfarebounds import cli
 from welfarebounds.cli import (
-    RunConfig,
     ingest_csv,
     main,
     read_intervals_csv,
@@ -78,10 +78,13 @@ def test_ingest_missing_column(tmp_path):
 
 
 def test_ingest_nonnumeric_cell(tmp_path):
-    text = TWO_GOOD_CSV.replace("1.5,0.7", "1.5,seven")
-    with pytest.raises(ParseError) as err:
-        ingest_csv(_write(tmp_path, "d.csv", text))
-    assert "row 6: column 'quantity'" in str(err.value)
+    # every message names the file: a run reads more than one
+    for old, new, message in (("1.5,0.7", "1.5,seven", "row 6: column 'quantity' value 'seven'"),
+                              ("b,1.5,0.7", ",1.5,0.7", "row 6: empty good_id")):
+        path = _write(tmp_path, "d.csv", TWO_GOOD_CSV.replace(old, new))
+        with pytest.raises(ParseError) as err:
+            ingest_csv(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
 
 def test_ingest_rejects_nonpositive_rows(tmp_path):
@@ -604,31 +607,71 @@ def test_mc_table1_layout(tmp_path):
         assert "; joint alpha = 0.1" in header
 
 
-def test_config_file_round_trip_and_errors(tmp_path):
+def _parsed(monkeypatch, argv):
+    """The namespace main(argv) hands its command, which is not run."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg: seen.append(cfg) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_config_file_round_trip_and_errors(tmp_path, monkeypatch, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(
         "# a run\nalpha = 0.07\ngrid-nodes = 123  # dashed key\nseed = 9\nsum_to = none\nout = zzz\n",
         encoding="utf-8",
     )
-    loaded = RunConfig.from_file(str(path))
-    assert loaded == RunConfig(alpha=0.07, grid_nodes=123, seed=9, sum_to=None, out="zzz")
+    loaded = _parsed(monkeypatch, ["welfare", "--config", str(path)])
+    flags = _parsed(monkeypatch, ["welfare", "--alpha", "0.07", "--grid-nodes", "123",
+                                  "--seed", "9", "--out", "zzz"])
+    assert vars(loaded) == dict(vars(flags), config=str(path))
+    assert loaded.sum_to is None
 
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("alpha = 0.1\nwhat is this\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
-        RunConfig.from_file(str(bad))
-    assert ":2:" in str(err.value)
+    for name, text, where in (("bad.cfg", "alpha = 0.1\nwhat is this\n", ":2: expected key = value"),
+                              ("bad2.cfg", "grid_nodes = many\n", ":1: bad value for grid_nodes"),
+                              ("unknown.cfg", "gridnodes = 7\n", ":1: unknown key 'gridnodes'")):
+        cfg = _write(tmp_path, name, text)
+        capsys.readouterr()
+        assert main(["welfare", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {cfg}{where}")
 
-    bad2 = tmp_path / "bad2.cfg"
-    bad2.write_text("grid_nodes = many\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as err:
-        RunConfig.from_file(str(bad2))
-    assert ":1:" in str(err.value)
 
-    unknown = tmp_path / "unknown.cfg"
-    unknown.write_text("gridnodes = 7\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        RunConfig.from_file(str(unknown))
+def test_every_flag_is_a_config_key_of_its_command(tmp_path, monkeypatch, capsys):
+    # a key is its flag's name without the dashes, parsed as the flag is
+    _, subparsers = cli._build_parser()
+    values = {int: "7", float: "0.25", None: "x.csv"}
+    for command, sub in subparsers.items():
+        for action in sub._actions:
+            if action.dest in ("help", "config"):
+                continue
+            flag = action.option_strings[-1]
+            if action.choices:
+                text = str(next(c for c in action.choices if c != action.default))
+            else:
+                text = values[action.type]
+            cfg = _write(tmp_path, "one.cfg", f"{flag.lstrip('-')} = {text}\n")
+            from_file = _parsed(monkeypatch, [command, "--config", cfg])
+            from_flag = _parsed(monkeypatch, [command, flag, text])
+            assert vars(from_file) == dict(vars(from_flag), config=cfg), (command, flag)
+            assert getattr(from_file, action.dest) != action.default, (command, flag)
+    # a flag beats the file, before or after --config
+    cfg = _write(tmp_path, "two.cfg", "alpha = 0.07\nmode = xi\n")
+    for argv in (["ci", "--alpha", "0.2", "--config", cfg], ["ci", "--config", cfg, "--alpha", "0.2"]):
+        got = _parsed(monkeypatch, argv)
+        assert (got.alpha, got.mode) == (0.2, "xi")
+    # a value outside the flag's choices names the file and line; the old
+    # long names of --ls, --k and --n are no keys
+    for command, text, message in (
+        ("ci", "mode = bogus\n", ":1: bad value for mode: 'bogus' is not one of xi, ls, intersect, all"),
+        ("mc", "# study\ntable = 3\n", ":2: bad value for table: 3 is not one of 1, 2"),
+        ("ci", "ls_fit = ols\n", ":1: unknown key 'ls_fit'"),
+        ("mc", "k_goods = 5\n", ":1: unknown key 'k_goods'"),
+        ("simulate", "n_obs = 50\n", ":1: unknown key 'n_obs'"),
+    ):
+        cfg = _write(tmp_path, "bad.cfg", text)
+        capsys.readouterr()
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {cfg}{message}\n"
 
 
 def test_config_file_feeds_command(tmp_path):
@@ -680,6 +723,7 @@ def test_intervals_reader_requires_unique_rows(tmp_path):
         ("b,ls,nan,nan,0.975,OK", "row 3: endpoints nan, nan must be finite"),
         ("b,ls,0.2,inf,0.975,OK", "row 3: endpoints 0.2, inf must be finite"),
         ("b,ls,0.2,0.6,1.5,OK", "row 3: level 1.5 lies outside [0, 1]"),
+        ("b,ls,0.2,x,0.975,OK", "row 3: column 'upper' value 'x' is not a number"),
     ],
 )
 def test_intervals_reader_bad_rows_name_file_and_line(tmp_path, capsys, row, message):
@@ -698,7 +742,7 @@ def test_intervals_reader_bad_rows_name_file_and_line(tmp_path, capsys, row, mes
     assert capsys.readouterr().err.startswith("ParseError:")
 
 
-def test_query_reader_validates(tmp_path):
+def test_query_reader_validates(tmp_path, capsys):
     path = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\n")
     with pytest.raises(InvalidQuery) as err:
         read_query_csv(path, ["a", "b"])  # h1 is missing good b
@@ -706,6 +750,45 @@ def test_query_reader_validates(tmp_path):
     wide = _write(tmp_path, "qw.csv", "id,d,y\nh1,0.5,0.2\n")
     with pytest.raises(SchemaError):
         read_query_csv(wide, ["a", "b"])  # needs 2K + 1 columns
+    # a cell that is no number names the query file, not only its row
+    intervals = _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS)
+    for text, col in ((LONG_QUERY.replace("h1,a,0.5,0.2", "h1,a,abc,1"), "delta"),
+                      (WIDE_QUERY.replace("h1,0.5,", "h1,abc,"), "delta_a")):
+        query = _write(tmp_path, "qbad.csv", text)
+        message = f"{query}: row 2: column {col!r} value 'abc' is not a number"
+        with pytest.raises(ParseError) as err:
+            read_query_csv(query, ["a", "b"])
+        assert str(err.value) == message
+        capsys.readouterr()
+        assert main(["welfare", "--intervals", intervals, "--query", query,
+                     "--out", str(tmp_path / "w")]) == 3
+        assert capsys.readouterr().err == f"ParseError: {message}\n"
+
+
+def test_wide_query_columns_follow_the_good_order(tmp_path, capsys):
+    # a wide column named for a known good must stand where the good order
+    # puts that good; free-form names are read by position
+    intervals = _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS)
+    swapped = {
+        "id,delta_b,ystar_b,delta_a,ystar_a\nh1,0.0,0.8,0.5,0.2\n": "column 2 is 'delta_b'",
+        "id,ystar_a,delta_a,delta_b,ystar_b\nh1,0.2,0.5,0.0,0.8\n": "column 2 is 'ystar_a'",
+        "id,d1,y1,DELTA_A,ystar_b\nh1,0.5,0.2,0.0,0.8\n": "column 4 is 'delta_a'",
+    }
+    for i, (text, what) in enumerate(swapped.items()):
+        query = _write(tmp_path, f"qs{i}.csv", text)
+        with pytest.raises(SchemaError) as err:
+            read_query_csv(query, ["a", "b"])
+        assert str(err.value).startswith(f"{query}: {what} where the good order puts ")
+        capsys.readouterr()
+        assert main(["welfare", "--intervals", intervals, "--query", query,
+                     "--out", str(tmp_path / "w")]) == 3
+        assert capsys.readouterr().err.startswith("SchemaError: ")
+    assert not list(tmp_path.glob("w_*"))
+    free = _write(tmp_path, "qf.csv", "id,d1,y1,d2,y2\nh1,0.5,0.2,0.2,0.8\n")
+    named = _write(tmp_path, "qn.csv", WIDE_QUERY)
+    (ids_f, q_f), (ids_n, q_n) = read_query_csv(free, ["a", "b"]), read_query_csv(named, ["a", "b"])
+    assert ids_f == ids_n == ["h1"]
+    assert q_f.delta.tolist() == q_n.delta.tolist() and q_f.y_star.tolist() == q_n.y_star.tolist()
 
 
 def test_query_values_rejected_with_file_and_row(tmp_path, capsys):

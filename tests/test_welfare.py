@@ -380,6 +380,20 @@ def test_closed_form_max_edge_cases():
     assert gap <= 1e-12
 
 
+def test_closed_form_max_with_subnormal_spend_change():
+    # hi/c (and with c = 5e-324 lo/c too) overflows for a subnormal c, and so
+    # would the common ratio: b sits at its upper end and the subnormal goods
+    # share the rest of the target in proportion to c, with no overflow warning
+    lo, hi = np.array([POSITIVITY_FLOOR, 0.3]), np.array([0.6, 0.7])
+    theta = _solve_max(np.array([1e-310, 0.16]), lo, hi, 0.9)
+    assert_allclose(theta, [0.2, 0.7], rtol=1e-12)
+    assert abs(theta.sum() - 0.9) <= 1e-12 * 0.9
+    c = np.array([5e-324, 1e-323, 0.16])
+    theta = _solve_max(c, np.array([POSITIVITY_FLOOR, POSITIVITY_FLOOR, 0.3]),
+                       np.array([0.6, 0.6, 0.7]), 0.9)
+    assert_allclose(theta, [0.2 / 3, 0.4 / 3, 0.7], rtol=1e-12)
+
+
 def test_batched_box_equals_single_queries_bit_for_bit():
     # on the box and on a sum slice, row i of an N-row query is the
     # one-individual call on row i bit for bit; a 0-row query gives empty arrays
