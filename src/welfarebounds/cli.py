@@ -72,11 +72,55 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers; '#' comment lines skipped.
+def _cells(column) -> list[str]:
+    """_fmt of every entry of an output column; a float array in bulk."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return ["" if v != v else "%.12g" % v for v in column.tolist()]
+    return [_fmt(x) for x in column]
+
+
+class _Table:
+    """A CSV file's lower-cased header names and its data cells.
+
+    lines[i] is data row i's 1-based line in the file; cells holds the
+    stripped cells row after row, len(names) per row.
+    """
+
+    def __init__(self, names: list[str], lines: list[int], cells: list[str]):
+        self.names, self.lines, self.cells = names, lines, cells
+
+    def column(self, name: str) -> list[str]:
+        """The cells of the first column called `name`, row by row."""
+        return self.cells[self.names.index(name) :: len(self.names)]
+
+    def rows(self):
+        """(line, cells) of each data row, in file order."""
+        w = len(self.names)
+        return ((line, self.cells[i * w : i * w + w]) for i, line in enumerate(self.lines))
+
+
+def _records(raws) -> list:
+    """Each raw line (with its line break) parsed by the csv module as one record."""
+    try:
+        records = list(csv.reader(raws))
+    except csv.Error:
+        records = []
+    if len(records) != len(raws):
+        # A quoted cell ran past its line's end (or the run raised): each
+        # line is a record of its own, ended where the line ends.
+        records = [next(csv.reader([raw])) for raw in raws]
+    return records
+
+
+def _read_table(path: str, required=()) -> _Table:
+    """The file's header names and data cells, read in one pass.
 
     The file is UTF-8, with or without a leading byte-order mark; a byte
-    that does not decode raises ParseError naming the file and row.
+    that does not decode raises ParseError naming the file and row.  Lines
+    end at \\n, \\r\\n or \\r; blank lines and '#' comment lines are skipped,
+    and each other line is one CSV record whose cells are stripped.  A
+    missing required column raises SchemaError, and a data row without one
+    cell per header name ParseError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -87,13 +131,31 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
         bad = exc.object
         lineno = bad.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: row {lineno}: byte 0x{bad[exc.start]:02x} is not UTF-8") from None
-    out = []
-    for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parsed = next(csv.reader([raw]))
-        out.append((lineno, [cell.strip() for cell in parsed]))
-    return out
+    raws = io.StringIO(text, newline="").readlines()
+    stripped = list(map(str.strip, raws))
+    lines = range(1, len(raws) + 1)
+    if "#" in text or not all(stripped):
+        lines = [lineno for lineno, line in zip(lines, stripped) if line and line[0] != "#"]
+        raws = [raws[lineno - 1] for lineno in lines]
+    if not raws:
+        raise SchemaError(f"{path}: no header row found")
+    if '"' in text or "\0" in text or max(map(len, raws)) > csv.field_size_limit():
+        records = _records(raws)
+        counts = list(map(len, records))
+        cells = [cell.strip() for record in records for cell in record]
+    else:
+        # Without quotes, NULs or over-long lines a record is its line split
+        # at the commas; a line break ends up in the line's last cell and is
+        # stripped with it.
+        counts = [commas + 1 for commas in map(str.count, raws, [","] * len(raws))]
+        cells = list(map(str.strip, ",".join(raws).split(",")))
+    names = [h.lower() for h in cells[: counts[0]]]
+    _check_columns(path, names, required)
+    w = len(names)
+    if counts.count(w) != len(counts):
+        i = next(i for i, count in enumerate(counts) if count != w)
+        raise ParseError(f"{path}: row {lines[i]}: expected {w} cells, got {counts[i]}")
+    return _Table(names, list(lines[1:]), cells[w:])
 
 
 def _cell_float(path: str, cell: str, lineno: int, col: str) -> float:
@@ -103,26 +165,26 @@ def _cell_float(path: str, cell: str, lineno: int, col: str) -> float:
         raise ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number") from None
 
 
+def _floats(cells) -> np.ndarray:
+    """float() of every cell (Python's syntax); ValueError if one is no number."""
+    return np.fromiter(map(float, cells), dtype=float)
+
+
 def _check_columns(path: str, names: list[str], required) -> None:
     for col in required:
         if col not in names:
             raise SchemaError(f"{path}: missing required column {col!r}")
 
 
-def _read_table(path: str, required=()) -> tuple[list[str], dict[str, int], list]:
-    """Lower-cased header names, their column index, and the data rows.
+def _first_row_error(table: _Table, check_row, exc: Exception):
+    """Raise what check_row(line, cells) raises at the first row it rejects, in file order.
 
-    Every data row must have one cell per header name, else ParseError.
+    The readers convert and check whole columns; when that fails with exc,
+    this finds the row and its message.  Re-raises exc if no row fails.
     """
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: no header row found")
-    names = [h.lower() for h in rows[0][1]]
-    _check_columns(path, names, required)
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(names):
-            raise ParseError(f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}")
-    return names, {name: names.index(name) for name in names}, rows[1:]
+    for lineno, cells in table.rows():
+        check_row(lineno, cells)
+    raise exc
 
 
 def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
@@ -133,37 +195,49 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     appended to reject_log; a good left with fewer than 3 rows raises
     TooFewObservations.
     """
-    names, idx, rows = _read_table(path, ("good_id", "price", "quantity"))
+    table = _read_table(path, ("good_id", "price", "quantity"))
+    names = table.names
     has_z = "instrument" in names
-    groups: dict[str, dict[str, list[float]]] = {}
-    for lineno, cells in rows:
-        gid = cells[idx["good_id"]]
-        if not gid:
-            raise ParseError(f"{path}: row {lineno}: empty good_id")
-        price = _cell_float(path, cells[idx["price"]], lineno, "price")
-        quantity = _cell_float(path, cells[idx["quantity"]], lineno, "quantity")
-        if price <= 0 or quantity <= 0:
-            if reject_log is not None:
-                reject_log.append((lineno, "nonpositive price or quantity"))
-            continue
-        group = groups.setdefault(gid, {"price": [], "quantity": [], "instrument": []})
-        group["price"].append(price)
-        group["quantity"].append(quantity)
-        if has_z:
-            group["instrument"].append(
-                _cell_float(path, cells[idx["instrument"]], lineno, "instrument")
-            )
+    gids = table.column("good_id")
+    try:
+        if "" in gids:
+            raise ValueError("empty good_id")
+        price = _floats(table.column("price"))
+        quantity = _floats(table.column("quantity"))
+        reject = (price <= 0) | (quantity <= 0)
+        kept = np.flatnonzero(~reject).tolist()
+        # a rejected row's instrument is not read
+        z = _floats(map(table.column("instrument").__getitem__, kept)) if has_z else None
+    except ValueError as exc:
+
+        def check_row(lineno, cells):
+            if not cells[names.index("good_id")]:
+                raise ParseError(f"{path}: row {lineno}: empty good_id")
+            p = _cell_float(path, cells[names.index("price")], lineno, "price")
+            q = _cell_float(path, cells[names.index("quantity")], lineno, "quantity")
+            if has_z and not (p <= 0 or q <= 0):
+                _cell_float(path, cells[names.index("instrument")], lineno, "instrument")
+
+        _first_row_error(table, check_row, exc)
+    if reject_log is not None:
+        reject_log += [(table.lines[i], "nonpositive price or quantity") for i in np.flatnonzero(reject).tolist()]
+    price, quantity = price[kept], quantity[kept]
+    # goods in order of first appearance among the kept rows
+    kept_gids = list(map(gids.__getitem__, kept))
+    code = {gid: i for i, gid in enumerate(dict.fromkeys(kept_gids))}
+    codes = np.fromiter(map(code.__getitem__, kept_gids), dtype=np.intp, count=len(kept))
+    by_good = np.argsort(codes, kind="stable")
     samples = []
-    for gid, cols in groups.items():
-        if len(cols["price"]) < 3:
-            raise TooFewObservations(
-                f"good {gid!r}: only {len(cols['price'])} usable rows (need at least 3)"
-            )
+    stop = 0
+    for gid, count in zip(code, np.bincount(codes, minlength=len(code)).tolist()):
+        if count < 3:
+            raise TooFewObservations(f"good {gid!r}: only {count} usable rows (need at least 3)")
+        rows, stop = by_good[stop : stop + count], stop + count
         samples.append(
             GoodSample(
-                price=np.asarray(cols["price"]),
-                quantity=np.asarray(cols["quantity"]),
-                instrument=np.asarray(cols["instrument"]) if has_z else None,
+                price=price[rows],
+                quantity=quantity[rows],
+                instrument=z[rows] if has_z else None,
                 good_id=gid,
             )
         )
@@ -180,9 +254,10 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     (lower above upper, a non-finite endpoint, a level outside [0, 1]) raises
     ParseError naming the file and row.
     """
-    _, idx, rows = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
+    table = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
+    idx = {name: table.names.index(name) for name in table.names}
     out: dict[str, Interval] = {}
-    for lineno, cells in rows:
+    for lineno, cells in table.rows():
         method = cells[idx["method"]]
         if mode is not None and method != mode:
             continue
@@ -220,6 +295,14 @@ def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> floa
     return value
 
 
+def _query_values(delta_cells, ystar_cells) -> tuple[np.ndarray, np.ndarray]:
+    """The delta and ystar columns as floats; ValueError unless each is valid (see _query_value)."""
+    delta, ystar = _floats(delta_cells), _floats(ystar_cells)
+    if not (np.isfinite(delta).all() and (delta >= 0).all() and np.isfinite(ystar).all() and (ystar > 0).all()):
+        raise ValueError("a delta or ystar value is out of range")
+    return delta, ystar
+
+
 def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQuery]:
     """Individual ids and their N x K (delta, ystar) query, in long or wide layout.
 
@@ -234,39 +317,57 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     ystar, or a delta * ystar that overflows raises InvalidQuery naming the
     file and row.
     """
-    names, idx, rows = _read_table(path)
-    K = len(good_ids)
-    values: list[float] = []  # delta, ystar per good, good by good, row by row
-    lines: list[int] = []  # the file row of each (delta, ystar) pair
+    table = _read_table(path)
+    names, K = table.names, len(good_ids)
+
+    def check_id(ind, lineno):
+        if not ind:
+            raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
+
     if "good_id" in names:
         _check_columns(path, names, ("id", "delta", "ystar"))
-        per: dict[str, dict[str, tuple[float, float, int]]] = {}
-        for lineno, cells in rows:
-            ind = cells[idx["id"]]
-            gid = cells[idx["good_id"]]
-            if not ind:
-                raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
-            if gid not in good_ids:
-                raise InvalidQuery(f"{path}: row {lineno}: unknown good_id {gid!r}")
-            entries = per.setdefault(ind, {})
-            if gid in entries:
-                raise InvalidQuery(
-                    f"{path}: rows {entries[gid][2]} and {lineno}: individual {ind!r}"
-                    f" lists good {gid!r} twice"
-                )
-            entries[gid] = (
-                _query_value(path, cells[idx["delta"]], lineno, "delta", "delta"),
-                _query_value(path, cells[idx["ystar"]], lineno, "ystar", "ystar"),
-                lineno,
-            )
-        for ind, entries in per.items():
-            missing = [g for g in good_ids if g not in entries]
-            if missing:
-                raise InvalidQuery(f"{path}: individual {ind!r}: missing goods {missing}")
-            for g in good_ids:
-                values += entries[g][:2]
-                lines.append(entries[g][2])
-        ids = list(per)
+        inds, gids = table.column("id"), table.column("good_id")
+        good = {g: k for k, g in enumerate(good_ids)}
+        # individuals in order of first appearance
+        who = {ind: i for i, ind in enumerate(dict.fromkeys(inds))}
+        try:
+            if "" in inds:
+                raise ValueError("empty individual id")
+            slot = np.fromiter(map(who.__getitem__, inds), dtype=np.intp, count=len(inds)) * K
+            slot += np.fromiter(map(good.__getitem__, gids), dtype=np.intp, count=len(gids))
+            filled = np.bincount(slot, minlength=len(who) * K)
+            if filled.max(initial=0) > 1:
+                raise ValueError("a repeated (individual, good) pair")
+            delta, ystar = _query_values(table.column("delta"), table.column("ystar"))
+        except (KeyError, ValueError) as exc:
+            seen: dict[tuple[str, str], int] = {}
+            at = {name: names.index(name) for name in ("id", "good_id", "delta", "ystar")}
+
+            def check_row(lineno, cells):
+                ind, gid = cells[at["id"]], cells[at["good_id"]]
+                check_id(ind, lineno)
+                if gid not in good:
+                    raise InvalidQuery(f"{path}: row {lineno}: unknown good_id {gid!r}")
+                if (ind, gid) in seen:
+                    raise InvalidQuery(
+                        f"{path}: rows {seen[ind, gid]} and {lineno}: individual {ind!r}"
+                        f" lists good {gid!r} twice"
+                    )
+                seen[ind, gid] = lineno
+                for kind in ("delta", "ystar"):
+                    _query_value(path, cells[at[kind]], lineno, kind, kind)
+
+            _first_row_error(table, check_row, exc)
+        ids = list(who)
+        lacking = filled.reshape(len(ids), K) == 0
+        if lacking.any():
+            i = int(np.flatnonzero(lacking.any(axis=1))[0])
+            missing = [good_ids[k] for k in np.flatnonzero(lacking[i])]
+            raise InvalidQuery(f"{path}: individual {ids[i]!r}: missing goods {missing}")
+        pairs = np.empty((slot.size, 2))
+        pairs[slot, 0], pairs[slot, 1] = delta, ystar
+        lines = np.empty(slot.size, dtype=np.intp)
+        lines[slot] = table.lines
     else:
         if names[0] != "id" or len(names) != 1 + 2 * K:
             raise SchemaError(
@@ -277,24 +378,32 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
         for j, (name, want) in enumerate(zip(names[1:], wanted), start=2):
             if name != want and name in known:
                 raise SchemaError(f"{path}: column {j} is {name!r} where the good order puts {want!r}")
-        first_row: dict[str, int] = {}
-        for lineno, cells in rows:
-            ind = cells[0]
-            if not ind:
-                raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
-            if ind in first_row:
-                raise InvalidQuery(
-                    f"{path}: rows {first_row[ind]} and {lineno}: individual {ind!r}"
-                    " is listed twice"
-                )
-            first_row[ind] = lineno
-            values += [
-                _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
-                for j, cell in enumerate(cells[1:])
-            ]
-            lines += [lineno] * K
-        ids = list(first_row)
-    pairs = np.array(values).reshape(len(ids), K, 2)
+        ids = table.cells[:: len(names)]
+        values = table.cells.copy()
+        del values[:: len(names)]
+        try:
+            if "" in ids or len(set(ids)) != len(ids):
+                raise ValueError("an empty or repeated individual id")
+            delta, ystar = _query_values(values[::2], values[1::2])
+        except ValueError as exc:
+            first_row: dict[str, int] = {}
+
+            def check_row(lineno, cells):
+                ind = cells[0]
+                check_id(ind, lineno)
+                if ind in first_row:
+                    raise InvalidQuery(
+                        f"{path}: rows {first_row[ind]} and {lineno}: individual {ind!r}"
+                        " is listed twice"
+                    )
+                first_row[ind] = lineno
+                for j, cell in enumerate(cells[1:]):
+                    _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
+
+            _first_row_error(table, check_row, exc)
+        pairs = np.stack([delta, ystar], axis=1)
+        lines = np.repeat(table.lines, K)
+    pairs = pairs.reshape(len(ids), K, 2)
     with np.errstate(over="ignore"):
         overflows = np.flatnonzero(~np.isfinite(pairs[..., 0] * pairs[..., 1]))
     if overflows.size:
@@ -304,14 +413,13 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     return ids, WelfareQuery(pairs[..., 0], pairs[..., 1])
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows) -> None:
-    """Write one output file, then print `wrote <path>`."""
+def _write_csv(path: str, comment: str, header: list[str], columns) -> None:
+    """Write one output file from its columns, one per header name, then print `wrote <path>`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(zip(*map(_cells, columns)))
     print(f"wrote {path}")
 
 
@@ -414,7 +522,7 @@ def cmd_ci(cfg: argparse.Namespace) -> int:
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
         " 'level' is the per-good confidence level",
         ["good_id", "method", "lower", "upper", "level", "status"],
-        ([gid, m, iv.lower, iv.upper, iv.level, status] for gid, m, iv, status in rows),
+        zip(*([gid, m, iv.lower, iv.upper, iv.level, status] for gid, m, iv, status in rows)),
     )
     for gid, prof in profiles.items():
         _write_csv(
@@ -422,7 +530,7 @@ def cmd_ci(cfg: argparse.Namespace) -> int:
             "normalized rank-dependence statistic by theta (nominal price units);"
             f" critical value = {_fmt(prof.critical)}",
             ["theta", "stat"],
-            zip(prof.thetas, prof.stats),
+            [prof.thetas, prof.stats],
         )
     return code
 
@@ -445,21 +553,22 @@ def cmd_welfare(cfg: argparse.Namespace) -> int:
     good_ids, box, code = _box_from_config(cfg)
     ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
     constraints = ConstraintSet(box, sum_to=cfg.sum_to)
+    n = len(ids)
     if constraints.empty:
         status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
-        results = [[ind, None, None, None, status] for ind in ids]
+        order, wl_min, wl_max, level = range(n), np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
     else:
         wb = bounds_box(constraints, query)
-        bounds = zip(wb.wl_min.tolist(), wb.wl_max.tolist())
-        results = [[ind, lo, hi, wb.level, "OK"] for ind, (lo, hi) in zip(ids, bounds)]
-    results.sort(key=lambda r: (r[4] != "OK", r[2] if r[2] is not None else 0.0))
-    rows = [[rank + 1] + r for rank, r in enumerate(results)]
+        status = "OK"
+        # ascending by the upper bound; a stable sort keeps ties in file order
+        order = sorted(range(n), key=wb.wl_max.tolist().__getitem__)
+        wl_min, wl_max, level = wb.wl_min[order], wb.wl_max[order], np.full(n, wb.level)
     _write_csv(
         f"{cfg.out}_welfare.csv",
         "welfare-loss bounds per individual in units of the numeraire;"
         " 'level' is the joint box level",
         ["rank", "id", "wl_min", "wl_max", "level", "status"],
-        rows,
+        [range(1, n + 1), [ids[i] for i in order], wl_min, wl_max, level, [status] * n],
     )
     return code
 
@@ -483,15 +592,12 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         theta=_parse_theta(cfg.theta), n=cfg.n, seed=seed, endogeneity=cfg.endogeneity
     )
     samples = draw_sample(config)
-    rows = []
-    for s in samples:
-        for i in range(s.n):
-            rows.append([s.good_id, s.price[i], s.quantity[i], s.instrument[i]])
     _write_csv(
         f"{cfg.out}_data.csv",
         "synthetic demand draws; price and instrument in nominal units",
         ["good_id", "price", "quantity", "instrument"],
-        rows,
+        [[s.good_id for s in samples for _ in range(s.n)]]
+        + [np.concatenate([getattr(s, col) for s in samples]) for col in ("price", "quantity", "instrument")],
     )
     return EXIT_OK
 
@@ -508,10 +614,10 @@ def cmd_mc(cfg: argparse.Namespace) -> int:
         "average interval endpoints (theta, nominal price units) over"
         f" {report.reps} replications; joint alpha = {_fmt(MC_ALPHA)}",
         ["n", "good_id", "theta_true", "avg_lower", "avg_upper", "avg_length", "coverage", "n_empty"],
-        [
+        zip(*(
             [r.n, r.good_id, r.theta_true, r.avg_lower, r.avg_upper, r.avg_length, r.coverage, r.n_empty]
             for r in report.intervals
-        ],
+        )),
     )
     wl_rows = [[r.n, r.label, r.value] for r in report.welfare]
     wl_rows += [[n, "joint_coverage", v] for n, v in sorted(report.joint_coverage.items())]
@@ -520,7 +626,7 @@ def cmd_mc(cfg: argparse.Namespace) -> int:
         f"welfare-loss figures in units of the numeraire; joint alpha = {_fmt(MC_ALPHA)};"
         f" true loss = {_fmt(report.true_welfare_loss)}",
         ["n", "label", "value"],
-        wl_rows,
+        zip(*wl_rows),
     )
     print(report.interval_table())
     print(report.welfare_table())
@@ -555,7 +661,7 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
         f"confidence-set shape diagnostics at alpha = {_fmt(cfg.alpha)};"
         " stats are sqrt(n) * xi (dimensionless)",
         ["good_id", "stat_at_zero", "stat_at_inf", "critical", "case_id"],
-        rows,
+        zip(*rows),
     )
     return code
 
@@ -631,7 +737,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _read_config(path: str, command: str, subparsers: dict[str, argparse.ArgumentParser]) -> None:
+def _read_config(path: str, command: str, subparsers: dict[str, argparse.ArgumentParser]) -> dict:
     """Set the defaults of `command`'s subparser from a `key = value` file.
 
     '#' starts a comment; a key is a flag name without its dashes, written
@@ -639,7 +745,7 @@ def _read_config(path: str, command: str, subparsers: dict[str, argparse.Argumen
     type and checked against its choices; `none` or an empty value is None
     where the default is None.  A malformed line, an unknown key, a key the
     command does not read and a bad value are ConfigErrors naming the file
-    and line.
+    and line.  Returns {key: (line, value)} for the keys the file sets.
     """
     actions = {a.dest: a for a in subparsers[command]._actions}
     known = {a.dest for p in subparsers.values() for a in p._actions} - {"help", "config"}
@@ -671,46 +777,63 @@ def _read_config(path: str, command: str, subparsers: dict[str, argparse.Argumen
                     raise ValueError(f"{value!r} is not one of {', '.join(map(str, action.choices))}")
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        defaults[key] = value
-    subparsers[command].set_defaults(**defaults)
+        defaults[key] = (lineno, value)
+    subparsers[command].set_defaults(**{key: value for key, (_, value) in defaults.items()})
+    return defaults
 
 
-def validate(cfg: argparse.Namespace, actions) -> None:
-    """The range checks argparse does not make, on the parameters the command has."""
+def validate(cfg: argparse.Namespace, actions, origin: dict) -> None:
+    """The range checks argparse does not make, on the parameters the command has.
+
+    origin maps a parameter whose value a config file set to its
+    `<file>:<line>`, which then starts the error's message.
+    """
+
+    def fail(message: str, *dests: str):
+        where = next((origin[d] for d in dests if d in origin), None)
+        raise ConfigError(f"{where}: {message}" if where else message)
+
     for action in actions:
         value = getattr(cfg, action.dest, None)
         if action.type is float and value is not None and not math.isfinite(value):
-            raise ConfigError(f"{action.dest.replace('_', '-')} must be finite, got {value}")
+            fail(f"{action.dest.replace('_', '-')} must be finite, got {value}", action.dest)
     if "alpha" in cfg and not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {cfg.alpha}")
+        fail(f"alpha must lie strictly in (0, 1), got {cfg.alpha}", "alpha")
     if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
+        fail(f"seed must be nonnegative, got {cfg.seed}", "seed")
     if "grid_nodes" in cfg:
         if cfg.grid_nodes < 2:
-            raise ConfigError(f"grid-nodes must be at least 2, got {cfg.grid_nodes}")
+            fail(f"grid-nodes must be at least 2, got {cfg.grid_nodes}", "grid_nodes")
         if cfg.grid_lo < 0:
-            raise ConfigError(f"grid-lo must be nonnegative, got {cfg.grid_lo}")
+            fail(f"grid-lo must be nonnegative, got {cfg.grid_lo}", "grid_lo")
         if not cfg.grid_hi > cfg.grid_lo:
-            raise ConfigError(f"grid-hi ({cfg.grid_hi}) must exceed grid-lo ({cfg.grid_lo})")
+            fail(f"grid-hi ({cfg.grid_hi}) must exceed grid-lo ({cfg.grid_lo})", "grid_hi", "grid_lo")
     if "jitter" in cfg and cfg.jitter < 0:
-        raise ConfigError(f"jitter must be nonnegative, got {cfg.jitter}")
+        fail(f"jitter must be nonnegative, got {cfg.jitter}", "jitter")
     if "reps" in cfg:
         if cfg.reps < 1:
-            raise ConfigError(f"reps must be at least 1, got {cfg.reps}")
+            fail(f"reps must be at least 1, got {cfg.reps}", "reps")
         if cfg.k < 1:
-            raise ConfigError(f"k must be at least 1, got {cfg.k}")
+            fail(f"k must be at least 1, got {cfg.k}", "k")
     if "n" in cfg and cfg.n < 3:
-        raise ConfigError(f"n must be at least 3, got {cfg.n}")
+        fail(f"n must be at least 3, got {cfg.n}", "n")
 
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
+        origin = {}
         if args.config is not None:
-            _read_config(args.config, args.command, subparsers)
+            from_file = _read_config(args.config, args.command, subparsers)
             args = parser.parse_args(argv)
-        validate(args, subparsers[args.command]._actions)
+            # a value is the file's unless a flag on the command line set another
+            origin = {
+                key: f"{args.config}:{lineno}"
+                for key, (lineno, value) in from_file.items()
+                if getattr(args, key) is value or getattr(args, key) == value
+            }
+        validate(args, subparsers[args.command]._actions, origin)
         return _COMMANDS[args.command](args)
     except (WelfareBoundsError, OSError, MemoryError) as exc:
         kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))

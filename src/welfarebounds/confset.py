@@ -10,19 +10,20 @@ a segment count that flags disconnected acceptance regions.
 The grid nodes are independent: `profile_stats` splits them into one
 contiguous block per CPU the process may use and evaluates the blocks in
 threads, each block chunk by chunk in buffers it allocates once.  A node
-sorts packed keys: the residual with its low b = n.bit_length() mantissa
-bits replaced by the observation's instrument rank, so one float sort
-yields the rank sequence without an argsort and two gathers.  Residuals
-are finite and never -0.0 (price > 0, and x - x is +0), so keys whose
-high parts (key >> b) differ sort in their residuals' order.  A node where
-two adjacent sorted keys share a high part (an exact tie, or residuals a
-few ulps apart) is redone alone on the exact path: argsort of the
-residuals, and exact ties broken as `xi` breaks them, by uniforms seeded
-from the spawn path (seed, node index) and then by observation index.  A
-sample with a repeated (price, quantity) row ties at every node and goes
-to the exact path whole.  Every profile value therefore equals `xi` at
-that node, whatever the chunking, the number of threads or the order in
-which nodes are evaluated.
+sorts packed keys: the residual with its low mantissa bits replaced by a
+label, the observation's instrument rank, so one float sort yields the
+rank sequence without an argsort and two gathers.  Residuals are finite
+and never -0.0 (price > 0, and x - x is +0), so keys whose high parts
+differ sort in their residuals' order.  Repeated (price, quantity) rows,
+common in scanner data, tie at every node: they are found once per call,
+each group of them enters the sort as one key with its own label, and at
+each node its members are put in `xi`'s tie order, by uniforms seeded from
+the spawn path (seed, node index) and then by observation index.  A node
+where two adjacent sorted keys share a high part (a tie between different
+rows, or residuals a few ulps apart) is redone alone on the exact path:
+argsort of the residuals, and exact ties broken the same way.  Every
+profile value therefore equals `xi` at that node, whatever the chunking,
+the number of threads or the order in which nodes are evaluated.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import InvalidGrid, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
-from .xicor import PairedSample, critical_value, response_rank_scale, tie_uniforms, xi
+from .xicor import PairedSample, critical_value, response_rank_scale, xi
 
 # Default cap of the xi-only search space when no least-squares interval
 # bounds it; a config value, not a structural constant.
@@ -53,6 +54,13 @@ CASE_CONTAINS_ZERO = "CONTAINS_ZERO"
 CASE_WHOLE_SPACE = "WHOLE_SPACE"
 
 _CHUNK = 128
+
+# numpy.random.SeedSequence's hash constants, and PCG64's multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,79 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _seed_state(entropy: list, n_words: int) -> list:
+    """numpy.random.SeedSequence(entropy).generate_state(n_words), for many sequences at once.
+
+    entropy lists the uint32 entropy words, each an array with one entry
+    per sequence; returns n_words such arrays.  This is SeedSequence's
+    hash (pool of 4 words, O'Neill's seed_seq_fe) in uint32 array
+    arithmetic, which wraps as the original does.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for i in range(n_words):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        state.append(value ^ (value >> np.uint32(16)))
+    return state
+
+
+def _tie_uniform_rows(rng_seed: int, nodes, columns: np.ndarray, n: int) -> np.ndarray:
+    """Row r is xicor.tie_uniforms(child_seed(rng_seed, nodes[r]), n)[columns], bit for bit.
+
+    Both seed hashes run for all nodes at once (_seed_state), where a call
+    of child_seed and default_rng per node would build two SeedSequences;
+    one PCG64 then takes, node by node, the state default_rng(child seed)
+    would give it, and draws the node's n uniforms.
+    """
+    # the seed's 32-bit words, low first, padded to the pool size as
+    # SeedSequence pads them before a spawn key
+    seed = int(rng_seed)
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    entropy = [np.full(len(nodes), w, dtype=np.uint32) for w in words]
+    (child,) = _seed_state(entropy + [np.asarray(nodes, dtype=np.uint32)], 1)
+    # default_rng(child) seeds PCG64 with 4 little-endian uint64 words: the
+    # initial state (high, low) and the stream (high, low)
+    w = [x.astype(np.uint64) for x in _seed_state([child], 8)]
+    state_hi, state_lo, seq_hi, seq_lo = (
+        (w[2 * k] | w[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
+    )
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    draw, out = np.empty(n), np.empty((len(nodes), columns.size))
+    for r in range(len(nodes)):
+        inc = ((seq_hi[r] << 64 | seq_lo[r]) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi[r] << 64 | state_lo[r])) * _PCG_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        gen.random(out=draw)
+        out[r] = draw[columns]
+    return out
+
+
 def _effective_instrument(sample: GoodSample) -> np.ndarray:
     # Exogenous-price designs pass price as its own instrument.
     return sample.instrument if sample.instrument is not None else sample.price
@@ -137,9 +218,7 @@ def _order_tied_runs(
     All rows go through one flat lexsort keyed by (run, uniform, index).
     """
     m, n = order.shape
-    u = np.empty((m, n))
-    for r, node in enumerate(nodes):
-        u[r] = tie_uniforms(child_seed(rng_seed, int(node)), n)
+    u = _tie_uniform_rows(rng_seed, nodes.tolist(), np.arange(n), n)
     in_run = np.zeros((m, n), dtype=bool)
     in_run[:, 1:] = same
     in_run[:, :-1] |= same
@@ -155,11 +234,59 @@ def _order_tied_runs(
     return out
 
 
-def _repeats_a_row(price: np.ndarray, quantity: np.ndarray) -> bool:
-    """Whether two observations share (price, quantity), so their residuals tie at every node."""
+@dataclass(frozen=True)
+class _RowGroups:
+    """Observations grouped by their (price, quantity) row, whose residuals tie at every node.
+
+    rep lists one observation per group, the groups of two or more rows
+    (the repeated ones) first; labels[g] is group g's label in the packed
+    keys: n + 1 + g for the repeated groups, the instrument rank (1..n) of
+    a lone row.  members lists the repeated groups' observations group by
+    group, each group in index order, and member_ranks their instrument
+    ranks; block[j] is the group of members[j] (as a float, the real part
+    of the tie-order key), first[g] and last[g] are the slots of group g's
+    first and last member, and inner[j] says slots j and j + 1 hold one
+    group.
+    """
+
+    rep: np.ndarray
+    labels: np.ndarray
+    members: np.ndarray
+    member_ranks: np.ndarray
+    block: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    inner: np.ndarray
+
+
+def _row_groups(price: np.ndarray, quantity: np.ndarray, ranks: np.ndarray) -> _RowGroups | None:
+    """The sample's repeated (price, quantity) rows as _RowGroups, or None when every row is distinct."""
     order = np.lexsort((quantity, price))
     p, q = price[order], quantity[order]
-    return bool(np.any((p[1:] == p[:-1]) & (q[1:] == q[:-1])))
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
+    if starts.all():
+        return None
+    group = np.cumsum(starts) - 1
+    size = np.bincount(group)
+    repeated = size > 1
+    # lexsort is stable, so each group's observations are in index order
+    members = order[repeated[group]]
+    heads = order[starts]
+    sizes = size[repeated]
+    last = np.cumsum(sizes) - 1
+    block = np.repeat(np.arange(sizes.size), sizes)
+    labels = np.concatenate([order.size + 1 + np.arange(sizes.size), ranks[heads[~repeated]]])
+    return _RowGroups(
+        rep=np.concatenate([heads[repeated], heads[~repeated]]),
+        labels=labels.astype(ranks.dtype),
+        members=members,
+        member_ranks=ranks[members],
+        block=block.astype(float),
+        first=last - sizes + 1,
+        last=last,
+        inner=block[1:] == block[:-1],
+    )
 
 
 def _cpu_count() -> int:
@@ -208,6 +335,48 @@ def _exact_jump_sums(
     return _jump_sums(seq, jumps)
 
 
+def _grouped_jump_sums(
+    seq: np.ndarray, jumps: np.ndarray, groups: _RowGroups, nodes: range, rng_seed: int, n: int
+) -> np.ndarray:
+    """Rank-jump sums of the nodes whose group labels sort in the order `seq`.
+
+    seq[r] lists node nodes[r]'s group labels (see _RowGroups) in residual
+    order, no two groups tied there; jumps is one column narrower.  A
+    repeated group's members tie at every node and take `xi`'s tie order:
+    by the node's tie_uniforms (seed child_seed(rng_seed, node)), then by
+    index.  The sum is the jumps inside each repeated group plus the jumps
+    from each group's last member to the next group's first.  Overwrites
+    seq and jumps.
+    """
+    m, width = seq.shape
+    key = np.empty((m, groups.members.size), dtype=complex)
+    key.real = groups.block
+    key.imag = _tie_uniform_rows(rng_seed, nodes, groups.members, n)
+    # Complex values sort by real part (the group), then imaginary part (the
+    # uniform); a stable sort keeps equal uniforms in index order.
+    tied = groups.member_ranks[np.argsort(key, axis=1, kind="stable")]
+    inner = np.abs(np.diff(tied, axis=1))[:, groups.inner].sum(axis=1)
+    flat_seq, flat_jumps = seq.ravel(), jumps.ravel()
+    at = np.flatnonzero(seq > n)
+    row = at // width
+    g = flat_seq[at] - (n + 1)
+    first, last = tied[row, groups.first[g]], tied[row, groups.last[g]]
+    flat_seq[at] = first
+    np.subtract(seq[:, 1:], seq[:, :-1], out=jumps)
+    # the jump out of a repeated group leaves from its last member; jump p
+    # of row r is entry r * (width - 1) + p
+    out = at - row * width < width - 1
+    flat_jumps[(at - row)[out]] += (first - last)[out]
+    np.abs(jumps, out=jumps)
+    return jumps.sum(axis=1) + inner
+
+
+def _lead(buffers: tuple, k: int, width: int) -> list:
+    """The first k rows of the flat buffers, as rows `width` wide (the last two one narrower)."""
+    widths = (width,) * 4 + (width - 1,) * 2
+    return [b[: k * w].reshape(k, w) for b, w in zip(buffers, widths)]
+
+
 def _fill_block(
     stats: np.ndarray,
     start: int,
@@ -218,66 +387,75 @@ def _fill_block(
     ranks: np.ndarray,
     scale: float,
     rng_seed: int,
-    packed: bool,
+    groups: _RowGroups | None,
 ) -> None:
     """Fill stats[start:stop] chunk by chunk, in buffers allocated once.
 
-    With `packed`, the low b = n.bit_length() mantissa bits of each
-    residual are overwritten, through an int64 view, with its instrument
-    max-rank (1..n), and the rows of keys are sorted in place as floats;
-    the rank sequence is read back as key & (2**b - 1).  Keys whose high
-    parts (key >> b) differ keep their residuals' order, for either sign,
-    and a key is never +-0 (its rank is at least 1), so a row is exact iff
-    no two adjacent sorted keys share a high part.  A row where two do (an
-    exact tie or residuals a few ulps apart) is redone alone: its residuals
-    are recomputed into the leading rows of the same buffers and go through
-    `_exact_jump_sums`.  Without `packed` every row goes that way.  The
-    float order of the keys is their residuals' order only because no
-    residual is -0.0: price > 0, and x - x is +0.
+    A row of keys holds one residual per observation, or with `groups` one
+    per group of equal (price, quantity) rows, from its representative.
+    The low b mantissa bits of each residual (b = the largest label's bit
+    length) are overwritten, through an int64 view, with its label: the
+    instrument max-rank (1..n), or n + 1 + g for repeated group g; the rows
+    of keys are sorted in place as floats, and the labels read back as
+    key & (2**b - 1) are the rank sequence, which _grouped_jump_sums
+    completes with the repeated groups' members.
+    Keys whose high parts (key >> b) differ keep their residuals' order,
+    for either sign, and a key is never +-0 (its label is at least 1), so a
+    row is exact iff no two adjacent sorted keys share a high part.  A row
+    where two do (a tie between different rows, or residuals a few ulps
+    apart) is redone alone: its n residuals are recomputed into the leading
+    rows of the same buffers and go through `_exact_jump_sums`.  The float
+    order of the keys is their residuals' order only because no residual
+    is -0.0: price > 0, and x - x is +0.
 
     Runs in a worker thread, so it writes only its own slice of `stats` and
     calls no function that perfbench's tracer wraps (its span stack is not
     thread-safe).
     """
     n = price.shape[0]
+    if groups is None:
+        key_price, key_inv_y, labels = price, inv_y, ranks
+    else:
+        key_price, key_inv_y, labels = price[groups.rep], inv_y[groups.rep], groups.labels
+    width = labels.size
     rows = min(_CHUNK, stop - start)
-    bits = n.bit_length()
+    bits = int(labels.max()).bit_length()
     low = (1 << bits) - 1
     # residuals (then keys), sorted residuals, gather offsets (or high
-    # parts), ranks in sorted order, adjacent-equal mask, rank jumps; a
-    # partial last chunk and the redone rows use leading rows
+    # parts), labels in sorted order, adjacent-equal mask, rank jumps; a
+    # chunk uses the leading rows of width `width`, a redone row width n
     buffers = (
-        np.empty((rows, n)),
-        np.empty((rows, n)),
-        np.empty((rows, n), dtype=np.intp),
-        np.empty((rows, n), dtype=ranks.dtype),
-        np.empty((rows, n - 1), dtype=bool),
-        np.empty((rows, n - 1), dtype=ranks.dtype),
+        np.empty(rows * n),
+        np.empty(rows * n),
+        np.empty(rows * n, dtype=np.intp),
+        np.empty(rows * n, dtype=ranks.dtype),
+        np.empty(rows * (n - 1), dtype=bool),
+        np.empty(rows * (n - 1), dtype=ranks.dtype),
     )
     row_offset = np.arange(rows)[:, None] * n
     root = math.sqrt(n)
     for lo in range(start, stop, _CHUNK):
         m = min(_CHUNK, stop - lo)
-        fm, _, taken, seq, same, jumps = (b[:m] for b in buffers)
-        _residuals(price, inv_y, thetas[lo : lo + m], fm)
-        if packed:
-            keys = fm.view(np.int64)
-            keys &= ~low
-            keys |= ranks
-            fm.sort(axis=1)
-            np.right_shift(keys, bits, out=taken)
-            np.equal(taken[:, 1:], taken[:, :-1], out=same)
-            redo = np.nonzero(same.any(axis=1))[0]
-            np.bitwise_and(keys, low, out=seq, casting="unsafe")
-            stats[lo : lo + m] = root * (1.0 - _jump_sums(seq, jumps) * scale)
-            if not redo.size:
-                continue
-            _residuals(price, inv_y, thetas[lo + redo], buffers[0][: redo.size])
+        fm, _, taken, seq, same, jumps = _lead(buffers, m, width)
+        _residuals(key_price, key_inv_y, thetas[lo : lo + m], fm)
+        keys = fm.view(np.int64)
+        keys &= ~low
+        keys |= labels
+        fm.sort(axis=1)
+        np.right_shift(keys, bits, out=taken)
+        np.equal(taken[:, 1:], taken[:, :-1], out=same)
+        redo = np.nonzero(same.any(axis=1))[0]
+        np.bitwise_and(keys, low, out=seq, casting="unsafe")
+        if groups is None:
+            sums = _jump_sums(seq, jumps)
         else:
-            redo = np.arange(m)
-        k = redo.size
-        bufs = [b[:k] for b in buffers]
-        sums = _exact_jump_sums(bufs, ranks, row_offset[:k], lo + redo, rng_seed)
+            sums = _grouped_jump_sums(seq, jumps, groups, range(lo, lo + m), rng_seed, n)
+        stats[lo : lo + m] = root * (1.0 - sums * scale)
+        if not redo.size:
+            continue
+        bufs = _lead(buffers, redo.size, n)
+        _residuals(price, inv_y, thetas[lo + redo], bufs[0])
+        sums = _exact_jump_sums(bufs, ranks, row_offset[: redo.size], lo + redo, rng_seed)
         stats[lo + redo] = root * (1.0 - sums * scale)
 
 
@@ -296,20 +474,21 @@ def profile_stats(
     nodes are split into one contiguous block of whole chunks per CPU in
     the process's affinity mask, and the blocks run in threads (numpy
     releases the GIL in the sorts, gathers and ufuncs); a single block runs
-    in the calling thread.  A node whose keys collide is redone on the
-    exact path, and a sample with a repeated (price, quantity) row sends
-    every node there, found once per call.  On that path exact ties in the
-    residual are broken as `xi` breaks them with the seed
-    child_seed(rng_seed, node index): by uniforms drawn for that node, then
-    by observation index.  Only the tied runs are reordered, for all tied
-    nodes of a chunk at once, so every value equals `xi` bit for bit and
-    does not depend on the chunking, the blocks or the CPU count.  Raises
+    in the calling thread.  Repeated (price, quantity) rows are grouped
+    once per call and stay on the packed sort, one key per group; at each
+    node a group's members are placed in the order `xi` gives them, by
+    uniforms drawn with the seed child_seed(rng_seed, node index), then by
+    observation index.  A node where two different rows' keys collide is
+    redone on the exact path, which breaks its residual ties the same way
+    and reorders only the tied runs, for all such nodes of a chunk at once.
+    So every value equals `xi` bit for bit and does not depend on the
+    chunking, the blocks or the CPU count.  Raises
     InvalidSample, before any block runs, when theta / quantity overflows
     at the largest |theta|.
     """
     ranks, scale = response_rank_scale(z)
-    # Ranks and rank jumps fit in 32 bits (n < 2**31), which halves the
-    # traffic of the passes over them.
+    # Ranks, key labels (< 2n) and rank jumps fit in 32 bits (n < 2**30),
+    # which halves the traffic of the passes over them.
     ranks = ranks.astype(np.int32)
     inv_y = 1.0 / quantity
     theta_top = float(np.abs(thetas).max(initial=0.0))
@@ -322,9 +501,7 @@ def profile_stats(
     chunks = max(1, -(-total // _CHUNK))
     per_block = -(-chunks // min(_cpu_count(), chunks)) * _CHUNK
     blocks = [(lo, min(lo + per_block, total)) for lo in range(0, total, per_block)]
-    # A repeated row sends every node to the exact path; skip the packed sort.
-    packed = not _repeats_a_row(price, quantity)
-    args = (price, inv_y, thetas, ranks, scale, rng_seed, packed)
+    args = (price, inv_y, thetas, ranks, scale, rng_seed, _row_groups(price, quantity, ranks))
     if len(blocks) < 2:
         for lo, hi in blocks:
             _fill_block(stats, lo, hi, *args)

@@ -133,8 +133,10 @@ class WelfareSummary:
 class McReport:
     """Monte Carlo study output: interval and welfare averages plus timings.
 
-    `timings` holds wall-clock seconds per stage and is excluded from file
-    output so identical seeds give byte-identical files.
+    `timings` holds the process's CPU seconds per stage (time.process_time,
+    summed over its threads), which other processes' load barely moves, and
+    is excluded from file output so identical seeds give byte-identical
+    files.
     """
 
     reps: int
@@ -190,7 +192,7 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
         t_ci = 0.0
         for r in range(reps):
             samples = draw_sample(cfg, rep=r)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             ivs = []
             for k, s in enumerate(samples):
                 iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
@@ -201,14 +203,14 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
                 sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
                 covers[k] += iv.contains(theta[k])
                 counts[k] += 1
-            t_ci += time.perf_counter() - t0
+            t_ci += time.process_time() - t0
             joint += all(iv.contains(theta[k]) for k, iv in enumerate(ivs))
             if not any(iv.empty for iv in ivs):
                 boxes.append(tuple(ivs))
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         rows, skipped = welfare(n, boxes)
         report.timings[f"ci_n{n}"] = t_ci
-        report.timings[f"welfare_n{n}"] = time.perf_counter() - t0
+        report.timings[f"welfare_n{n}"] = time.process_time() - t0
         for k in range(K):
             c = max(counts[k], 1)
             mean_len = sums[k, 2] / c

@@ -91,6 +91,8 @@ def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     """The n uniforms that order observations tied in the conditioning variable.
 
     Observation k sorts by its value, then by the k-th uniform, then by k.
+    confset._tie_uniform_rows draws the same uniforms for many seeds at
+    once, so a change here must be made there too.
     """
     return np.random.default_rng(rng_seed).random(n)
 

@@ -289,15 +289,16 @@ def test_exit_codes(tmp_path, capsys):
         assert main(argv + ["--config", floor_cfg, "--out", str(tmp_path / "na")]) == 2
         assert capsys.readouterr().err == f"ConfigError: {floor_cfg}:1: unknown key 'floor'\n"
     assert not list(tmp_path.glob("na_*"))
-    # a negative seed, as a flag or a config key, is a config error naming the seed
+    # a negative seed, as a flag or a config key, is a config error naming the
+    # seed, and the config file's line when the file set it
     sim = ["simulate", "--theta", "0.3", "--n", "20"]
     commands = (["ci", "--data", data], sim, ["mc", "--table", "2", "--k", "1", "--reps", "1"],
                 ["diagnose", "--data", data])
     neg_cfg = _write(tmp_path, "neg.cfg", "seed = -1\n")
-    for argv in [c + ["--seed", "-1"] for c in commands] + [sim + ["--config", neg_cfg]]:
+    for argv, where in [(c + ["--seed", "-1"], "") for c in commands] + [(sim + ["--config", neg_cfg], f"{neg_cfg}:1: ")]:
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "ns")]) == 2
-        assert capsys.readouterr().err == "ConfigError: seed must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == f"ConfigError: {where}seed must be nonnegative, got -1\n"
     assert not list(tmp_path.glob("ns_*"))
     # an allocation too large for memory is one line and exit 4: 10**15
     # float64s is about 8 PB, beyond any address space, so numpy refuses the
@@ -672,6 +673,26 @@ def test_every_flag_is_a_config_key_of_its_command(tmp_path, monkeypatch, capsys
         capsys.readouterr()
         assert main([command, "--config", cfg]) == 2
         assert capsys.readouterr().err == f"ConfigError: {cfg}{message}\n"
+
+
+def test_config_file_range_error_names_file_and_line(tmp_path, capsys):
+    # a value the file sets that fails a range check names the file and
+    # line, as a value outside a flag's choices does; a flag that overrides
+    # the file is the command line's and carries no location
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    for text, message in (
+        ("alpha = 2\n", ":1: alpha must lie strictly in (0, 1), got 2.0"),
+        ("# run\njitter = inf\n", ":2: jitter must be finite, got inf"),
+        ("grid-nodes = 1\n", ":1: grid-nodes must be at least 2, got 1"),
+        ("grid-lo = 3\ngrid_hi = 2\n", ":2: grid-hi (2.0) must exceed grid-lo (3.0)"),
+    ):
+        cfg = _write(tmp_path, "range.cfg", text)
+        capsys.readouterr()
+        assert main(["ci", "--data", data, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {cfg}{message}\n"
+    cfg = _write(tmp_path, "range.cfg", "alpha = 0.1\n")
+    assert main(["ci", "--data", data, "--config", cfg, "--alpha", "2", "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "ConfigError: alpha must lie strictly in (0, 1), got 2.0\n"
 
 
 def test_config_file_feeds_command(tmp_path):

@@ -294,6 +294,29 @@ def _coarse_uniforms(rng_seed, n):
     return np.floor(np.random.default_rng(rng_seed).random(n) * 3.0) / 3.0
 
 
+def _coarse_rows(rng_seed, nodes, columns, n):
+    # the batched draw of the repeated-row path, from the coarse uniforms
+    return np.array([_coarse_uniforms(child_seed(rng_seed, node), n)[columns] for node in nodes])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    # one-word seeds, seeds of two to six 32-bit words, and the word
+    # boundaries
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160), st.sampled_from([0, 2**32 - 1, 2**32])),
+    first=st.integers(0, 2**32 - 40),
+    count=st.integers(1, 40),
+    n=st.integers(1, 300),
+)
+@example(seed=0, first=2**32 - 40, count=40, n=5)
+def test_tie_uniform_rows_match_tie_uniforms(seed, first, count, n):
+    columns = np.arange(n)[:: max(1, n // 7)]
+    nodes = range(first, first + count)
+    rows = confset._tie_uniform_rows(seed, nodes, columns, n)
+    ref = np.array([xicor.tie_uniforms(child_seed(seed, node), n)[columns] for node in nodes])
+    assert np.array_equal(rows, ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -314,6 +337,12 @@ def _coarse_uniforms(rng_seed, n):
          nodes=641, coarse=True, workers=5)
 @example(seed=5, n=30, integer_valued=False, copies=3, tied_instrument=False,
          nodes=300, coarse=False, workers=2)
+# groups of sizes 2 to 4 in one sample; integer prices and quantities make
+# different groups tie at some nodes, and the instrument has ties
+@example(seed=6, n=40, integer_valued=True, copies=3, tied_instrument=True,
+         nodes=200, coarse=False, workers=2)
+@example(seed=7, n=40, integer_valued=False, copies=3, tied_instrument=True,
+         nodes=130, coarse=True, workers=1)
 def test_profile_equals_xi_at_every_node(
     seed, n, integer_valued, copies, tied_instrument, nodes, coarse, workers
 ):
@@ -334,17 +363,20 @@ def test_profile_equals_xi_at_every_node(
 
     z = instrument(n)
     if copies:
-        # duplicate (price, quantity) rows, up to 4 equal residuals at every
-        # node; each copy draws its own instrument, as after --jitter
-        rows = np.repeat(rng.integers(0, n, max(1, n // 4)), copies)
+        # duplicate (price, quantity) rows, groups of 2 to copies + 1 equal
+        # residuals at every node (more where a row is drawn twice); each copy
+        # draws its own instrument, as after --jitter
+        drawn = rng.integers(0, n, max(1, n // 4))
+        rows = np.repeat(drawn, rng.integers(1, copies + 1, drawn.size))
         price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
         z = np.concatenate([z, instrument(rows.size)])
     assume(np.ptp(z) > 0)
     thetas = np.linspace(0.0, (nodes - 1) / 8.0, nodes)
     uniforms = _coarse_uniforms if coarse else xicor.tie_uniforms
+    uniform_rows = _coarse_rows if coarse else confset._tie_uniform_rows
     with (
         mock.patch.object(xicor, "tie_uniforms", uniforms),
-        mock.patch.object(confset, "tie_uniforms", uniforms),
+        mock.patch.object(confset, "_tie_uniform_rows", uniform_rows),
         mock.patch.object(confset, "_cpu_count", lambda: workers),
     ):
         stats = profile_stats(price, quantity, z, thetas, seed)
@@ -372,6 +404,8 @@ def test_profile_equals_xi_at_every_node(
          exponent=0, nodes=260, workers=5)
 @example(seed=2, k=4, offset=-1, near=1, same_price=True, duplicates=False,
          exponent=-1060, nodes=129, workers=2)
+@example(seed=3, k=5, offset=1, near=2, same_price=False, duplicates=True,
+         exponent=0, nodes=200, workers=2)
 def test_profile_equals_xi_where_residuals_nearly_tie(
     seed, k, offset, near, same_price, duplicates, exponent, nodes, workers
 ):
@@ -416,9 +450,33 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
     for j, theta in enumerate(thetas):
         ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
         assert stats[j] == math.sqrt(n) * ref
-    if duplicates:
-        # a repeated row ties every node: the whole grid takes the exact path
-        assert sorted(redone) == list(range(nodes))
-    else:
-        # theta = 0 leaves the prices, whose near pairs collide in the key
-        assert 0 in redone
+    # theta = 0 leaves the prices, whose near pairs collide in the key
+    assert 0 in redone
+
+
+def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
+    # Repeated rows tie at every node but stay on the packed path; only a
+    # node where two different rows tie goes to the exact path.  Rows
+    # (3, 0.5) and (2, 1) have residuals 3 - 2 theta and 2 - theta, equal
+    # at theta = 1 alone (node 4 of the grid), and both are repeated.
+    rng = np.random.default_rng(11)
+    price = np.concatenate([[3.0, 2.0], rng.uniform(1.0, 2.0, 60)])
+    quantity = np.concatenate([[0.5, 1.0], rng.uniform(0.5, 2.0, 60)])
+    rows = np.array([0, 0, 1, 5, 5, 5, 9])
+    price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
+    z = rng.uniform(0.0, 1.0, price.size)
+    thetas = np.linspace(0.0, 2.0, 9)
+    redone = []
+    exact = confset._exact_jump_sums
+
+    def spy(*args):
+        redone.extend(args[-2].tolist())
+        return exact(*args)
+
+    with mock.patch.object(confset, "_exact_jump_sums", spy):
+        stats = profile_stats(price, quantity, z, thetas, 5)
+    assert redone == [4]
+    inv_y = 1.0 / quantity
+    for j, theta in enumerate(thetas):
+        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(5, j))
+        assert stats[j] == math.sqrt(price.size) * ref
