@@ -17,13 +17,14 @@ and never -0.0 (price > 0, and x - x is +0), so keys whose high parts
 differ sort in their residuals' order.  Repeated (price, quantity) rows,
 common in scanner data, tie at every node: they are found once per call,
 each group of them enters the sort as one key with its own label, and at
-each node its members are put in `xi`'s tie order, by uniforms seeded from
-the spawn path (seed, node index) and then by observation index.  A node
-where two adjacent sorted keys share a high part (a tie between different
-rows, or residuals a few ulps apart) is redone alone on the exact path:
-argsort of the residuals, and exact ties broken the same way.  Every
-profile value therefore equals `xi` at that node, whatever the chunking,
-the number of threads or the order in which nodes are evaluated.
+each node its members are put in the tie order of `xicor.jump_sum`, by
+uniforms seeded from the spawn path (seed, node index) and then by
+observation index.  A node where two adjacent sorted keys share a high part
+(a tie between different rows, or residuals a few ulps apart) is redone
+alone by `xicor.jump_sum` itself, which owns that tie order and which
+`xi` calls.  Every profile value therefore equals `xi` at that node,
+whatever the chunking, the number of threads or the order in which nodes
+are evaluated.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import InvalidGrid, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
-from .xicor import PairedSample, critical_value, response_rank_scale, xi
+from .xicor import PairedSample, critical_value, jump_sum, response_rank_scale, xi
 
 # Default cap of the xi-only search space when no least-squares interval
 # bounds it; a config value, not a structural constant.
@@ -72,6 +73,8 @@ class GridSpec:
     nodes: int
 
     def __post_init__(self):
+        if not isinstance(self.nodes, (int, np.integer)):
+            raise InvalidGrid(f"the node count must be an integer, got {self.nodes!r}")
         if self.nodes < 2:
             raise InvalidGrid(f"need at least 2 nodes, got {self.nodes}")
         if self.lo < 0:
@@ -80,6 +83,8 @@ class GridSpec:
             raise InvalidGrid(
                 f"grid upper bound {self.hi} must exceed lower bound {self.lo}"
             )
+        if not math.isfinite(self.hi):
+            raise InvalidGrid(f"grid upper bound must be finite, got {self.hi}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.nodes)
@@ -206,34 +211,6 @@ def _effective_instrument(sample: GoodSample) -> np.ndarray:
     return sample.instrument if sample.instrument is not None else sample.price
 
 
-def _order_tied_runs(
-    order: np.ndarray, same: np.ndarray, nodes: np.ndarray, rng_seed: int
-) -> np.ndarray:
-    """Rows of `order` with each run of equal residuals put in `xi`'s tie order.
-
-    order[r] sorts node nodes[r]'s residuals, so equal residuals sit in
-    contiguous runs; same[r, j] says the residuals at sorted positions j and
-    j + 1 are equal.  Within a run, observations are ordered by the
-    node's tie_uniforms (seed child_seed(rng_seed, node)), then by index.
-    All rows go through one flat lexsort keyed by (run, uniform, index).
-    """
-    m, n = order.shape
-    u = _tie_uniform_rows(rng_seed, nodes.tolist(), np.arange(n), n)
-    in_run = np.zeros((m, n), dtype=bool)
-    in_run[:, 1:] = same
-    in_run[:, :-1] |= same
-    starts = np.ones((m, n), dtype=bool)
-    starts[:, 1:] = ~same
-    row, pos = np.nonzero(in_run)
-    index = order[row, pos]
-    # Runs are numbered in slot order, so the sorted entries fill the same
-    # slots run by run.
-    run = np.cumsum(starts[row, pos])
-    out = order.copy()
-    out[row, pos] = index[np.lexsort((index, u[row, index], run))]
-    return out
-
-
 @dataclass(frozen=True)
 class _RowGroups:
     """Observations grouped by their (price, quantity) row, whose residuals tie at every node.
@@ -310,31 +287,6 @@ def _jump_sums(seq: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     return jumps.sum(axis=1)
 
 
-def _exact_jump_sums(
-    buffers: list, ranks: np.ndarray, row_offset: np.ndarray, nodes: np.ndarray, rng_seed: int
-) -> np.ndarray:
-    """Rank-jump sums of the residual rows buffers[0], ties broken as `xi` breaks them.
-
-    buffers holds, with one row per node: the residuals, then the sorted
-    residuals, gather offsets (intp) and ranks in sorted order (ranks'
-    dtype) of the same shape, and an adjacent-equal mask and rank jumps
-    one column narrower.  Row r is grid node nodes[r]; row_offset[r] = r * n.
-    """
-    fm, sorted_fm, taken, seq, same, jumps = buffers
-    # Unstable sort is fine: every sort kind puts equal residuals in one
-    # contiguous run, and the runs are reordered below.
-    order = np.argsort(fm, axis=1)
-    # Indices are in range; mode "raise" would copy through a temporary.
-    np.add(order, row_offset, out=taken)
-    np.take(fm.ravel(), taken, out=sorted_fm, mode="wrap")
-    np.equal(sorted_fm[:, 1:], sorted_fm[:, :-1], out=same)
-    tied = np.nonzero(same.any(axis=1))[0]
-    if tied.size:
-        order[tied] = _order_tied_runs(order[tied], same[tied], nodes[tied], rng_seed)
-    np.take(ranks, order, out=seq, mode="wrap")
-    return _jump_sums(seq, jumps)
-
-
 def _grouped_jump_sums(
     seq: np.ndarray, jumps: np.ndarray, groups: _RowGroups, nodes: range, rng_seed: int, n: int
 ) -> np.ndarray:
@@ -371,12 +323,6 @@ def _grouped_jump_sums(
     return jumps.sum(axis=1) + inner
 
 
-def _lead(buffers: tuple, k: int, width: int) -> list:
-    """The first k rows of the flat buffers, as rows `width` wide (the last two one narrower)."""
-    widths = (width,) * 4 + (width - 1,) * 2
-    return [b[: k * w].reshape(k, w) for b, w in zip(buffers, widths)]
-
-
 def _fill_block(
     stats: np.ndarray,
     start: int,
@@ -403,14 +349,15 @@ def _fill_block(
     for either sign, and a key is never +-0 (its label is at least 1), so a
     row is exact iff no two adjacent sorted keys share a high part.  A row
     where two do (a tie between different rows, or residuals a few ulps
-    apart) is redone alone: its n residuals are recomputed into the leading
-    rows of the same buffers and go through `_exact_jump_sums`.  The float
-    order of the keys is their residuals' order only because no residual
-    is -0.0: price > 0, and x - x is +0.
+    apart) is redone alone: its n residuals are recomputed with the same
+    two roundings and go through `xicor.jump_sum`, the tie order of `xi`,
+    with the node's seed child_seed(rng_seed, node).  The float order of
+    the keys is their residuals' order only because no residual is -0.0:
+    price > 0, and x - x is +0.
 
     Runs in a worker thread, so it writes only its own slice of `stats` and
     calls no function that perfbench's tracer wraps (its span stack is not
-    thread-safe).
+    thread-safe): the redo calls `jump_sum`, never `xi`.
     """
     n = price.shape[0]
     if groups is None:
@@ -421,29 +368,26 @@ def _fill_block(
     rows = min(_CHUNK, stop - start)
     bits = int(labels.max()).bit_length()
     low = (1 << bits) - 1
-    # residuals (then keys), sorted residuals, gather offsets (or high
-    # parts), labels in sorted order, adjacent-equal mask, rank jumps; a
-    # chunk uses the leading rows of width `width`, a redone row width n
+    # residuals (then keys), their high parts, labels in sorted order,
+    # adjacent-equal mask, rank jumps; a chunk uses the leading rows
     buffers = (
-        np.empty(rows * n),
-        np.empty(rows * n),
-        np.empty(rows * n, dtype=np.intp),
-        np.empty(rows * n, dtype=ranks.dtype),
-        np.empty(rows * (n - 1), dtype=bool),
-        np.empty(rows * (n - 1), dtype=ranks.dtype),
+        np.empty((rows, width)),
+        np.empty((rows, width), dtype=np.int64),
+        np.empty((rows, width), dtype=ranks.dtype),
+        np.empty((rows, width - 1), dtype=bool),
+        np.empty((rows, width - 1), dtype=ranks.dtype),
     )
-    row_offset = np.arange(rows)[:, None] * n
     root = math.sqrt(n)
     for lo in range(start, stop, _CHUNK):
         m = min(_CHUNK, stop - lo)
-        fm, _, taken, seq, same, jumps = _lead(buffers, m, width)
+        fm, high, seq, same, jumps = (b[:m] for b in buffers)
         _residuals(key_price, key_inv_y, thetas[lo : lo + m], fm)
         keys = fm.view(np.int64)
         keys &= ~low
         keys |= labels
         fm.sort(axis=1)
-        np.right_shift(keys, bits, out=taken)
-        np.equal(taken[:, 1:], taken[:, :-1], out=same)
+        np.right_shift(keys, bits, out=high)
+        np.equal(high[:, 1:], high[:, :-1], out=same)
         redo = np.nonzero(same.any(axis=1))[0]
         np.bitwise_and(keys, low, out=seq, casting="unsafe")
         if groups is None:
@@ -451,12 +395,9 @@ def _fill_block(
         else:
             sums = _grouped_jump_sums(seq, jumps, groups, range(lo, lo + m), rng_seed, n)
         stats[lo : lo + m] = root * (1.0 - sums * scale)
-        if not redo.size:
-            continue
-        bufs = _lead(buffers, redo.size, n)
-        _residuals(price, inv_y, thetas[lo + redo], bufs[0])
-        sums = _exact_jump_sums(bufs, ranks, row_offset[: redo.size], lo + redo, rng_seed)
-        stats[lo + redo] = root * (1.0 - sums * scale)
+        for node in (lo + redo).tolist():
+            residual = price - thetas[node] * inv_y
+            stats[node] = root * (1.0 - jump_sum(residual, ranks, child_seed(rng_seed, node)) * scale)
 
 
 def profile_stats(
@@ -479,10 +420,9 @@ def profile_stats(
     node a group's members are placed in the order `xi` gives them, by
     uniforms drawn with the seed child_seed(rng_seed, node index), then by
     observation index.  A node where two different rows' keys collide is
-    redone on the exact path, which breaks its residual ties the same way
-    and reorders only the tied runs, for all such nodes of a chunk at once.
-    So every value equals `xi` bit for bit and does not depend on the
-    chunking, the blocks or the CPU count.  Raises
+    redone alone by `xicor.jump_sum`, the one function that owns this tie
+    order and the one `xi` calls.  So every value equals `xi` bit for bit
+    and does not depend on the chunking, the blocks or the CPU count.  Raises
     InvalidSample, before any block runs, when theta / quantity overflows
     at the largest |theta|.
     """

@@ -246,11 +246,11 @@ def mc_table1(
     """Three-good study: per-good intervals and welfare upper bounds.
 
     Intervals invert the rank statistic alone at per-good level 1 - MC_ALPHA/3
-    over a 1000-node grid on (0, 1).  Welfare uses the fixed price change
-    (0.5, 0.8, 0.2) and consumption (0.2, 0.6, 0.8) under four constraints:
-    i) intervals plus sum(theta) = 1, ii) intervals only, iii) the fixed box
-    [1e-6, 1] plus the sum, iv) the fixed box only (iii and iv do not depend
-    on the data).  Replications with an empty interval or an infeasible sum
+    over a grid of grid_nodes nodes on [POSITIVITY_FLOOR, 1].  Welfare uses
+    the fixed price change (0.5, 0.8, 0.2) and consumption (0.2, 0.6, 0.8)
+    under four constraints: i) intervals plus sum(theta) = 1, ii) intervals
+    only, iii) the fixed box [POSITIVITY_FLOOR, 1] plus the sum, iv) the
+    fixed box only (iii and iv do not depend on the data).  Replications with an empty interval or an infeasible sum
     are excluded from the affected averages and counted in `skipped`.
     """
     if reps < 1:

@@ -9,7 +9,10 @@ critical values here are built from.
 
 Ties are handled in two distinct ways:
   * ties in the conditioning variable are broken uniformly at random from a
-    caller-supplied seed (never global RNG state), so a seed fixes the value;
+    caller-supplied seed (never global RNG state), so a seed fixes the value.
+    `jump_sum` owns this one tie order, for the package: by value, then by
+    the seed's `tie_uniforms`, then by index.  confset's grid calls it for
+    every node whose residuals it cannot order by its packed sort;
   * ties in the response switch the denominator to a tie-aware form built
     from l_i, the count of response values weakly above the i-th one.
 
@@ -97,6 +100,17 @@ def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(rng_seed).random(n)
 
 
+def jump_sum(first: np.ndarray, ranks: np.ndarray, rng_seed: int) -> int:
+    """Sum of |ranks[k'] - ranks[k]| over neighbours k, k' in the ascending order of `first`.
+
+    Observations tied in `first` are ordered by tie_uniforms(rng_seed, n),
+    then by index: the tie order of `xi`, and of every grid node that
+    confset evaluates.
+    """
+    order = np.lexsort((tie_uniforms(rng_seed, first.shape[0]), first))
+    return int(np.abs(np.diff(ranks[order])).sum())
+
+
 def xi(sample: PairedSample, rng_seed: int) -> float:
     """Dependence of `second` on `first`, computed in O(n log n).
 
@@ -105,10 +119,7 @@ def xi(sample: PairedSample, rng_seed: int) -> float:
     Raises DegenerateResponse when every response value is equal.
     """
     ranks, scale = response_rank_scale(sample.second)
-    # ascending order of `first`; exact ties are broken uniformly at random
-    order = np.lexsort((tie_uniforms(rng_seed, sample.n), sample.first))
-    jumps = int(np.abs(np.diff(ranks[order])).sum())
-    return 1.0 - jumps * scale
+    return 1.0 - jump_sum(sample.first, ranks, rng_seed) * scale
 
 
 def critical_value(alpha: float) -> float:

@@ -55,6 +55,16 @@ def test_grid_spec_validation():
     assert vals[0] == 0.0 and vals[-1] == 1.0 and len(vals) == 11
 
 
+def test_grid_spec_rejects_an_infinite_upper_bound():
+    with pytest.raises(InvalidGrid, match="finite"):
+        GridSpec(0.0, math.inf, 10)
+
+
+def test_grid_spec_rejects_a_fractional_node_count():
+    with pytest.raises(InvalidGrid, match="integer"):
+        GridSpec(0.0, 1.0, 10.5)
+
+
 def test_profile_at_zero_matches_price_statistic_exactly():
     sample = draw_sample(DgpConfig(theta=np.array([0.3]), n=400, seed=2))[0]
     _, prof = cs_xi(sample, 0.1, GridSpec(0.0, 1.0, 25), rng_seed=7)
@@ -386,6 +396,21 @@ def test_profile_equals_xi_at_every_node(
             assert stats[j] == math.sqrt(price.size) * ref
 
 
+def _profile_and_redone_nodes(price, quantity, z, thetas, seed):
+    # profile_stats, and the nodes it redid through jump_sum, sorted; a
+    # node's tie seed names it
+    node_of = {child_seed(seed, j): j for j in range(thetas.size)}
+    redone = []
+
+    def spy(first, ranks, rng_seed):
+        redone.append(node_of[rng_seed])
+        return xicor.jump_sum(first, ranks, rng_seed)
+
+    with mock.patch.object(confset, "jump_sum", spy):
+        stats = profile_stats(price, quantity, z, thetas, seed)
+    return stats, sorted(redone)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -434,18 +459,8 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
     assert price.size == n
     z = rng.uniform(0.0, 1.0, n)
     thetas = np.linspace(0.0, 1.5 * float(np.max(price * quantity)), nodes)
-    redone = []
-    exact = confset._exact_jump_sums
-
-    def spy(*args):
-        redone.extend(args[-2].tolist())
-        return exact(*args)
-
-    with (
-        mock.patch.object(confset, "_exact_jump_sums", spy),
-        mock.patch.object(confset, "_cpu_count", lambda: workers),
-    ):
-        stats = profile_stats(price, quantity, z, thetas, seed)
+    with mock.patch.object(confset, "_cpu_count", lambda: workers):
+        stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
     inv_y = 1.0 / quantity
     for j, theta in enumerate(thetas):
         ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
@@ -456,7 +471,7 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
 
 def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
     # Repeated rows tie at every node but stay on the packed path; only a
-    # node where two different rows tie goes to the exact path.  Rows
+    # node where two different rows tie is redone by jump_sum.  Rows
     # (3, 0.5) and (2, 1) have residuals 3 - 2 theta and 2 - theta, equal
     # at theta = 1 alone (node 4 of the grid), and both are repeated.
     rng = np.random.default_rng(11)
@@ -466,17 +481,30 @@ def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
     price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
     z = rng.uniform(0.0, 1.0, price.size)
     thetas = np.linspace(0.0, 2.0, 9)
-    redone = []
-    exact = confset._exact_jump_sums
-
-    def spy(*args):
-        redone.extend(args[-2].tolist())
-        return exact(*args)
-
-    with mock.patch.object(confset, "_exact_jump_sums", spy):
-        stats = profile_stats(price, quantity, z, thetas, 5)
+    stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, 5)
     assert redone == [4]
     inv_y = 1.0 / quantity
     for j, theta in enumerate(thetas):
         ref = xi(PairedSample(price - theta * inv_y, z), child_seed(5, j))
         assert stats[j] == math.sqrt(price.size) * ref
+
+
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_profile_equals_xi_where_many_nodes_collide_across_chunks(workers):
+    # Lattice data, as in scanner files: cent prices and whole quantities.
+    # On a grid of step 0.002 from 0, different rows' residuals tie exactly
+    # at many nodes, spread over several 128-node chunks and so over the
+    # blocks of several workers.
+    rng = np.random.default_rng(8)
+    n, seed = 600, 12
+    price = rng.integers(100, 300, n) / 100.0
+    quantity = rng.integers(1, 6, n).astype(float)
+    z = rng.uniform(0.0, 1.0, n)
+    thetas = np.arange(1001) * 0.002
+    with mock.patch.object(confset, "_cpu_count", lambda: workers):
+        stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
+    assert len({node // confset._CHUNK for node in redone}) > 1
+    inv_y = 1.0 / quantity
+    for j, theta in enumerate(thetas):
+        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
+        assert stats[j] == math.sqrt(n) * ref
