@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from ._fanout import fan_out
 from .confset import (
     DEFAULT_GRID_HI,
     GridSpec,
@@ -34,6 +35,7 @@ from .confset import (
     cs_combined,
     shape_diagnostic,
     smooth_instrument,
+    xi_hull,
 )
 from .errors import (
     ConfigError,
@@ -464,29 +466,47 @@ def _exit_code(exc: BaseException) -> int:
 def _isolated(good_id: str, compute, *args):
     """compute(*args) for one good; a data or numerical error fails that good alone.
 
-    Returns (result, EXIT_OK, None), or (None, the error's exit code,
-    "FAILED:<ErrorName>") after one stderr line naming the good once.
+    Returns (result, EXIT_OK, None, None), or (None, the error's exit code,
+    "FAILED:<ErrorName>", the stderr line naming the good once).
     """
     try:
-        return compute(*args), EXIT_OK, None
+        return compute(*args), EXIT_OK, None, None
     except (DataError, NumericalError) as exc:
         name, message = type(exc).__name__, str(exc)
         if not message.startswith(f"{good_id}: "):
             message = f"{good_id}: {message}"
-        print(f"{name}: {message}", file=sys.stderr)
-        return None, _exit_code(exc), f"FAILED:{name}"
+        return None, _exit_code(exc), f"FAILED:{name}", f"{name}: {message}"
 
 
-def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes):
+def _interval_unit(unit):
+    """One (good, mode) of _good_intervals, run in a fan_out worker.
+
+    Returns _isolated's tuple, whose result is (interval, profile); xi mode
+    evaluates the whole profile only when it is kept, else xi_hull.  Any
+    other error the command ends with is returned, not raised, so that the
+    parent raises it after the stderr lines of the goods before it.
+    """
+    sample, share, mode, grid, seed, ls, keep_profile = unit
+    try:
+        if mode == "xi" and not keep_profile:
+            return _isolated(sample.good_id, lambda: (xi_hull(sample, share, grid, seed), None))
+        return _isolated(sample.good_id, cs_combined, sample, share, mode, grid, seed, ls)
+    except (WelfareBoundsError, MemoryError) as exc:
+        return exc
+
+
+def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, keep_profiles: bool):
     """Each good's interval in each mode, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
     data or numerical error hit that (good, mode) (see _isolated), whose
-    interval is empty with source FAILED.  profiles maps a good id to its
-    xi-mode grid profile.  code is the exit code of the first failure, or
-    EXIT_OK.  A mode that fits least squares with --ls tsls
-    needs an instrument for every good, else SchemaError before any work.
+    interval is empty with source FAILED, and whose stderr line is printed
+    in file order.  profiles maps a good id to its xi-mode grid profile when
+    keep_profiles is set, else is empty.  code is the exit code of the first
+    failure, or EXIT_OK.  The (good, mode) pairs are fan_out units.  A mode
+    that fits least squares with --ls tsls needs an instrument for every
+    good, else SchemaError before any work.
     """
     needs_ls = any(m != "xi" for m in modes)
     if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
@@ -494,21 +514,26 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes):
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
     grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
+    units = [
+        (s, share, m, grid, child_seed(seed, _SEED_CS, i), cfg.ls, keep_profiles)
+        for i, s in enumerate(samples)
+        for m in modes
+    ]
     rows = []
     profiles: dict = {}
     code = EXIT_OK
-    for i, s in enumerate(samples):
-        s_seed = child_seed(seed, _SEED_CS, i)
-        for m in modes:
-            result, failed_code, status = _isolated(
-                s.good_id, cs_combined, s, share, m, grid, s_seed, cfg.ls
-            )
-            code = code or failed_code
-            iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
-            status = status or ("EMPTY" if iv.empty else "OK")
-            if profile is not None:
-                profiles[s.good_id] = profile
-            rows.append((s.good_id, m, iv, status))
+    for (s, _, m, *_), outcome in zip(units, fan_out(_interval_unit, units)):
+        if isinstance(outcome, BaseException):
+            raise outcome
+        result, failed_code, status, line = outcome
+        if line is not None:
+            print(line, file=sys.stderr)
+        code = code or failed_code
+        iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
+        status = status or ("EMPTY" if iv.empty else "OK")
+        if profile is not None:
+            profiles[s.good_id] = profile
+        rows.append((s.good_id, m, iv, status))
     return rows, profiles, code
 
 
@@ -516,7 +541,7 @@ def cmd_ci(cfg: argparse.Namespace) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
     samples = _load_samples(cfg)
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
-    rows, profiles, code = _good_intervals(samples, cfg, modes)
+    rows, profiles, code = _good_intervals(samples, cfg, modes, True)
     _write_csv(
         f"{cfg.out}_intervals.csv",
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
@@ -544,7 +569,7 @@ def _box_from_config(cfg: argparse.Namespace) -> tuple[list[str], list[Interval]
     samples = _load_samples(cfg, "--data or --intervals")
     if cfg.mode == "all":
         raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
-    rows, _, code = _good_intervals(samples, cfg, (cfg.mode,))
+    rows, _, code = _good_intervals(samples, cfg, (cfg.mode,), False)
     return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
 
 
@@ -648,9 +673,11 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
     rows = []
     code = EXIT_OK
     for i, s in enumerate(samples):
-        diag, failed_code, status = _isolated(
+        diag, failed_code, status, line = _isolated(
             s.good_id, shape_diagnostic, s, cfg.alpha, child_seed(seed, _SEED_DIAG, i)
         )
+        if line is not None:
+            print(line, file=sys.stderr)
         code = code or failed_code
         if diag is None:
             rows.append([s.good_id, None, None, critical, status])

@@ -7,24 +7,25 @@ acceptance region, and the reported interval is its hull (minimum to
 maximum accepted node).  The full profile is kept for diagnostics, including
 a segment count that flags disconnected acceptance regions.
 
-The grid nodes are independent: `profile_stats` splits them into one
-contiguous block per CPU the process may use and evaluates the blocks in
-threads, each block chunk by chunk in buffers it allocates once.  A node
-sorts packed keys: the residual with its low mantissa bits replaced by a
-label, the observation's instrument rank, so one float sort yields the
-rank sequence without an argsort and two gathers.  Residuals are finite
-and never -0.0 (price > 0, and x - x is +0), so keys whose high parts
-differ sort in their residuals' order.  Repeated (price, quantity) rows,
-common in scanner data, tie at every node: they are found once per call,
-each group of them enters the sort as one key with its own label, and at
-each node its members are put in the tie order of `xicor.jump_sum`, by
-uniforms seeded from the spawn path (seed, node index) and then by
-observation index.  A node where two adjacent sorted keys share a high part
-(a tie between different rows, or residuals a few ulps apart) is redone
-alone by `xicor.jump_sum` itself, which owns that tie order and which
-`xi` calls.  Every profile value therefore equals `xi` at that node,
-whatever the chunking, the number of threads or the order in which nodes
-are evaluated.
+The grid nodes are independent: `profile_stats` evaluates them in the
+calling thread, chunk by chunk in buffers allocated once per grid, and
+`xi_hull` evaluates chunks from both ends of the grid only until each end
+reaches an accepted node.  A node sorts packed keys: the residual with its
+low mantissa bits replaced by a label, the observation's instrument rank, so
+one float sort yields the rank sequence without an argsort and two gathers.
+Residuals are finite and never -0.0 (price > 0, and x - x is +0), so keys
+whose high parts differ sort in their residuals' order.  Repeated (price,
+quantity) rows, common in scanner data, tie at every node: they are found
+once per call, each group of them enters the sort as one key with its own
+label, and at each node its members are put in the tie order of
+`xicor.jump_sum`, by uniforms seeded from the spawn path (seed, node index)
+and then by observation index.  A node where two adjacent sorted keys share a
+high part (a tie between different rows, or residuals a few ulps apart) is
+redone alone by `xicor.jump_sum` itself, which owns that tie order and which
+`xi` calls.  Every profile value therefore equals `xi` at that node, whatever
+the chunking or the order in which nodes are evaluated.  Goods and
+replications, not nodes, are what the CLI and the Monte Carlo studies spread
+over processes.
 
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
@@ -35,7 +36,6 @@ which also supplies the parameter space that pure grid search lacks.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +53,6 @@ CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
 CASE_CONTAINS_ZERO = "CONTAINS_ZERO"
 CASE_WHOLE_SPACE = "WHOLE_SPACE"
-
-_CHUNK = 128
 
 # numpy.random.SeedSequence's hash constants, and PCG64's multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -266,12 +264,17 @@ def _row_groups(price: np.ndarray, quantity: np.ndarray, ranks: np.ndarray) -> _
     )
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+def _chunk_rows(width: int, grouped: bool) -> int:
+    """Nodes per chunk of a grid whose rows of keys are `width` wide.
+
+    A tie-free chunk's five buffers take 25 bytes per key (float key, int64
+    high part, int32 label and jump, bool mask), and its rows are sized to
+    fit a 2 MiB per-core L2 cache, within [16, 128].  The repeated-row path,
+    which adds a per-node argsort of the groups' members, keeps 128.
+    """
+    if grouped:
+        return 128
+    return max(16, min(128, 2**21 // (25 * width)))
 
 
 def _residuals(price: np.ndarray, inv_y: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> None:
@@ -323,22 +326,12 @@ def _grouped_jump_sums(
     return jumps.sum(axis=1) + inner
 
 
-def _fill_block(
-    stats: np.ndarray,
-    start: int,
-    stop: int,
-    price: np.ndarray,
-    inv_y: np.ndarray,
-    thetas: np.ndarray,
-    ranks: np.ndarray,
-    scale: float,
-    rng_seed: int,
-    groups: _RowGroups | None,
-) -> None:
-    """Fill stats[start:stop] chunk by chunk, in buffers allocated once.
+class _Grid:
+    """One grid's packed-key evaluation: the sample's ranks, labels and row
+    groups and the chunk buffers, made once; fill() evaluates a range of nodes.
 
-    A row of keys holds one residual per observation, or with `groups` one
-    per group of equal (price, quantity) rows, from its representative.
+    A row of keys holds one residual per observation, or with repeated rows
+    one per group of equal (price, quantity) rows, from its representative.
     The low b mantissa bits of each residual (b = the largest label's bit
     length) are overwritten, through an int64 view, with its label: the
     instrument max-rank (1..n), or n + 1 + g for repeated group g; the rows
@@ -355,49 +348,69 @@ def _fill_block(
     the keys is their residuals' order only because no residual is -0.0:
     price > 0, and x - x is +0.
 
-    Runs in a worker thread, so it writes only its own slice of `stats` and
-    calls no function that perfbench's tracer wraps (its span stack is not
-    thread-safe): the redo calls `jump_sum`, never `xi`.
+    Raises InvalidSample when theta / quantity overflows at the largest
+    |theta|, before any node is evaluated.
     """
-    n = price.shape[0]
-    if groups is None:
-        key_price, key_inv_y, labels = price, inv_y, ranks
-    else:
-        key_price, key_inv_y, labels = price[groups.rep], inv_y[groups.rep], groups.labels
-    width = labels.size
-    rows = min(_CHUNK, stop - start)
-    bits = int(labels.max()).bit_length()
-    low = (1 << bits) - 1
-    # residuals (then keys), their high parts, labels in sorted order,
-    # adjacent-equal mask, rank jumps; a chunk uses the leading rows
-    buffers = (
-        np.empty((rows, width)),
-        np.empty((rows, width), dtype=np.int64),
-        np.empty((rows, width), dtype=ranks.dtype),
-        np.empty((rows, width - 1), dtype=bool),
-        np.empty((rows, width - 1), dtype=ranks.dtype),
-    )
-    root = math.sqrt(n)
-    for lo in range(start, stop, _CHUNK):
-        m = min(_CHUNK, stop - lo)
-        fm, high, seq, same, jumps = (b[:m] for b in buffers)
-        _residuals(key_price, key_inv_y, thetas[lo : lo + m], fm)
-        keys = fm.view(np.int64)
-        keys &= ~low
-        keys |= labels
-        fm.sort(axis=1)
-        np.right_shift(keys, bits, out=high)
-        np.equal(high[:, 1:], high[:, :-1], out=same)
-        redo = np.nonzero(same.any(axis=1))[0]
-        np.bitwise_and(keys, low, out=seq, casting="unsafe")
-        if groups is None:
-            sums = _jump_sums(seq, jumps)
+
+    def __init__(self, price, quantity, z, thetas, rng_seed):
+        ranks, self.scale = response_rank_scale(z)
+        # Ranks, key labels (< 2n) and rank jumps fit in 32 bits (n < 2**30),
+        # which halves the traffic of the passes over them.
+        self.ranks = ranks.astype(np.int32)
+        self.inv_y = 1.0 / quantity
+        theta_top = float(np.abs(thetas).max(initial=0.0))
+        if not math.isfinite(theta_top * float(self.inv_y.max())):
+            raise InvalidSample(
+                f"a quantity is so small that theta / quantity overflows at theta {theta_top:g}"
+            )
+        self.price, self.thetas, self.rng_seed = price, thetas, rng_seed
+        self.groups = _row_groups(price, quantity, self.ranks)
+        if self.groups is None:
+            self.key_price, self.key_inv_y, self.labels = price, self.inv_y, self.ranks
         else:
-            sums = _grouped_jump_sums(seq, jumps, groups, range(lo, lo + m), rng_seed, n)
-        stats[lo : lo + m] = root * (1.0 - sums * scale)
-        for node in (lo + redo).tolist():
-            residual = price - thetas[node] * inv_y
-            stats[node] = root * (1.0 - jump_sum(residual, ranks, child_seed(rng_seed, node)) * scale)
+            rep = self.groups.rep
+            self.key_price, self.key_inv_y, self.labels = price[rep], self.inv_y[rep], self.groups.labels
+        width = self.labels.size
+        self.bits = int(self.labels.max()).bit_length()
+        self.stats = np.empty(thetas.shape[0])
+        self.rows = _chunk_rows(width, self.groups is not None)
+        rows = min(self.rows, thetas.shape[0])
+        # residuals (then keys), their high parts, labels in sorted order,
+        # adjacent-equal mask, rank jumps; a chunk uses the leading rows
+        self.buffers = (
+            np.empty((rows, width)),
+            np.empty((rows, width), dtype=np.int64),
+            np.empty((rows, width), dtype=self.ranks.dtype),
+            np.empty((rows, width - 1), dtype=bool),
+            np.empty((rows, width - 1), dtype=self.ranks.dtype),
+        )
+
+    def fill(self, start: int, stop: int) -> None:
+        """Fill stats[start:stop], chunk by chunk in the grid's buffers."""
+        price, inv_y, thetas, ranks = self.price, self.inv_y, self.thetas, self.ranks
+        n, bits, scale, rng_seed = price.shape[0], self.bits, self.scale, self.rng_seed
+        low = (1 << bits) - 1
+        root = math.sqrt(n)
+        for lo in range(start, stop, self.rows):
+            m = min(self.rows, stop - lo)
+            fm, high, seq, same, jumps = (b[:m] for b in self.buffers)
+            _residuals(self.key_price, self.key_inv_y, thetas[lo : lo + m], fm)
+            keys = fm.view(np.int64)
+            keys &= ~low
+            keys |= self.labels
+            fm.sort(axis=1)
+            np.right_shift(keys, bits, out=high)
+            np.equal(high[:, 1:], high[:, :-1], out=same)
+            redo = np.nonzero(same.any(axis=1))[0]
+            np.bitwise_and(keys, low, out=seq, casting="unsafe")
+            if self.groups is None:
+                sums = _jump_sums(seq, jumps)
+            else:
+                sums = _grouped_jump_sums(seq, jumps, self.groups, range(lo, lo + m), rng_seed, n)
+            self.stats[lo : lo + m] = root * (1.0 - sums * scale)
+            for node in (lo + redo).tolist():
+                residual = price - thetas[node] * inv_y
+                self.stats[node] = root * (1.0 - jump_sum(residual, ranks, child_seed(rng_seed, node)) * scale)
 
 
 def profile_stats(
@@ -410,51 +423,22 @@ def profile_stats(
     """sqrt(n) * xi(price - theta/quantity, z) at every theta.
 
     price must be positive and finite, as GoodSample makes it.  Ranks are
-    recomputed from scratch at each node (one sort of packed residual/rank
-    keys per node, vectorized in chunks of nodes; see _fill_block).  The
-    nodes are split into one contiguous block of whole chunks per CPU in
-    the process's affinity mask, and the blocks run in threads (numpy
-    releases the GIL in the sorts, gathers and ufuncs); a single block runs
-    in the calling thread.  Repeated (price, quantity) rows are grouped
+    recomputed from scratch at each node: one sort of packed residual/rank
+    keys per node, vectorized in chunks of nodes in the calling thread (see
+    _Grid and _chunk_rows).  Repeated (price, quantity) rows are grouped
     once per call and stay on the packed sort, one key per group; at each
     node a group's members are placed in the order `xi` gives them, by
     uniforms drawn with the seed child_seed(rng_seed, node index), then by
     observation index.  A node where two different rows' keys collide is
     redone alone by `xicor.jump_sum`, the one function that owns this tie
     order and the one `xi` calls.  So every value equals `xi` bit for bit
-    and does not depend on the chunking, the blocks or the CPU count.  Raises
-    InvalidSample, before any block runs, when theta / quantity overflows
-    at the largest |theta|.
+    and does not depend on the chunking or on which nodes are evaluated.
+    Raises InvalidSample, before any node is evaluated, when theta /
+    quantity overflows at the largest |theta|.
     """
-    ranks, scale = response_rank_scale(z)
-    # Ranks, key labels (< 2n) and rank jumps fit in 32 bits (n < 2**30),
-    # which halves the traffic of the passes over them.
-    ranks = ranks.astype(np.int32)
-    inv_y = 1.0 / quantity
-    theta_top = float(np.abs(thetas).max(initial=0.0))
-    if not math.isfinite(theta_top * float(inv_y.max())):
-        raise InvalidSample(
-            f"a quantity is so small that theta / quantity overflows at theta {theta_top:g}"
-        )
-    total = thetas.shape[0]
-    stats = np.empty(total)
-    chunks = max(1, -(-total // _CHUNK))
-    per_block = -(-chunks // min(_cpu_count(), chunks)) * _CHUNK
-    blocks = [(lo, min(lo + per_block, total)) for lo in range(0, total, per_block)]
-    args = (price, inv_y, thetas, ranks, scale, rng_seed, _row_groups(price, quantity, ranks))
-    if len(blocks) < 2:
-        for lo, hi in blocks:
-            _fill_block(stats, lo, hi, *args)
-        return stats
-    # Imported here, not at the top: concurrent.futures adds ~7 % to the
-    # package's import time, which a command that runs no grid would pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        futures = [pool.submit(_fill_block, stats, lo, hi, *args) for lo, hi in blocks]
-        for future in futures:
-            future.result()
-    return stats
+    grid = _Grid(price, quantity, z, thetas, rng_seed)
+    grid.fill(0, thetas.shape[0])
+    return grid.stats
 
 
 def cs_xi(
@@ -485,6 +469,39 @@ def cs_xi(
         source="XI",
     )
     return interval, profile
+
+
+def xi_hull(sample: GoodSample, alpha: float, grid: GridSpec, rng_seed: int) -> Interval:
+    """cs_xi's interval, bit for bit, without the nodes inside the hull.
+
+    The grid is evaluated one chunk at a time upward from its first node
+    until a chunk holds an accepted node, then downward from its last node
+    over the nodes not yet evaluated, again until one is accepted; with no
+    accepted node every node is evaluated and the interval is empty.  A
+    node's value does not depend on which others are evaluated, so the
+    first and last accepted nodes are those of the full profile.
+    """
+    c = critical_value(alpha)
+    thetas = grid.values()
+    evaluator = _Grid(sample.price, sample.quantity, _effective_instrument(sample), thetas, rng_seed)
+    total, step = thetas.shape[0], evaluator.rows
+
+    def first_hits(chunks):
+        # the accepted nodes of the first chunk, in the order given, that holds one
+        for lo, hi in chunks:
+            evaluator.fill(lo, hi)
+            hits = lo + np.flatnonzero(evaluator.stats[lo:hi] <= c)
+            if hits.size:
+                return hits
+        return None
+
+    low = first_hits((lo, min(lo + step, total)) for lo in range(0, total, step))
+    if low is None:
+        return Interval.make_empty(1.0 - alpha, "XI")
+    done = min(low[0] - low[0] % step + step, total)
+    high = first_hits((max(done, hi - step), hi) for hi in range(total, done, -step))
+    last = (low if high is None else high)[-1]
+    return Interval(float(thetas[low[0]]), float(thetas[last]), 1.0 - alpha, "XI")
 
 
 def intersect(a: Interval, b: Interval) -> Interval:
@@ -558,7 +575,7 @@ def cs_combined(
             return Interval.make_empty(1.0 - alpha_share, "INTERSECT"), None
         xi_part = Interval(lo, lo, 1.0 - half, "XI")
     else:
-        xi_part, _ = cs_xi(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed)
+        xi_part = xi_hull(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed)
     return intersect(xi_part, ls), None
 
 

@@ -2,8 +2,11 @@
 
 All randomness flows through counter-based Philox streams keyed by a spawn
 path (purpose, replication, good), so replication r of good k reads the same
-numbers no matter how many other streams ran before it; parallel and serial
-executions agree bit for bit.
+numbers no matter how many other streams ran before it.  A study's
+(sample size, replication, good) units therefore run on one forked worker
+process per CPU in the affinity mask, each unit single-threaded, and the
+parent sums their results in a fixed order: parallel and serial executions
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confset import GridSpec, child_seed, cs_xi
+from ._fanout import fan_out
+from .confset import GridSpec, child_seed, xi_hull
 from .regress import GoodSample, Interval
 from .welfare import (
     POSITIVITY_FLOOR,
@@ -75,29 +79,24 @@ class DgpConfig:
         return self.theta.shape[0]
 
 
+def _draw_good(config: DgpConfig, rep: int, k: int) -> GoodSample:
+    """Good k's draw of replication rep; price - theta/quantity equals the shock."""
+    rng = substream(config.seed, _DRAW, rep, k)
+    if config.endogeneity is None:
+        price = rng.uniform(1.0, 2.0, config.n)
+        shock = rng.uniform(0.0, 1.0, config.n)
+        z = price.copy()
+    else:
+        z = rng.uniform(1.0, 1.5, config.n)
+        shock = rng.uniform(0.0, 1.0, config.n)
+        price = z + config.endogeneity * shock + rng.uniform(0.0, 0.1, config.n)
+    quantity = config.theta[k] / (price - shock)
+    return GoodSample(price=price, quantity=quantity, instrument=z, good_id=f"good{k + 1}")
+
+
 def draw_sample(config: DgpConfig, rep: int = 0) -> list[GoodSample]:
     """One synthetic draw per good; price - theta/quantity equals the shock."""
-    samples = []
-    for k in range(config.K):
-        rng = substream(config.seed, _DRAW, rep, k)
-        if config.endogeneity is None:
-            price = rng.uniform(1.0, 2.0, config.n)
-            shock = rng.uniform(0.0, 1.0, config.n)
-            z = price.copy()
-        else:
-            z = rng.uniform(1.0, 1.5, config.n)
-            shock = rng.uniform(0.0, 1.0, config.n)
-            price = z + config.endogeneity * shock + rng.uniform(0.0, 0.1, config.n)
-        quantity = config.theta[k] / (price - shock)
-        samples.append(
-            GoodSample(
-                price=price,
-                quantity=quantity,
-                instrument=z,
-                good_id=f"good{k + 1}",
-            )
-        )
-    return samples
+    return [_draw_good(config, rep, k) for k in range(config.K)]
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,11 @@ class WelfareSummary:
 class McReport:
     """Monte Carlo study output: interval and welfare averages plus timings.
 
-    `timings` holds the process's CPU seconds per stage (time.process_time,
-    summed over its threads), which other processes' load barely moves, and
-    is excluded from file output so identical seeds give byte-identical
-    files.
+    `timings` holds CPU seconds per stage (time.process_time), which other
+    processes' load barely moves: ci_n<n> sums the seconds each unit spent
+    in its interval, in whichever worker ran it, and welfare_n<n> is the
+    parent's.  Timings are excluded from file output so identical seeds give
+    byte-identical files.
     """
 
     reps: int
@@ -170,19 +170,34 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+def _interval_unit(unit) -> tuple[Interval, float]:
+    """Good k's interval in replication r at sample size n, and its CPU seconds.
+
+    Runs in a fan_out worker; the draw is left out of the seconds.
+    """
+    theta, n, seed, r, k, grid, share = unit
+    sample = _draw_good(DgpConfig(theta=theta, n=n, seed=seed), r, k)
+    t0 = time.process_time()
+    iv = xi_hull(sample, share, grid, child_seed(seed, _CS, r, k))
+    return iv, time.process_time() - t0
+
+
 def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare) -> McReport:
     """Per-good interval summaries over `reps` draws at each sample size.
 
     Good k of replication r inverts the rank statistic at level 1 - share
-    over a grid on [1e-6, 1] with seed (seed, _CS, r, k).  The replications
-    whose K intervals are all nonempty go, in order, to welfare(n, boxes),
-    which returns that n's welfare rows and skip counts.
+    over a grid on [1e-6, 1] with seed (seed, _CS, r, k).  Every (n, r, k)
+    is one fan_out unit; the parent sums their intervals in (n, r, k)
+    order.  The replications whose K intervals are all nonempty go, in
+    order, to welfare(n, boxes), which returns that n's welfare rows and
+    skip counts.
     """
     K = theta.shape[0]
     grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
     report = McReport(reps, [], [], {}, {}, true_welfare_loss=true_wl)
+    units = [(theta, n, seed, r, k, grid, share) for n in n_values for r in range(reps) for k in range(K)]
+    results = iter(fan_out(_interval_unit, units))
     for n in n_values:
-        cfg = DgpConfig(theta=theta, n=n, seed=seed)
         sums = np.zeros((K, 4))
         covers = np.zeros(K)
         counts = np.zeros(K, dtype=int)
@@ -191,11 +206,10 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
         boxes = []
         t_ci = 0.0
         for r in range(reps):
-            samples = draw_sample(cfg, rep=r)
-            t0 = time.process_time()
             ivs = []
-            for k, s in enumerate(samples):
-                iv, _ = cs_xi(s, share, grid, child_seed(seed, _CS, r, k))
+            for k in range(K):
+                iv, seconds = next(results)
+                t_ci += seconds
                 ivs.append(iv)
                 if iv.empty:
                     empties[k] += 1
@@ -203,7 +217,6 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
                 sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
                 covers[k] += iv.contains(theta[k])
                 counts[k] += 1
-            t_ci += time.process_time() - t0
             joint += all(iv.contains(theta[k]) for k, iv in enumerate(ivs))
             if not any(iv.empty for iv in ivs):
                 boxes.append(tuple(ivs))

@@ -870,12 +870,14 @@ def test_wide_query_row_with_missing_cell(tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # numpy is the only runtime dependency: no scipy module at all; and the
-    # import starts no thread (the grid's thread pool lives inside a call)
+    # numpy is the only runtime dependency: no scipy module at all; the
+    # import starts no thread, and the process pool's modules are imported
+    # only by a call that fans work out over more than one worker
     src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, threading, welfarebounds, welfarebounds.cli;"
-             " print(sorted(m for m in sys.modules if m.startswith('scipy')), threading.active_count())")
+             " print(sorted(m for m in sys.modules if m.split('.')[0] in"
+             " ('scipy', 'multiprocessing', 'concurrent')), threading.active_count())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[] 1"

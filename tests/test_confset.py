@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 from unittest import mock
 
@@ -299,6 +301,17 @@ def test_profile_invariant_under_increasing_map_of_instrument(seed, n, duplicate
     assert repr(iv) == repr(iv2)
 
 
+# Nodes per chunk: a few small sizes, and None for confset's own size
+CHUNKS = st.sampled_from([1, 2, 5, None])
+
+
+def _chunked(chunk):
+    """confset's grids evaluated `chunk` nodes at a time (None: unchanged)."""
+    if chunk is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(confset, "_chunk_rows", lambda width, grouped: chunk)
+
+
 def _coarse_uniforms(rng_seed, n):
     # three values only, so equal uniforms fall back to the observation index
     return np.floor(np.random.default_rng(rng_seed).random(n) * 3.0) / 3.0
@@ -334,31 +347,30 @@ def test_tie_uniform_rows_match_tie_uniforms(seed, first, count, n):
     integer_valued=st.booleans(),
     copies=st.integers(0, 3),
     tied_instrument=st.booleans(),
-    # 1 to 4 nodes: fewer than the workers; up to 700: several 128-node
-    # chunks per block, the last one partial
+    # 1 to 4 nodes: fewer than a default chunk; up to 700: several
+    # chunks, the last one partial
     nodes=st.one_of(st.integers(1, 4), st.integers(5, 700)),
     coarse=st.booleans(),
-    # 5 is more threads than most test machines have cores
-    workers=st.sampled_from([1, 2, 5]),
+    chunk=CHUNKS,
 )
 @example(seed=3, n=20, integer_valued=False, copies=2, tied_instrument=False,
-         nodes=1, coarse=False, workers=5)
+         nodes=1, coarse=False, chunk=5)
 @example(seed=4, n=12, integer_valued=True, copies=1, tied_instrument=True,
-         nodes=641, coarse=True, workers=5)
+         nodes=641, coarse=True, chunk=5)
 @example(seed=5, n=30, integer_valued=False, copies=3, tied_instrument=False,
-         nodes=300, coarse=False, workers=2)
+         nodes=300, coarse=False, chunk=2)
 # groups of sizes 2 to 4 in one sample; integer prices and quantities make
 # different groups tie at some nodes, and the instrument has ties
 @example(seed=6, n=40, integer_valued=True, copies=3, tied_instrument=True,
-         nodes=200, coarse=False, workers=2)
+         nodes=200, coarse=False, chunk=2)
 @example(seed=7, n=40, integer_valued=False, copies=3, tied_instrument=True,
-         nodes=130, coarse=True, workers=1)
+         nodes=130, coarse=True, chunk=1)
 def test_profile_equals_xi_at_every_node(
-    seed, n, integer_valued, copies, tied_instrument, nodes, coarse, workers
+    seed, n, integer_valued, copies, tied_instrument, nodes, coarse, chunk
 ):
     # the reference is xi at each node with the seed of (seed, node index):
     # residual ties are broken by that node's uniforms, then by index, so the
-    # worker count (one block of nodes per CPU) changes no bit
+    # chunk size changes no bit
     rng = np.random.default_rng(seed)
     if integer_valued:
         # exact arithmetic: residuals tie at some nodes and not at others
@@ -387,7 +399,7 @@ def test_profile_equals_xi_at_every_node(
     with (
         mock.patch.object(xicor, "tie_uniforms", uniforms),
         mock.patch.object(confset, "_tie_uniform_rows", uniform_rows),
-        mock.patch.object(confset, "_cpu_count", lambda: workers),
+        _chunked(chunk),
     ):
         stats = profile_stats(price, quantity, z, thetas, seed)
         inv_y = 1.0 / quantity
@@ -423,16 +435,16 @@ def _profile_and_redone_nodes(price, quantity, z, thetas, seed):
     # power-of-two price scale: subnormal residuals, and exponents near the top
     exponent=st.sampled_from([0, -1060, 1000]),
     nodes=st.integers(1, 300),
-    workers=st.sampled_from([1, 2, 5]),
+    chunk=CHUNKS,
 )
 @example(seed=1, k=3, offset=0, near=2, same_price=False, duplicates=False,
-         exponent=0, nodes=260, workers=5)
+         exponent=0, nodes=260, chunk=5)
 @example(seed=2, k=4, offset=-1, near=1, same_price=True, duplicates=False,
-         exponent=-1060, nodes=129, workers=2)
+         exponent=-1060, nodes=129, chunk=2)
 @example(seed=3, k=5, offset=1, near=2, same_price=False, duplicates=True,
-         exponent=0, nodes=200, workers=2)
+         exponent=0, nodes=200, chunk=2)
 def test_profile_equals_xi_where_residuals_nearly_tie(
-    seed, k, offset, near, same_price, duplicates, exponent, nodes, workers
+    seed, k, offset, near, same_price, duplicates, exponent, nodes, chunk
 ):
     # Row pairs one ulp apart in price with equal quantity leave residuals
     # that differ only in their lowest bits (or round to a tie) at every
@@ -459,7 +471,7 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
     assert price.size == n
     z = rng.uniform(0.0, 1.0, n)
     thetas = np.linspace(0.0, 1.5 * float(np.max(price * quantity)), nodes)
-    with mock.patch.object(confset, "_cpu_count", lambda: workers):
+    with _chunked(chunk):
         stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
     inv_y = 1.0 / quantity
     for j, theta in enumerate(thetas):
@@ -489,22 +501,113 @@ def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
         assert stats[j] == math.sqrt(price.size) * ref
 
 
-@pytest.mark.parametrize("workers", [1, 2, 5])
-def test_profile_equals_xi_where_many_nodes_collide_across_chunks(workers):
+@pytest.mark.parametrize("chunk", [1, 2, 5, None])
+def test_profile_equals_xi_where_many_nodes_collide_across_chunks(chunk):
     # Lattice data, as in scanner files: cent prices and whole quantities.
     # On a grid of step 0.002 from 0, different rows' residuals tie exactly
-    # at many nodes, spread over several 128-node chunks and so over the
-    # blocks of several workers.
+    # at many nodes, spread over several chunks.
     rng = np.random.default_rng(8)
     n, seed = 600, 12
     price = rng.integers(100, 300, n) / 100.0
     quantity = rng.integers(1, 6, n).astype(float)
     z = rng.uniform(0.0, 1.0, n)
     thetas = np.arange(1001) * 0.002
-    with mock.patch.object(confset, "_cpu_count", lambda: workers):
+    # 600 draws of 1000 (price, quantity) pairs repeat some rows
+    rows = chunk or confset._chunk_rows(n, grouped=True)
+    with _chunked(chunk):
         stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
-    assert len({node // confset._CHUNK for node in redone}) > 1
+    assert len({node // rows for node in redone}) > 1
     inv_y = 1.0 / quantity
     for j, theta in enumerate(thetas):
         ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
         assert stats[j] == math.sqrt(n) * ref
+
+
+def _same_interval(a, b) -> bool:
+    # equal fields, NaN endpoints of empty intervals included
+    return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 60),
+    # smooth: no ties; repeated: duplicate rows, grouped at every node;
+    # lattice: cent prices and whole quantities on a 0.002 grid from 0,
+    # where different rows' residuals tie at some nodes
+    kind=st.sampled_from(["smooth", "repeated", "lattice"]),
+    nodes=st.one_of(st.just(2), st.integers(3, 300)),
+    # index of the critical value among the profile's distinct values; -1
+    # puts it below all of them (an empty set), 0 accepts the minimum alone
+    level=st.one_of(st.just(-1), st.just(0), st.integers(1, 10**6)),
+    chunk=st.sampled_from([1, 3, None]),
+)
+@example(seed=1, n=30, kind="lattice", nodes=2, level=0, chunk=None)
+@example(seed=2, n=40, kind="repeated", nodes=200, level=-1, chunk=3)
+@example(seed=3, n=50, kind="lattice", nodes=300, level=5, chunk=1)
+def test_xi_hull_equals_the_hull_of_the_profile(seed, n, kind, nodes, level, chunk):
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        price = rng.integers(100, 300, n) / 100.0
+        quantity = rng.integers(1, 6, n).astype(float)
+        grid = GridSpec(0.0, 0.002 * (nodes - 1), nodes)
+    else:
+        price = rng.uniform(1.0, 2.0, n)
+        quantity = rng.uniform(0.5, 2.0, n)
+        if kind == "repeated":
+            rows = rng.integers(0, n, max(1, n // 3))
+            price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
+        grid = GridSpec(0.0, 3.0, nodes)
+    sample = GoodSample(price, quantity, rng.uniform(0.0, 1.0, price.size))
+    with _chunked(chunk):
+        _, profile = cs_xi(sample, 0.05, grid, seed)
+        values = np.unique(profile.stats)
+        c = np.nextafter(values[0], -np.inf) if level < 0 else values[level % values.size]
+        with mock.patch.object(confset, "critical_value", lambda alpha: c):
+            ref, _ = cs_xi(sample, 0.05, grid, seed)
+            hull = confset.xi_hull(sample, 0.05, grid, seed)
+    assert _same_interval(hull, ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted=st.lists(st.booleans(), min_size=2, max_size=40), chunk=st.sampled_from([1, 3, 16]))
+@example(accepted=[False] * 10, chunk=3)
+@example(accepted=[True] + [False] * 9, chunk=3)
+@example(accepted=[False] * 9 + [True], chunk=3)
+@example(accepted=[True, False], chunk=1)
+@example(accepted=[False, True], chunk=16)
+# both ends stop inside one chunk, and the upper scan reaches the lower one's
+@example(accepted=[False] * 4 + [True, False, True] + [False] * 3, chunk=16)
+@example(accepted=[False] * 5 + [True] + [False] * 4, chunk=3)
+def test_xi_hull_scans_inward_from_both_ends(accepted, chunk):
+    # A stand-in grid whose node j reads 0 (accepted) or 10 (rejected) and
+    # records the nodes evaluated: xi_hull gives cs_xi's interval, evaluates
+    # no node twice and every node outside the hull, and stops each end in
+    # the chunk of its first accepted node.
+    evaluated = []
+    stats_of = np.where(accepted, 0.0, 10.0)
+
+    class Scripted:
+        def __init__(self, price, quantity, z, thetas, rng_seed):
+            self.stats, self.rows = np.full(thetas.size, np.nan), chunk
+
+        def fill(self, start, stop):
+            evaluated.extend(range(start, stop))
+            self.stats[start:stop] = stats_of[start:stop]
+
+    rng = np.random.default_rng(0)
+    sample = GoodSample(rng.uniform(1.0, 2.0, 5), rng.uniform(0.5, 2.0, 5), rng.uniform(0.0, 1.0, 5))
+    grid = GridSpec(0.0, 1.0, len(accepted))
+    with mock.patch.object(confset, "_Grid", Scripted):
+        ref, _ = cs_xi(sample, 0.05, grid, 0)
+        evaluated.clear()
+        hull = confset.xi_hull(sample, 0.05, grid, 0)
+    assert _same_interval(hull, ref)
+    assert len(evaluated) == len(set(evaluated))
+    hits = np.flatnonzero(accepted)
+    if not hits.size:
+        assert sorted(evaluated) == list(range(len(accepted)))
+        return
+    first, last = hits[0], hits[-1]
+    assert set(range(first + 1)) | set(range(last, len(accepted))) <= set(evaluated)
+    assert sum(first < j < last for j in evaluated) <= 2 * (chunk - 1)
