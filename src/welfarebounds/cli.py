@@ -14,6 +14,11 @@ files are plain CSV with one leading '#' comment line naming units and
 levels; given the same config and seed they are byte-identical across runs.
 Each profile file's name percent-encodes `%`, `/`, `\\` and NUL in the good
 id.  Theta's lower edge is the constant welfare.POSITIVITY_FLOOR; no flag sets it.
+
+A command loads only the layers it runs: this module imports the readers'
+and the welfare solvers' modules, and the functions that run a grid, a
+Monte Carlo study or the process pool import confset, xicor, simulate and
+_fanout themselves, so `welfare --intervals` loads none of them.
 """
 
 from __future__ import annotations
@@ -26,17 +31,6 @@ import sys
 
 import numpy as np
 
-from ._fanout import fan_out
-from .confset import (
-    DEFAULT_GRID_HI,
-    GridSpec,
-    bonferroni_share,
-    child_seed,
-    cs_combined,
-    shape_diagnostic,
-    smooth_instrument,
-    xi_hull,
-)
 from .errors import (
     ConfigError,
     DataError,
@@ -48,14 +42,16 @@ from .errors import (
     WelfareBoundsError,
 )
 from .regress import GoodSample, Interval
-from .simulate import MC_ALPHA, DgpConfig, draw_sample, mc_table1, mc_table2
 from .welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery, bounds_box
-from .xicor import critical_value
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+# Default cap of the xi-only search space when no least-squares interval
+# bounds it; the default of --grid-hi.
+DEFAULT_GRID_HI = 6.0
 
 # Spawn-path purpose codes for CLI-derived seeds (disjoint from simulate's).
 _SEED_CS = 9
@@ -440,6 +436,8 @@ def _load_samples(cfg: argparse.Namespace, flag: str = "--data") -> list[GoodSam
             raise ConfigError("--jitter requires --seed for reproducible noise")
         if any(s.instrument is None for s in samples):
             raise ConfigError("--jitter requires an instrument column")
+        from .confset import child_seed, smooth_instrument
+
         samples = [
             GoodSample(
                 s.price,
@@ -486,6 +484,8 @@ def _interval_unit(unit):
     other error the command ends with is returned, not raised, so that the
     parent raises it after the stderr lines of the goods before it.
     """
+    from .confset import cs_combined, xi_hull
+
     sample, share, mode, grid, seed, ls, keep_profile = unit
     try:
         if mode == "xi" and not keep_profile:
@@ -508,6 +508,9 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, k
     that fits least squares with --ls tsls needs an instrument for every
     good, else SchemaError before any work.
     """
+    from ._fanout import fan_out
+    from .confset import GridSpec, bonferroni_share, child_seed
+
     needs_ls = any(m != "xi" for m in modes)
     if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
         raise SchemaError("column 'instrument' is required for TSLS")
@@ -612,6 +615,8 @@ def _parse_theta(text: str) -> np.ndarray:
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     """Write one synthetic draw as an ingestible CSV."""
+    from .simulate import DgpConfig, draw_sample
+
     seed = _require(cfg.seed, "--seed")
     config = DgpConfig(
         theta=_parse_theta(cfg.theta), n=cfg.n, seed=seed, endogeneity=cfg.endogeneity
@@ -629,6 +634,8 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 def cmd_mc(cfg: argparse.Namespace) -> int:
     """Run a Monte Carlo study and write its report tables."""
+    from .simulate import MC_ALPHA, mc_table1, mc_table2
+
     seed = _require(cfg.seed, "--seed")
     if cfg.table == 1:
         report = mc_table1(cfg.reps, seed)
@@ -667,6 +674,9 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
 
     A FAILED:<ErrorName> row still carries the critical value (alpha alone sets it).
     """
+    from .confset import child_seed, shape_diagnostic
+    from .xicor import critical_value
+
     samples = _load_samples(cfg)
     seed = cfg.seed if cfg.seed is not None else 0
     critical = critical_value(cfg.alpha)

@@ -45,10 +45,6 @@ from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_de
 from .welfare import POSITIVITY_FLOOR
 from .xicor import PairedSample, critical_value, jump_sum, response_rank_scale, xi
 
-# Default cap of the xi-only search space when no least-squares interval
-# bounds it; a config value, not a structural constant.
-DEFAULT_GRID_HI = 6.0
-
 CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
 CASE_CONTAINS_ZERO = "CONTAINS_ZERO"
@@ -348,11 +344,15 @@ class _Grid:
     the keys is their residuals' order only because no residual is -0.0:
     price > 0, and x - x is +0.
 
-    Raises InvalidSample when theta / quantity overflows at the largest
-    |theta|, before any node is evaluated.
+    Before any node is evaluated, raises InvalidSample when theta / quantity
+    overflows at the largest |theta|, and rejects a seed as `xi` does:
+    numpy.random.SeedSequence raises ValueError for a negative seed and
+    TypeError for a float.  The nodes would not: a tie-free node draws no
+    uniforms, and the repeated-row path hashes the seed by hand.
     """
 
     def __init__(self, price, quantity, z, thetas, rng_seed):
+        np.random.SeedSequence(rng_seed)
         ranks, self.scale = response_rank_scale(z)
         # Ranks, key labels (< 2n) and rank jumps fit in 32 bits (n < 2**30),
         # which halves the traffic of the passes over them.
@@ -434,7 +434,8 @@ def profile_stats(
     order and the one `xi` calls.  So every value equals `xi` bit for bit
     and does not depend on the chunking or on which nodes are evaluated.
     Raises InvalidSample, before any node is evaluated, when theta /
-    quantity overflows at the largest |theta|.
+    quantity overflows at the largest |theta|, and rejects the seeds that
+    `xi` rejects (see _Grid).
     """
     grid = _Grid(price, quantity, z, thetas, rng_seed)
     grid.fill(0, thetas.shape[0])

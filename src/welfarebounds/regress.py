@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -192,6 +191,7 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
     except OverflowError:
         # beta^2 overflows for a slope above ~1.3e154; divide by beta twice
         se_theta = fit.se_beta / fit.beta_hat / fit.beta_hat
+    from statistics import NormalDist
     z = NormalDist().inv_cdf(p)
     lower = max(0.0, theta - z * se_theta)
     upper = theta + z * se_theta

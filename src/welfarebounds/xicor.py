@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -131,4 +130,5 @@ def critical_value(alpha: float) -> float:
     p = 1.0 - alpha
     if not 0.0 < p < 1.0:
         raise InvalidLevel(f"alpha must leave 1 - alpha strictly inside (0, 1), got {alpha}")
+    from statistics import NormalDist
     return math.sqrt(NULL_VARIANCE) * NormalDist().inv_cdf(p)

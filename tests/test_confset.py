@@ -523,6 +523,47 @@ def test_profile_equals_xi_where_many_nodes_collide_across_chunks(chunk):
         assert stats[j] == math.sqrt(n) * ref
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 7, 2**40])
+def test_every_grid_entry_takes_the_seeds_xi_takes(seed):
+    # Tie-free rows draw no uniforms, repeated rows hash the seed by hand,
+    # and lattice rows (cent prices, whole quantities) collide at theta = 0.
+    # Each grid raises what xi raises for the seed, before any node is
+    # evaluated, or equals xi at every node.
+    rng = np.random.default_rng(5)
+    quantity = rng.uniform(0.5, 2.0, 50)
+    price = 1.0 + 0.3 / quantity + rng.uniform(0.0, 0.1, 50)
+    rows = np.arange(10)
+    lattice_q = rng.integers(1, 6, 60).astype(float)
+    samples = [
+        (price, quantity),
+        (np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])),
+        (np.round(100.0 + 30.0 / lattice_q + rng.integers(0, 5, 60)) / 100.0, lattice_q),
+    ]
+    grid = GridSpec(0.0, 1.0, 5)
+    for p, q in samples:
+        sample = GoodSample(p, q, 1.0 / q + rng.uniform(0.0, 0.2, p.size))
+        entries = [
+            lambda: profile_stats(sample.price, sample.quantity, sample.instrument, grid.values(), seed),
+            lambda: cs_xi(sample, 0.05, grid, seed),
+            lambda: confset.xi_hull(sample, 0.05, grid, seed),
+            lambda: cs_combined(sample, 0.05, "xi", grid, seed),
+            lambda: cs_combined(sample, 0.05, "intersect", grid, seed),
+        ]
+        try:
+            xi(PairedSample(sample.price, sample.instrument), seed)
+        except (TypeError, ValueError) as exc:
+            # with jump_sum None, a node redone before the check raises another message
+            for entry in entries:
+                with mock.patch.object(confset, "jump_sum", None), pytest.raises(type(exc)) as err:
+                    entry()
+                assert str(err.value) == str(exc)
+            continue
+        stats = entries[0]()
+        for j, theta in enumerate(grid.values()):
+            residual = PairedSample(sample.price - theta * (1.0 / sample.quantity), sample.instrument)
+            assert stats[j] == math.sqrt(sample.n) * xi(residual, child_seed(seed, j))
+
+
 def _same_interval(a, b) -> bool:
     # equal fields, NaN endpoints of empty intervals included
     return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
