@@ -11,19 +11,19 @@ The grid nodes are independent: `profile_stats` evaluates them in the
 calling thread, chunk by chunk in buffers allocated once per grid, and
 `xi_hull` evaluates chunks from both ends of the grid only until each end
 reaches an accepted node.  A node sorts packed keys: the residual with its
-low mantissa bits replaced by a label, the observation's instrument rank, so
-one float sort yields the rank sequence without an argsort and two gathers.
-Residuals are finite and never -0.0 (price > 0, and x - x is +0), so keys
-whose high parts differ sort in their residuals' order.  Repeated (price,
-quantity) rows, common in scanner data, tie at every node: they are found
-once per call, each group of them enters the sort as one key with its own
-label, and at each node its members are put in the tie order of
-`xicor.jump_sum`, by uniforms seeded from the spawn path (seed, node index)
-and then by observation index.  A node where two adjacent sorted keys share a
-high part (a tie between different rows, or residuals a few ulps apart) is
-redone alone by `xicor.jump_sum` itself, which owns that tie order and which
-`xi` calls.  Every profile value therefore equals `xi` at that node, whatever
-the chunking or the order in which nodes are evaluated.  Goods and
+low mantissa bits replaced by a label that names the observation, so one
+float sort yields the rank sequence without an argsort.  Residuals are
+finite and never -0.0 (price > 0, and x - x is +0), so keys whose high parts
+differ sort in their residuals' order.  Residual ties (repeated rows, common
+in scanner data, tie at every node; discrete prices and quantities tie at
+some) are broken at every node by one tie order per good, the one `xi`
+draws from the same seed: by the seed's `xicor.tie_uniforms`, then by
+observation index.  Each node is its own test, so each needs a uniform tie
+order, but not one drawn independently of the other nodes.  Exact ties sort
+in that order inside the packed sort, and a run of keys that share a high
+part is re-sorted by exact residual where it is out of order (see _Grid).
+Every profile value therefore equals `xi` at that node with the good's seed,
+whatever the chunking or the order in which nodes are evaluated.  Goods and
 replications, not nodes, are what the CLI and the Monte Carlo studies spread
 over processes.
 
@@ -43,20 +43,13 @@ import numpy as np
 from .errors import InvalidGrid, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
-from .xicor import PairedSample, critical_value, jump_sum, response_rank_scale, xi
+from . import xicor
+from .xicor import PairedSample, critical_value, response_rank_scale, xi
 
 CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
 CASE_CONTAINS_ZERO = "CONTAINS_ZERO"
 CASE_WHOLE_SPACE = "WHOLE_SPACE"
-
-# numpy.random.SeedSequence's hash constants, and PCG64's multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -127,150 +120,26 @@ def child_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _seed_state(entropy: list, n_words: int) -> list:
-    """numpy.random.SeedSequence(entropy).generate_state(n_words), for many sequences at once.
-
-    entropy lists the uint32 entropy words, each an array with one entry
-    per sequence; returns n_words such arrays.  This is SeedSequence's
-    hash (pool of 4 words, O'Neill's seed_seq_fe) in uint32 array
-    arithmetic, which wraps as the original does.
-    """
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-        return value ^ (value >> np.uint32(16))
-
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = _INIT_B, []
-    for i in range(n_words):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        state.append(value ^ (value >> np.uint32(16)))
-    return state
-
-
-def _tie_uniform_rows(rng_seed: int, nodes, columns: np.ndarray, n: int) -> np.ndarray:
-    """Row r is xicor.tie_uniforms(child_seed(rng_seed, nodes[r]), n)[columns], bit for bit.
-
-    Both seed hashes run for all nodes at once (_seed_state), where a call
-    of child_seed and default_rng per node would build two SeedSequences;
-    one PCG64 then takes, node by node, the state default_rng(child seed)
-    would give it, and draws the node's n uniforms.
-    """
-    # the seed's 32-bit words, low first, padded to the pool size as
-    # SeedSequence pads them before a spawn key
-    seed = int(rng_seed)
-    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    entropy = [np.full(len(nodes), w, dtype=np.uint32) for w in words]
-    (child,) = _seed_state(entropy + [np.asarray(nodes, dtype=np.uint32)], 1)
-    # default_rng(child) seeds PCG64 with 4 little-endian uint64 words: the
-    # initial state (high, low) and the stream (high, low)
-    w = [x.astype(np.uint64) for x in _seed_state([child], 8)]
-    state_hi, state_lo, seq_hi, seq_lo = (
-        (w[2 * k] | w[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)
-    )
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    draw, out = np.empty(n), np.empty((len(nodes), columns.size))
-    for r in range(len(nodes)):
-        inc = ((seq_hi[r] << 64 | seq_lo[r]) << 1 | 1) & _MASK128
-        state = ((inc + (state_hi[r] << 64 | state_lo[r])) * _PCG_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        gen.random(out=draw)
-        out[r] = draw[columns]
-    return out
-
-
 def _effective_instrument(sample: GoodSample) -> np.ndarray:
     # Exogenous-price designs pass price as its own instrument.
     return sample.instrument if sample.instrument is not None else sample.price
 
 
-@dataclass(frozen=True)
-class _RowGroups:
-    """Observations grouped by their (price, quantity) row, whose residuals tie at every node.
-
-    rep lists one observation per group, the groups of two or more rows
-    (the repeated ones) first; labels[g] is group g's label in the packed
-    keys: n + 1 + g for the repeated groups, the instrument rank (1..n) of
-    a lone row.  members lists the repeated groups' observations group by
-    group, each group in index order, and member_ranks their instrument
-    ranks; block[j] is the group of members[j] (as a float, the real part
-    of the tie-order key), first[g] and last[g] are the slots of group g's
-    first and last member, and inner[j] says slots j and j + 1 hold one
-    group.
-    """
-
-    rep: np.ndarray
-    labels: np.ndarray
-    members: np.ndarray
-    member_ranks: np.ndarray
-    block: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
-    inner: np.ndarray
-
-
-def _row_groups(price: np.ndarray, quantity: np.ndarray, ranks: np.ndarray) -> _RowGroups | None:
-    """The sample's repeated (price, quantity) rows as _RowGroups, or None when every row is distinct."""
-    order = np.lexsort((quantity, price))
-    p, q = price[order], quantity[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
-    if starts.all():
-        return None
-    group = np.cumsum(starts) - 1
-    size = np.bincount(group)
-    repeated = size > 1
-    # lexsort is stable, so each group's observations are in index order
-    members = order[repeated[group]]
-    heads = order[starts]
-    sizes = size[repeated]
-    last = np.cumsum(sizes) - 1
-    block = np.repeat(np.arange(sizes.size), sizes)
-    labels = np.concatenate([order.size + 1 + np.arange(sizes.size), ranks[heads[~repeated]]])
-    return _RowGroups(
-        rep=np.concatenate([heads[repeated], heads[~repeated]]),
-        labels=labels.astype(ranks.dtype),
-        members=members,
-        member_ranks=ranks[members],
-        block=block.astype(float),
-        first=last - sizes + 1,
-        last=last,
-        inner=block[1:] == block[:-1],
-    )
-
-
-def _chunk_rows(width: int, grouped: bool) -> int:
+def _chunk_rows(width: int) -> int:
     """Nodes per chunk of a grid whose rows of keys are `width` wide.
 
-    A tie-free chunk's five buffers take 25 bytes per key (float key, int64
-    high part, int32 label and jump, bool mask), and its rows are sized to
-    fit a 2 MiB per-core L2 cache, within [16, 128].  The repeated-row path,
-    which adds a per-node argsort of the groups' members, keeps 128.
+    A chunk's five buffers take 25 bytes per key (float key, int64 high
+    part, int32 label and jump, bool mask), and its rows are sized to fit a
+    2 MiB per-core L2 cache, within [16, 128].
     """
-    if grouped:
-        return 128
     return max(16, min(128, 2**21 // (25 * width)))
+
+
+def _repeats_a_row(price: np.ndarray, inv_y: np.ndarray) -> bool:
+    """True when two observations share (price, 1/quantity), so their residuals tie at every node."""
+    order = np.lexsort((inv_y, price))
+    p, u = price[order], inv_y[order]
+    return bool(np.any((p[1:] == p[:-1]) & (u[1:] == u[:-1])))
 
 
 def _residuals(price: np.ndarray, inv_y: np.ndarray, thetas: np.ndarray, out: np.ndarray) -> None:
@@ -286,131 +155,137 @@ def _jump_sums(seq: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     return jumps.sum(axis=1)
 
 
-def _grouped_jump_sums(
-    seq: np.ndarray, jumps: np.ndarray, groups: _RowGroups, nodes: range, rng_seed: int, n: int
-) -> np.ndarray:
-    """Rank-jump sums of the nodes whose group labels sort in the order `seq`.
-
-    seq[r] lists node nodes[r]'s group labels (see _RowGroups) in residual
-    order, no two groups tied there; jumps is one column narrower.  A
-    repeated group's members tie at every node and take `xi`'s tie order:
-    by the node's tie_uniforms (seed child_seed(rng_seed, node)), then by
-    index.  The sum is the jumps inside each repeated group plus the jumps
-    from each group's last member to the next group's first.  Overwrites
-    seq and jumps.
-    """
-    m, width = seq.shape
-    key = np.empty((m, groups.members.size), dtype=complex)
-    key.real = groups.block
-    key.imag = _tie_uniform_rows(rng_seed, nodes, groups.members, n)
-    # Complex values sort by real part (the group), then imaginary part (the
-    # uniform); a stable sort keeps equal uniforms in index order.
-    tied = groups.member_ranks[np.argsort(key, axis=1, kind="stable")]
-    inner = np.abs(np.diff(tied, axis=1))[:, groups.inner].sum(axis=1)
-    flat_seq, flat_jumps = seq.ravel(), jumps.ravel()
-    at = np.flatnonzero(seq > n)
-    row = at // width
-    g = flat_seq[at] - (n + 1)
-    first, last = tied[row, groups.first[g]], tied[row, groups.last[g]]
-    flat_seq[at] = first
-    np.subtract(seq[:, 1:], seq[:, :-1], out=jumps)
-    # the jump out of a repeated group leaves from its last member; jump p
-    # of row r is entry r * (width - 1) + p
-    out = at - row * width < width - 1
-    flat_jumps[(at - row)[out]] += (first - last)[out]
-    np.abs(jumps, out=jumps)
-    return jumps.sum(axis=1) + inner
-
-
 class _Grid:
-    """One grid's packed-key evaluation: the sample's ranks, labels and row
-    groups and the chunk buffers, made once; fill() evaluates a range of nodes.
+    """One grid's packed-key evaluation: the sample in label order, its tie
+    order and the chunk buffers, made once; fill() evaluates a range of nodes.
 
-    A row of keys holds one residual per observation, or with repeated rows
-    one per group of equal (price, quantity) rows, from its representative.
-    The low b mantissa bits of each residual (b = the largest label's bit
-    length) are overwritten, through an int64 view, with its label: the
-    instrument max-rank (1..n), or n + 1 + g for repeated group g; the rows
-    of keys are sorted in place as floats, and the labels read back as
-    key & (2**b - 1) are the rank sequence, which _grouped_jump_sums
-    completes with the repeated groups' members.
-    Keys whose high parts (key >> b) differ keep their residuals' order,
-    for either sign, and a key is never +-0 (its label is at least 1), so a
-    row is exact iff no two adjacent sorted keys share a high part.  A row
-    where two do (a tie between different rows, or residuals a few ulps
-    apart) is redone alone: its n residuals are recomputed with the same
-    two roundings and go through `xicor.jump_sum`, the tie order of `xi`,
-    with the node's seed child_seed(rng_seed, node).  The float order of
-    the keys is their residuals' order only because no residual is -0.0:
-    price > 0, and x - x is +0.
+    Every node breaks residual ties by the good's one tie order, drawn here:
+    an observation's tie rank is its position (1..n) when sorted by
+    xicor.tie_uniforms(rng_seed, n), then by index, as in `xi`.  Each
+    observation has a label (1..n) that names it: its instrument max-rank
+    when those are unique and no two rows tie at every node, else its tie
+    rank.  The sample is stored in label order, so label L is entry L - 1.
+
+    A row of keys holds one residual per observation.  The low b mantissa
+    bits of each residual (b = n's bit length) are overwritten, through an
+    int64 view, with its label; under tie-rank labels a negative residual
+    takes the complement 2**b - 1 - label, so exact ties sort by tie rank
+    for either sign.  The rows of keys are sorted in place as floats.  Keys
+    whose high parts (key >> b) differ keep their residuals' order, for
+    either sign, and no key is +0.0 (a positive key's label is at least 1),
+    so only runs of adjacent keys that share a high part can be out of
+    order: residuals a few ulps apart, or, under rank labels, exact ties.
+    _order_runs puts those runs in (residual, tie rank) order.  The labels
+    read back from the low bits, mapped to instrument ranks, are the rank
+    sequence.  The float order of the keys is their residuals' order only
+    because no residual is -0.0: price > 0, and x - x is +0.
 
     Before any node is evaluated, raises InvalidSample when theta / quantity
-    overflows at the largest |theta|, and rejects a seed as `xi` does:
-    numpy.random.SeedSequence raises ValueError for a negative seed and
-    TypeError for a float.  The nodes would not: a tie-free node draws no
-    uniforms, and the repeated-row path hashes the seed by hand.
+    overflows at the largest |theta|; drawing the tie order rejects a seed
+    as `xi` does.
     """
 
     def __init__(self, price, quantity, z, thetas, rng_seed):
-        np.random.SeedSequence(rng_seed)
         ranks, self.scale = response_rank_scale(z)
-        # Ranks, key labels (< 2n) and rank jumps fit in 32 bits (n < 2**30),
-        # which halves the traffic of the passes over them.
-        self.ranks = ranks.astype(np.int32)
-        self.inv_y = 1.0 / quantity
+        n = price.shape[0]
+        by_tie = np.argsort(xicor.tie_uniforms(rng_seed, n), kind="stable")
+        # Ranks, labels and rank jumps fit in 32 bits (n < 2**30), which
+        # halves the traffic of the passes over them.
+        ranks = ranks.astype(np.int32)
+        tie = np.empty(n, dtype=np.int32)
+        tie[by_tie] = np.arange(1, n + 1, dtype=np.int32)
+        inv_y = 1.0 / quantity
         theta_top = float(np.abs(thetas).max(initial=0.0))
-        if not math.isfinite(theta_top * float(self.inv_y.max())):
+        if not math.isfinite(theta_top * float(inv_y.max())):
             raise InvalidSample(
                 f"a quantity is so small that theta / quantity overflows at theta {theta_top:g}"
             )
-        self.price, self.thetas, self.rng_seed = price, thetas, rng_seed
-        self.groups = _row_groups(price, quantity, self.ranks)
-        if self.groups is None:
-            self.key_price, self.key_inv_y, self.labels = price, self.inv_y, self.ranks
-        else:
-            rep = self.groups.rep
-            self.key_price, self.key_inv_y, self.labels = price[rep], self.inv_y[rep], self.groups.labels
-        width = self.labels.size
-        self.bits = int(self.labels.max()).bit_length()
+        tied = np.bincount(ranks).max() > 1 or _repeats_a_row(price, inv_y)
+        members = by_tie if tied else np.argsort(ranks)
+        self.price, self.inv_y, self.tie = price[members], inv_y[members], tie[members]
+        # rank_of[L] is label L's instrument rank; None when labels are ranks
+        self.rank_of = np.concatenate(([0], ranks[members])).astype(np.int32) if tied else None
+        self.labels = np.arange(1, n + 1, dtype=np.int32)
+        self.thetas = thetas
+        self.bits = n.bit_length()
         self.stats = np.empty(thetas.shape[0])
-        self.rows = _chunk_rows(width, self.groups is not None)
+        self.rows = _chunk_rows(n)
         rows = min(self.rows, thetas.shape[0])
         # residuals (then keys), their high parts, labels in sorted order,
         # adjacent-equal mask, rank jumps; a chunk uses the leading rows
         self.buffers = (
-            np.empty((rows, width)),
-            np.empty((rows, width), dtype=np.int64),
-            np.empty((rows, width), dtype=self.ranks.dtype),
-            np.empty((rows, width - 1), dtype=bool),
-            np.empty((rows, width - 1), dtype=self.ranks.dtype),
+            np.empty((rows, n)),
+            np.empty((rows, n), dtype=np.int64),
+            np.empty((rows, n), dtype=np.int32),
+            np.empty((rows, n - 1), dtype=bool),
+            np.empty((rows, n - 1), dtype=np.int32),
         )
 
     def fill(self, start: int, stop: int) -> None:
         """Fill stats[start:stop], chunk by chunk in the grid's buffers."""
-        price, inv_y, thetas, ranks = self.price, self.inv_y, self.thetas, self.ranks
-        n, bits, scale, rng_seed = price.shape[0], self.bits, self.scale, self.rng_seed
+        thetas, bits, rank_of = self.thetas, self.bits, self.rank_of
         low = (1 << bits) - 1
-        root = math.sqrt(n)
+        root = math.sqrt(self.price.shape[0])
         for lo in range(start, stop, self.rows):
             m = min(self.rows, stop - lo)
             fm, high, seq, same, jumps = (b[:m] for b in self.buffers)
-            _residuals(self.key_price, self.key_inv_y, thetas[lo : lo + m], fm)
+            _residuals(self.price, self.inv_y, thetas[lo : lo + m], fm)
             keys = fm.view(np.int64)
             keys &= ~low
-            keys |= self.labels
+            if rank_of is None:
+                keys |= self.labels
+            else:
+                # label ^ low, the complement, where the sign bit is set
+                np.right_shift(keys, 63, out=high)
+                high &= low
+                high ^= self.labels
+                keys |= high
             fm.sort(axis=1)
+            if rank_of is None:
+                np.bitwise_and(keys, low, out=seq, casting="unsafe")
+            else:
+                np.right_shift(keys, 63, out=high)
+                high ^= keys
+                np.bitwise_and(high, low, out=seq, casting="unsafe")
             np.right_shift(keys, bits, out=high)
             np.equal(high[:, 1:], high[:, :-1], out=same)
-            redo = np.nonzero(same.any(axis=1))[0]
-            np.bitwise_and(keys, low, out=seq, casting="unsafe")
-            if self.groups is None:
-                sums = _jump_sums(seq, jumps)
-            else:
-                sums = _grouped_jump_sums(seq, jumps, self.groups, range(lo, lo + m), rng_seed, n)
-            self.stats[lo : lo + m] = root * (1.0 - sums * scale)
-            for node in (lo + redo).tolist():
-                residual = price - thetas[node] * inv_y
-                self.stats[node] = root * (1.0 - jump_sum(residual, ranks, child_seed(rng_seed, node)) * scale)
+            collided = np.flatnonzero(same.any(axis=1))
+            if collided.size:
+                self._order_runs(seq, same, collided, thetas[lo : lo + m])
+            sums = _jump_sums(seq if rank_of is None else rank_of[seq], jumps)
+            self.stats[lo : lo + m] = root * (1.0 - sums * self.scale)
+
+    def _order_runs(self, seq, same, rows, thetas) -> None:
+        """Put the labels in seq in (residual, tie rank) order where their keys collided.
+
+        seq[r] lists node thetas[r]'s labels in key order, same[r, p] says
+        keys p and p + 1 share a high part, and rows lists the rows where
+        some pair does.  Each such pair is tested with its residuals
+        recomputed by the grid's two roundings, and every run of keys that
+        share a high part and hold a pair out of order is re-sorted.
+        """
+        width = seq.shape[1]
+        flat = seq.reshape(-1)
+        r, p = np.nonzero(same[rows])
+        r = rows[r]
+        left = r * width + p
+        # pairs i - 1 and i are in one run when they share a key
+        run = np.cumsum(np.concatenate(([True], left[1:] != left[:-1] + 1)))
+        a, b = flat[left] - 1, flat[left + 1] - 1
+        ra = self.price[a] - thetas[r] * self.inv_y[a]
+        rb = self.price[b] - thetas[r] * self.inv_y[b]
+        wrong = (ra > rb) | ((ra == rb) & (self.tie[a] > self.tie[b]))
+        if not wrong.any():
+            return
+        bad = np.zeros(run[-1] + 1, dtype=bool)
+        bad[run[wrong]] = True
+        keep = bad[run]
+        left, run, a, b, ra, rb = (v[keep] for v in (left, run, a, b, ra, rb))
+        # a run's members: the left key of each pair, and the right key of its last
+        last = np.concatenate((run[1:] != run[:-1], [True]))
+        label = np.concatenate((a, b[last]))
+        order = np.lexsort((self.tie[label], np.concatenate((ra, rb[last])), np.concatenate((run, run[last]))))
+        flat[np.sort(np.concatenate((left, left[last] + 1)))] = label[order] + 1
 
 
 def profile_stats(
@@ -423,16 +298,13 @@ def profile_stats(
     """sqrt(n) * xi(price - theta/quantity, z) at every theta.
 
     price must be positive and finite, as GoodSample makes it.  Ranks are
-    recomputed from scratch at each node: one sort of packed residual/rank
+    recomputed from scratch at each node: one sort of packed residual/label
     keys per node, vectorized in chunks of nodes in the calling thread (see
-    _Grid and _chunk_rows).  Repeated (price, quantity) rows are grouped
-    once per call and stay on the packed sort, one key per group; at each
-    node a group's members are placed in the order `xi` gives them, by
-    uniforms drawn with the seed child_seed(rng_seed, node index), then by
-    observation index.  A node where two different rows' keys collide is
-    redone alone by `xicor.jump_sum`, the one function that owns this tie
-    order and the one `xi` calls.  So every value equals `xi` bit for bit
-    and does not depend on the chunking or on which nodes are evaluated.
+    _Grid and _chunk_rows).  Residual ties are broken at every node by the
+    good's one tie order, the seed's xicor.tie_uniforms and then the
+    observation index, as `xi` breaks them.  So value j equals
+    sqrt(n) * xi(price - thetas[j] / quantity, z; rng_seed) bit for bit and
+    does not depend on the chunking or on which nodes are evaluated.
     Raises InvalidSample, before any node is evaluated, when theta /
     quantity overflows at the largest |theta|, and rejects the seeds that
     `xi` rejects (see _Grid).
@@ -583,15 +455,16 @@ def cs_combined(
 def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDiagnostic:
     """Classify the inverted set's shape from its two endpoint statistics.
 
-    A large price statistic pushes the lower bound up; a large quantity
+    Both take the good's tie order from rng_seed, as its grid does.  A large
+    price statistic pushes the lower bound up; a large quantity
     statistic pulls the upper bound down.  Both small means the data cannot
     rule out any theta at this level.
     """
     c = critical_value(alpha)
     z = _effective_instrument(sample)
     root_n = math.sqrt(sample.n)
-    s0 = root_n * xi(PairedSample(sample.price, z), child_seed(rng_seed, 0))
-    s1 = root_n * xi(PairedSample(sample.quantity, z), child_seed(rng_seed, 1))
+    s0 = root_n * xi(PairedSample(sample.price, z), rng_seed)
+    s1 = root_n * xi(PairedSample(sample.quantity, z), rng_seed)
     if s0 > c and s1 > c:
         case = CASE_BOUNDED
     elif s0 > c:

@@ -9,10 +9,10 @@ critical values here are built from.
 
 Ties are handled in two distinct ways:
   * ties in the conditioning variable are broken uniformly at random from a
-    caller-supplied seed (never global RNG state), so a seed fixes the value.
-    `jump_sum` owns this one tie order, for the package: by value, then by
-    the seed's `tie_uniforms`, then by index.  confset's grid calls it for
-    every node whose residuals it cannot order by its packed sort;
+    caller-supplied seed (never global RNG state), so a seed fixes the value:
+    by value, then by the seed's `tie_uniforms`, then by index.  confset's
+    grid draws the same uniforms once per good and orders the residuals of
+    every node by them;
   * ties in the response switch the denominator to a tie-aware form built
     from l_i, the count of response values weakly above the i-th one.
 
@@ -92,9 +92,8 @@ def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
 def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     """The n uniforms that order observations tied in the conditioning variable.
 
-    Observation k sorts by its value, then by the k-th uniform, then by k.
-    confset._tie_uniform_rows draws the same uniforms for many seeds at
-    once, so a change here must be made there too.
+    Observation k sorts by its value, then by the k-th uniform, then by k,
+    in `xi` and at every node of confset's grid.
     """
     return np.random.default_rng(rng_seed).random(n)
 
@@ -103,8 +102,7 @@ def jump_sum(first: np.ndarray, ranks: np.ndarray, rng_seed: int) -> int:
     """Sum of |ranks[k'] - ranks[k]| over neighbours k, k' in the ascending order of `first`.
 
     Observations tied in `first` are ordered by tie_uniforms(rng_seed, n),
-    then by index: the tie order of `xi`, and of every grid node that
-    confset evaluates.
+    then by index: the tie order of `xi`.
     """
     order = np.lexsort((tie_uniforms(rng_seed, first.shape[0]), first))
     return int(np.abs(np.diff(ranks[order])).sum())

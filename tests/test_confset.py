@@ -14,7 +14,6 @@ from welfarebounds.confset import (
     GridSpec,
     XiProfile,
     bonferroni_share,
-    child_seed,
     cs_combined,
     cs_xi,
     intersect,
@@ -309,35 +308,19 @@ def _chunked(chunk):
     """confset's grids evaluated `chunk` nodes at a time (None: unchanged)."""
     if chunk is None:
         return contextlib.nullcontext()
-    return mock.patch.object(confset, "_chunk_rows", lambda width, grouped: chunk)
+    return mock.patch.object(confset, "_chunk_rows", lambda width: chunk)
+
+
+def _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed):
+    # node j equals xi of its residual with the good's own seed, bit for bit
+    inv_y = 1.0 / quantity
+    for j, theta in enumerate(thetas):
+        assert stats[j] == math.sqrt(price.size) * xi(PairedSample(price - theta * inv_y, z), seed)
 
 
 def _coarse_uniforms(rng_seed, n):
     # three values only, so equal uniforms fall back to the observation index
     return np.floor(np.random.default_rng(rng_seed).random(n) * 3.0) / 3.0
-
-
-def _coarse_rows(rng_seed, nodes, columns, n):
-    # the batched draw of the repeated-row path, from the coarse uniforms
-    return np.array([_coarse_uniforms(child_seed(rng_seed, node), n)[columns] for node in nodes])
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    # one-word seeds, seeds of two to six 32-bit words, and the word
-    # boundaries
-    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160), st.sampled_from([0, 2**32 - 1, 2**32])),
-    first=st.integers(0, 2**32 - 40),
-    count=st.integers(1, 40),
-    n=st.integers(1, 300),
-)
-@example(seed=0, first=2**32 - 40, count=40, n=5)
-def test_tie_uniform_rows_match_tie_uniforms(seed, first, count, n):
-    columns = np.arange(n)[:: max(1, n // 7)]
-    nodes = range(first, first + count)
-    rows = confset._tie_uniform_rows(seed, nodes, columns, n)
-    ref = np.array([xicor.tie_uniforms(child_seed(seed, node), n)[columns] for node in nodes])
-    assert np.array_equal(rows, ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,9 +351,9 @@ def test_tie_uniform_rows_match_tie_uniforms(seed, first, count, n):
 def test_profile_equals_xi_at_every_node(
     seed, n, integer_valued, copies, tied_instrument, nodes, coarse, chunk
 ):
-    # the reference is xi at each node with the seed of (seed, node index):
-    # residual ties are broken by that node's uniforms, then by index, so the
-    # chunk size changes no bit
+    # the reference is xi at each node with the good's seed: residual ties
+    # are broken by the good's uniforms, then by index, so the chunk size
+    # changes no bit
     rng = np.random.default_rng(seed)
     if integer_valued:
         # exact arithmetic: residuals tie at some nodes and not at others
@@ -395,32 +378,9 @@ def test_profile_equals_xi_at_every_node(
     assume(np.ptp(z) > 0)
     thetas = np.linspace(0.0, (nodes - 1) / 8.0, nodes)
     uniforms = _coarse_uniforms if coarse else xicor.tie_uniforms
-    uniform_rows = _coarse_rows if coarse else confset._tie_uniform_rows
-    with (
-        mock.patch.object(xicor, "tie_uniforms", uniforms),
-        mock.patch.object(confset, "_tie_uniform_rows", uniform_rows),
-        _chunked(chunk),
-    ):
+    with mock.patch.object(xicor, "tie_uniforms", uniforms), _chunked(chunk):
         stats = profile_stats(price, quantity, z, thetas, seed)
-        inv_y = 1.0 / quantity
-        for j, theta in enumerate(thetas):
-            ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
-            assert stats[j] == math.sqrt(price.size) * ref
-
-
-def _profile_and_redone_nodes(price, quantity, z, thetas, seed):
-    # profile_stats, and the nodes it redid through jump_sum, sorted; a
-    # node's tie seed names it
-    node_of = {child_seed(seed, j): j for j in range(thetas.size)}
-    redone = []
-
-    def spy(first, ranks, rng_seed):
-        redone.append(node_of[rng_seed])
-        return xicor.jump_sum(first, ranks, rng_seed)
-
-    with mock.patch.object(confset, "jump_sum", spy):
-        stats = profile_stats(price, quantity, z, thetas, seed)
-    return stats, sorted(redone)
+        _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -448,8 +408,8 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
 ):
     # Row pairs one ulp apart in price with equal quantity leave residuals
     # that differ only in their lowest bits (or round to a tie) at every
-    # node, so their packed keys collide and the node is redone exactly.
-    # The grid runs past price * quantity, where residuals turn negative.
+    # node, so their packed keys collide and the run is put in order.  The
+    # grid runs past price * quantity, where residuals turn negative.
     n = 2**k + offset
     rng = np.random.default_rng(seed)
     ndup = max(1, n // 4) if duplicates else 0
@@ -472,20 +432,15 @@ def test_profile_equals_xi_where_residuals_nearly_tie(
     z = rng.uniform(0.0, 1.0, n)
     thetas = np.linspace(0.0, 1.5 * float(np.max(price * quantity)), nodes)
     with _chunked(chunk):
-        stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
-    inv_y = 1.0 / quantity
-    for j, theta in enumerate(thetas):
-        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
-        assert stats[j] == math.sqrt(n) * ref
-    # theta = 0 leaves the prices, whose near pairs collide in the key
-    assert 0 in redone
+        stats = profile_stats(price, quantity, z, thetas, seed)
+    _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed)
 
 
-def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
-    # Repeated rows tie at every node but stay on the packed path; only a
-    # node where two different rows tie is redone by jump_sum.  Rows
-    # (3, 0.5) and (2, 1) have residuals 3 - 2 theta and 2 - theta, equal
-    # at theta = 1 alone (node 4 of the grid), and both are repeated.
+def test_repeated_rows_that_cross_keep_the_goods_tie_order():
+    # Repeated rows tie at every node, and at theta = 1 alone (node 4 of
+    # the grid) rows (3, 0.5) and (2, 1), both repeated, tie with each
+    # other: residuals 3 - 2 theta and 2 - theta.  All five observations
+    # then sort by the good's tie order, at that node as at every other.
     rng = np.random.default_rng(11)
     price = np.concatenate([[3.0, 2.0], rng.uniform(1.0, 2.0, 60)])
     quantity = np.concatenate([[0.5, 1.0], rng.uniform(0.5, 2.0, 60)])
@@ -493,12 +448,10 @@ def test_repeated_rows_send_only_colliding_nodes_to_the_exact_path():
     price, quantity = np.concatenate([price, price[rows]]), np.concatenate([quantity, quantity[rows]])
     z = rng.uniform(0.0, 1.0, price.size)
     thetas = np.linspace(0.0, 2.0, 9)
-    stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, 5)
-    assert redone == [4]
-    inv_y = 1.0 / quantity
-    for j, theta in enumerate(thetas):
-        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(5, j))
-        assert stats[j] == math.sqrt(price.size) * ref
+    residual = price - thetas[4] / quantity
+    assert np.count_nonzero(residual == 1.0) == 5
+    stats = profile_stats(price, quantity, z, thetas, 5)
+    _assert_xi_at_every_node(stats, price, quantity, z, thetas, 5)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, None])
@@ -512,23 +465,91 @@ def test_profile_equals_xi_where_many_nodes_collide_across_chunks(chunk):
     quantity = rng.integers(1, 6, n).astype(float)
     z = rng.uniform(0.0, 1.0, n)
     thetas = np.arange(1001) * 0.002
-    # 600 draws of 1000 (price, quantity) pairs repeat some rows
-    rows = chunk or confset._chunk_rows(n, grouped=True)
+    # 600 draws of 1000 (price, quantity) pairs repeat some rows; the
+    # nodes where two different rows tie fall in more than one chunk
+    rows = chunk or confset._chunk_rows(n)
+    distinct_p, distinct_q = np.unique(np.stack([price, quantity]), axis=1)
+    crossing = [j for j, theta in enumerate(thetas)
+                if np.unique(distinct_p - theta * (1.0 / distinct_q)).size < distinct_p.size]
+    assert len({j // rows for j in crossing}) > 1
     with _chunked(chunk):
-        stats, redone = _profile_and_redone_nodes(price, quantity, z, thetas, seed)
-    assert len({node // rows for node in redone}) > 1
-    inv_y = 1.0 / quantity
-    for j, theta in enumerate(thetas):
-        ref = xi(PairedSample(price - theta * inv_y, z), child_seed(seed, j))
-        assert stats[j] == math.sqrt(n) * ref
+        stats = profile_stats(price, quantity, z, thetas, seed)
+    _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed)
+
+
+def _tie_sample(kind, n, rng):
+    """(price, quantity, z) of one kind of tie; see test_profile_equals_xi_with_the_goods_seed."""
+    if kind.startswith("lattice"):
+        cells = rng.choice(450 * 20, n, replace=False)
+        if kind == "lattice":
+            cells[-1] = cells[0]
+        price, quantity = (50 + cells // 20) / 100.0, (1 + cells % 20).astype(float)
+        return price, quantity, rng.uniform(0.0, 1.0, n)
+    price, quantity, z = rng.uniform(1.0, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 1.0, n)
+    k = max(1, n // 5)
+    if kind == "near":
+        # an even significand, so its next float up differs in bit 0 alone
+        price = (price.view(np.int64) & ~1).view(np.float64)
+        price[-k:] = np.nextafter(price[:k], np.inf)
+        quantity[-k:] = quantity[:k]
+    elif kind != "smooth":
+        rows = rng.integers(0, n - k, k)
+        price[-k:], quantity[-k:] = price[rows], quantity[rows]
+        if kind == "repeated, tied instrument":
+            z[-k:] = z[rows]
+    return price, quantity, z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 80),
+    # smooth: no ties; repeated: duplicate rows, each copy with its own
+    # instrument value, or with its row's (ranks tie too); lattice: cent
+    # prices and whole quantities, whose different rows tie exactly at some
+    # nodes, with or without a repeated row; near: row pairs one ulp apart
+    kind=st.sampled_from(["smooth", "repeated", "repeated, tied instrument", "lattice",
+                          "lattice, no repeated row", "near"]),
+    nodes=st.integers(1, 300),
+    # how far past max(price * quantity) the grid runs: residuals turn negative
+    past=st.sampled_from([0.0, 0.5, 2.0]),
+    chunk=CHUNKS,
+)
+@example(seed=1, n=60, kind="lattice", nodes=300, past=0.0, chunk=5)
+@example(seed=2, n=63, kind="near", nodes=200, past=2.0, chunk=2)
+@example(seed=3, n=64, kind="repeated", nodes=130, past=0.5, chunk=None)
+@example(seed=4, n=40, kind="lattice, no repeated row", nodes=260, past=2.0, chunk=1)
+def test_profile_equals_xi_with_the_goods_seed(seed, n, kind, nodes, past, chunk):
+    # every node breaks its residual ties by the good's one tie order, the
+    # order xi draws from the same seed
+    rng = np.random.default_rng(seed)
+    price, quantity, z = _tie_sample(kind, n, rng)
+    assume(np.ptp(z) > 0)
+    step = 0.002 if kind.startswith("lattice") else float(np.max(price * quantity)) / max(nodes - 1, 1)
+    thetas = np.arange(nodes) * (step * (1.0 + past))
+    with _chunked(chunk):
+        stats = profile_stats(price, quantity, z, thetas, seed)
+    _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed)
+
+
+def test_shape_diagnostic_reads_the_profile_at_zero():
+    # Prices tie across rows with distinct instrument values, so the tie
+    # order decides the statistic; the diagnostic and the grid draw it from
+    # the same seed.
+    rng = np.random.default_rng(4)
+    price = rng.integers(100, 120, 300) / 100.0
+    sample = GoodSample(price, rng.uniform(0.5, 2.0, 300), instrument=rng.uniform(0.0, 1.0, 300))
+    for seed in (0, 7, 2**40):
+        diag = shape_diagnostic(sample, 0.05, seed)
+        at_zero = profile_stats(sample.price, sample.quantity, sample.instrument, np.array([0.0]), seed)[0]
+        assert diag.stat_at_zero == at_zero
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 7, 2**40])
 def test_every_grid_entry_takes_the_seeds_xi_takes(seed):
-    # Tie-free rows draw no uniforms, repeated rows hash the seed by hand,
-    # and lattice rows (cent prices, whole quantities) collide at theta = 0.
-    # Each grid raises what xi raises for the seed, before any node is
-    # evaluated, or equals xi at every node.
+    # Tie-free rows, repeated rows, and lattice rows (cent prices, whole
+    # quantities) that collide at theta = 0: each grid raises what xi
+    # raises for the seed, or equals xi at every node.
     rng = np.random.default_rng(5)
     quantity = rng.uniform(0.5, 2.0, 50)
     price = 1.0 + 0.3 / quantity + rng.uniform(0.0, 0.1, 50)
@@ -552,16 +573,13 @@ def test_every_grid_entry_takes_the_seeds_xi_takes(seed):
         try:
             xi(PairedSample(sample.price, sample.instrument), seed)
         except (TypeError, ValueError) as exc:
-            # with jump_sum None, a node redone before the check raises another message
             for entry in entries:
-                with mock.patch.object(confset, "jump_sum", None), pytest.raises(type(exc)) as err:
+                with pytest.raises(type(exc)) as err:
                     entry()
                 assert str(err.value) == str(exc)
             continue
         stats = entries[0]()
-        for j, theta in enumerate(grid.values()):
-            residual = PairedSample(sample.price - theta * (1.0 / sample.quantity), sample.instrument)
-            assert stats[j] == math.sqrt(sample.n) * xi(residual, child_seed(seed, j))
+        _assert_xi_at_every_node(stats, sample.price, sample.quantity, sample.instrument, grid.values(), seed)
 
 
 def _same_interval(a, b) -> bool:
@@ -573,7 +591,7 @@ def _same_interval(a, b) -> bool:
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 60),
-    # smooth: no ties; repeated: duplicate rows, grouped at every node;
+    # smooth: no ties; repeated: duplicate rows, tied at every node;
     # lattice: cent prices and whole quantities on a 0.002 grid from 0,
     # where different rows' residuals tie at some nodes
     kind=st.sampled_from(["smooth", "repeated", "lattice"]),

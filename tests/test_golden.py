@@ -11,6 +11,10 @@ from welfarebounds.cli import main
 
 GOLDEN = {
     "dg_diagnostics.csv": "2604965dad9fd1fc972e8b9f4f6f41c1ac9442973310d8883d45790c563b6a32",
+    "jit_intervals.csv": "cf96f235a81a8b94d4843ca1ecfe2ef9e625289db3b9b6ff2d35b1b925895a90",
+    "jit_profile_good1.csv": "2f804c5407707a804196d354286fac386452ac0edb01a573178f2c664c3f97fe",
+    "jit_profile_good2.csv": "715bb8a43e76dd0bf59bc4059bf3c75d6084a389c35ea4e899a056103adcb3c7",
+    "jit_profile_tie.csv": "982cd141ff78de0615d965fdeaea53f425c6bc22ca802c8906fa8dc873fba000",
     "mc1_mc_intervals.csv": "528ec73bbc9c1944262c8c2e82882bbdccf96ec2dc28cbe9f3607dd1ec161c77",
     "mc1_mc_welfare.csv": "803afb63d3d9d1fcab4b5ab2233774c6ecea6a799f170c94248356baf1e59797",
     "mc2_mc_intervals.csv": "93ca177641bdc09020df808a8c96beb69feb023e6582b53b9500fde66d3886c7",
@@ -28,8 +32,8 @@ GOLDEN = {
 
 
 def _tie_good_rows() -> list[str]:
-    # 80 rows from quasi-random (z, w) and the first four of them again: a
-    # repeated row sends the grid down its exact tie-breaking path
+    # 80 rows from quasi-random (z, w) and the first four of them again,
+    # instrument included: repeated rows tie the residual at every node
     rows = []
     for j in range(84):
         z, w = 1.0 + j % 80 * 0.6180339887 % 1.0, j % 80 * 0.4142135624 % 1.0 * 0.5
@@ -56,6 +60,13 @@ def test_primary_outputs_keep_their_bytes(tmp_path, capsys):
                  "300", "--grid-hi", "1.5", "--seed", "3", "--out", out("run")])
     assert lines == [f"wrote {out('run')}_intervals.csv"] + [
         f"wrote {out('run')}_profile_{g}.csv" for g in ("good1", "good2", "tie")
+    ]
+    # The jitter gives each repeated row of the tie good its own instrument
+    # value, so the good's tie order decides its profile.
+    lines = run(["ci", "--data", str(data), "--mode", "all", "--alpha", "0.1", "--grid-nodes",
+                 "300", "--grid-hi", "1.5", "--seed", "3", "--jitter", "0.01", "--out", out("jit")])
+    assert lines == [f"wrote {out('jit')}_intervals.csv"] + [
+        f"wrote {out('jit')}_profile_{g}.csv" for g in ("good1", "good2", "tie")
     ]
     run(["diagnose", "--data", str(data), "--seed", "3", "--out", out("dg")])
     # h4 has no price change on good2, a zero loss term on both solvers' paths
