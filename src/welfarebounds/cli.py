@@ -28,6 +28,7 @@ import csv
 import io
 import math
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +57,6 @@ DEFAULT_GRID_HI = 6.0
 # Spawn-path purpose codes for CLI-derived seeds (disjoint from simulate's).
 _SEED_CS = 9
 _SEED_JITTER = 8
-_SEED_DIAG = 7
 
 # Percent-encoding that turns a good id into a file-name part, one to one.
 _FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\\": "%5C", "\0": "%00"})
@@ -90,6 +90,10 @@ class _Table:
     def column(self, name: str) -> list[str]:
         """The cells of the first column called `name`, row by row."""
         return self.cells[self.names.index(name) :: len(self.names)]
+
+    def cell(self, i: int, j: int) -> str:
+        """Data row i's cell in column j."""
+        return self.cells[i * len(self.names) + j]
 
     def rows(self):
         """(line, cells) of each data row, in file order."""
@@ -156,16 +160,39 @@ def _read_table(path: str, required=()) -> _Table:
     return _Table(names, list(lines[1:]), cells[w:])
 
 
+def _not_a_number(path: str, lineno: int, col: str, cell: str) -> ParseError:
+    return ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number")
+
+
 def _cell_float(path: str, cell: str, lineno: int, col: str) -> float:
     try:
         return float(cell)
     except ValueError:
-        raise ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number") from None
+        raise _not_a_number(path, lineno, col, cell) from None
 
 
-def _floats(cells) -> np.ndarray:
-    """float() of every cell (Python's syntax); ValueError if one is no number."""
-    return np.fromiter(map(float, cells), dtype=float)
+def _float_or_none(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _numbers(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every cell, and the mask of the cells it rejects, which read NaN.
+
+    The cells are read one by one only when reading them all at once raised.
+    """
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells)), np.zeros(len(cells), dtype=bool)
+    except ValueError:
+        parsed = np.array(list(map(_float_or_none, cells)), dtype=object)
+        return parsed.astype(float), np.equal(parsed, None)
+
+
+def _number_rule(path: str, table: _Table, j: int, unparsed: np.ndarray):
+    """The rule (mask, fault) of column j: a cell that is not a number, as `unparsed` flags it."""
+    return unparsed, lambda i: _not_a_number(path, table.lines[i], table.names[j], table.cell(i, j))
 
 
 def _check_columns(path: str, names: list[str], required) -> None:
@@ -174,15 +201,18 @@ def _check_columns(path: str, names: list[str], required) -> None:
             raise SchemaError(f"{path}: missing required column {col!r}")
 
 
-def _first_row_error(table: _Table, check_row, exc: Exception):
-    """Raise what check_row(line, cells) raises at the first row it rejects, in file order.
+def _raise_first(rules) -> None:
+    """Raise the first fault in a table's data rows, if there is one.
 
-    The readers convert and check whole columns; when that fails with exc,
-    this finds the row and its message.  Re-raises exc if no row fails.
+    rules lists (mask, fault) in the rule order: mask flags the rows that
+    break the rule and fault(i) is the exception for row i.  The first
+    fault is at the first row in file order that a mask flags, under the
+    first rule that flags it.
     """
-    for lineno, cells in table.rows():
-        check_row(lineno, cells)
-    raise exc
+    if any(mask.any() for mask, _ in rules):
+        flags = np.stack([mask for mask, _ in rules], axis=1)
+        i = int(flags.any(axis=1).argmax())
+        raise rules[int(flags[i].argmax())][1](i)
 
 
 def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
@@ -191,37 +221,37 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     Required columns: good_id, price, quantity; optional: instrument.  Rows
     with nonpositive price or quantity are rejected and their line numbers
     appended to reject_log; a good left with fewer than 3 rows raises
-    TooFewObservations.
+    TooFewObservations.  A faulty row raises ParseError naming the file and
+    row; of several, the first row in file order, with its first fault in
+    this order: an empty good_id, a price that is not a number, a quantity
+    that is not a number, and, on a row not rejected, an instrument that is
+    not a number.
     """
     table = _read_table(path, ("good_id", "price", "quantity"))
     names = table.names
     has_z = "instrument" in names
     gids = table.column("good_id")
-    try:
-        if "" in gids:
-            raise ValueError("empty good_id")
-        price = _floats(table.column("price"))
-        quantity = _floats(table.column("quantity"))
-        reject = (price <= 0) | (quantity <= 0)
-        kept = np.flatnonzero(~reject).tolist()
-        # a rejected row's instrument is not read
-        z = _floats(map(table.column("instrument").__getitem__, kept)) if has_z else None
-    except ValueError as exc:
-
-        def check_row(lineno, cells):
-            if not cells[names.index("good_id")]:
-                raise ParseError(f"{path}: row {lineno}: empty good_id")
-            p = _cell_float(path, cells[names.index("price")], lineno, "price")
-            q = _cell_float(path, cells[names.index("quantity")], lineno, "quantity")
-            if has_z and not (p <= 0 or q <= 0):
-                _cell_float(path, cells[names.index("instrument")], lineno, "instrument")
-
-        _first_row_error(table, check_row, exc)
+    price, price_bad = _numbers(table.column("price"))
+    quantity, quantity_bad = _numbers(table.column("quantity"))
+    reject = (price <= 0) | (quantity <= 0)
+    rules = [
+        (np.fromiter(map(len, gids), dtype=np.intp, count=len(gids)) == 0,
+         lambda i: ParseError(f"{path}: row {table.lines[i]}: empty good_id")),
+        _number_rule(path, table, names.index("price"), price_bad),
+        _number_rule(path, table, names.index("quantity"), quantity_bad),
+    ]
+    if has_z:
+        z, z_bad = _numbers(table.column("instrument"))
+        # a rejected row's instrument is not checked
+        rules.append(_number_rule(path, table, names.index("instrument"), z_bad & ~reject))
+    _raise_first(rules)
     if reject_log is not None:
         reject_log += [(table.lines[i], "nonpositive price or quantity") for i in np.flatnonzero(reject).tolist()]
+    kept = np.flatnonzero(~reject)
     price, quantity = price[kept], quantity[kept]
+    z = z[kept] if has_z else None
     # goods in order of first appearance among the kept rows
-    kept_gids = list(map(gids.__getitem__, kept))
+    kept_gids = list(map(gids.__getitem__, kept.tolist()))
     code = {gid: i for i, gid in enumerate(dict.fromkeys(kept_gids))}
     codes = np.fromiter(map(code.__getitem__, kept_gids), dtype=np.intp, count=len(kept))
     by_good = np.argsort(codes, kind="stable")
@@ -281,91 +311,41 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     return out
 
 
-def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> float:
-    """A delta (finite, >= 0) or ystar (finite, > 0) cell of a query file."""
-    value = _cell_float(path, cell, lineno, col)
+def _range_rule(path: str, table: _Table, j: int, kind: str, values: np.ndarray):
+    """The rule (mask, fault) of query column j: a delta that is not finite
+    and nonnegative, or a ystar that is not finite and positive."""
     if kind == "delta":
-        ok, need = value >= 0, "finite and nonnegative"
+        ok, need = values >= 0, "finite and nonnegative"
     else:
-        ok, need = value > 0, "finite and positive"
-    if not (ok and math.isfinite(value)):
-        raise InvalidQuery(f"{path}: row {lineno}: {kind} in column {col!r} is {cell!r}; it must be {need}")
-    return value
-
-
-def _query_values(delta_cells, ystar_cells) -> tuple[np.ndarray, np.ndarray]:
-    """The delta and ystar columns as floats; ValueError unless each is valid (see _query_value)."""
-    delta, ystar = _floats(delta_cells), _floats(ystar_cells)
-    if not (np.isfinite(delta).all() and (delta >= 0).all() and np.isfinite(ystar).all() and (ystar > 0).all()):
-        raise ValueError("a delta or ystar value is out of range")
-    return delta, ystar
+        ok, need = values > 0, "finite and positive"
+    return ~(ok & np.isfinite(values)), lambda i: InvalidQuery(
+        f"{path}: row {table.lines[i]}: {kind} in column {table.names[j]!r} is {table.cell(i, j)!r}; it must be {need}"
+    )
 
 
 def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQuery]:
     """Individual ids and their N x K (delta, ystar) query, in long or wide layout.
 
     Long: columns id, good_id, delta, ystar with one row per (individual,
-    good); a repeated pair raises InvalidQuery naming both rows, and so does
-    an unknown good_id (naming its row) or an individual missing a good.
-    Wide: columns id then K (delta, ystar) pairs in the good order of the
-    data/intervals file, read by position; a column named delta_<g> or
-    ystar_<g> for a known good g where the order puts another column raises
-    SchemaError, and a repeated id raises InvalidQuery naming both rows.
-    An empty id, a negative or non-finite delta, a nonpositive or non-finite
-    ystar, or a delta * ystar that overflows raises InvalidQuery naming the
-    file and row.
+    good).  Wide: columns id then K (delta, ystar) pairs in the good order
+    of the data/intervals file, read by position; a column named delta_<g>
+    or ystar_<g> for a known good g where the order puts another column
+    raises SchemaError.  A value that is not a number raises ParseError and
+    every other fault InvalidQuery, naming the file and row (both rows for
+    a repeat).  Of several faulty rows the first in file order is named,
+    with its first fault in this order.  Long: an empty id, an unknown
+    good_id, a repeated (id, good_id) pair, then for delta and then ystar a
+    value that is not a number and one out of range (a delta must be finite
+    and nonnegative, a ystar finite and positive); after all rows, an
+    individual missing a good, then a delta * ystar that overflows.  Wide:
+    an empty id, a repeated id, then each value column from left to right,
+    not a number and then out of range; after all rows, an overflow.
     """
     table = _read_table(path)
     names, K = table.names, len(good_ids)
-
-    def check_id(ind, lineno):
-        if not ind:
-            raise InvalidQuery(f"{path}: row {lineno}: empty individual id")
-
-    if "good_id" in names:
+    long = "good_id" in names
+    if long:
         _check_columns(path, names, ("id", "delta", "ystar"))
-        inds, gids = table.column("id"), table.column("good_id")
-        good = {g: k for k, g in enumerate(good_ids)}
-        # individuals in order of first appearance
-        who = {ind: i for i, ind in enumerate(dict.fromkeys(inds))}
-        try:
-            if "" in inds:
-                raise ValueError("empty individual id")
-            slot = np.fromiter(map(who.__getitem__, inds), dtype=np.intp, count=len(inds)) * K
-            slot += np.fromiter(map(good.__getitem__, gids), dtype=np.intp, count=len(gids))
-            filled = np.bincount(slot, minlength=len(who) * K)
-            if filled.max(initial=0) > 1:
-                raise ValueError("a repeated (individual, good) pair")
-            delta, ystar = _query_values(table.column("delta"), table.column("ystar"))
-        except (KeyError, ValueError) as exc:
-            seen: dict[tuple[str, str], int] = {}
-            at = {name: names.index(name) for name in ("id", "good_id", "delta", "ystar")}
-
-            def check_row(lineno, cells):
-                ind, gid = cells[at["id"]], cells[at["good_id"]]
-                check_id(ind, lineno)
-                if gid not in good:
-                    raise InvalidQuery(f"{path}: row {lineno}: unknown good_id {gid!r}")
-                if (ind, gid) in seen:
-                    raise InvalidQuery(
-                        f"{path}: rows {seen[ind, gid]} and {lineno}: individual {ind!r}"
-                        f" lists good {gid!r} twice"
-                    )
-                seen[ind, gid] = lineno
-                for kind in ("delta", "ystar"):
-                    _query_value(path, cells[at[kind]], lineno, kind, kind)
-
-            _first_row_error(table, check_row, exc)
-        ids = list(who)
-        lacking = filled.reshape(len(ids), K) == 0
-        if lacking.any():
-            i = int(np.flatnonzero(lacking.any(axis=1))[0])
-            missing = [good_ids[k] for k in np.flatnonzero(lacking[i])]
-            raise InvalidQuery(f"{path}: individual {ids[i]!r}: missing goods {missing}")
-        pairs = np.empty((slot.size, 2))
-        pairs[slot, 0], pairs[slot, 1] = delta, ystar
-        lines = np.empty(slot.size, dtype=np.intp)
-        lines[slot] = table.lines
     else:
         if names[0] != "id" or len(names) != 1 + 2 * K:
             raise SchemaError(
@@ -376,30 +356,54 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
         for j, (name, want) in enumerate(zip(names[1:], wanted), start=2):
             if name != want and name in known:
                 raise SchemaError(f"{path}: column {j} is {name!r} where the good order puts {want!r}")
-        ids = table.cells[:: len(names)]
-        values = table.cells.copy()
-        del values[:: len(names)]
-        try:
-            if "" in ids or len(set(ids)) != len(ids):
-                raise ValueError("an empty or repeated individual id")
-            delta, ystar = _query_values(values[::2], values[1::2])
-        except ValueError as exc:
-            first_row: dict[str, int] = {}
-
-            def check_row(lineno, cells):
-                ind = cells[0]
-                check_id(ind, lineno)
-                if ind in first_row:
-                    raise InvalidQuery(
-                        f"{path}: rows {first_row[ind]} and {lineno}: individual {ind!r}"
-                        " is listed twice"
-                    )
-                first_row[ind] = lineno
-                for j, cell in enumerate(cells[1:]):
-                    _query_value(path, cell, lineno, names[j + 1], ("delta", "ystar")[j % 2])
-
-            _first_row_error(table, check_row, exc)
-        pairs = np.stack([delta, ystar], axis=1)
+    inds = table.column("id")
+    # individuals in order of first appearance
+    who = {ind: i for i, ind in enumerate(dict.fromkeys(inds))}
+    person = np.fromiter(map(who.__getitem__, inds), dtype=np.intp, count=len(inds))
+    rules = [(person == who.get("", -1), lambda i: InvalidQuery(f"{path}: row {table.lines[i]}: empty individual id"))]
+    if long:
+        gids = table.column("good_id")
+        good = {g: k for k, g in enumerate(good_ids)}
+        goods = np.fromiter(map(good.get, gids, repeat(-1)), dtype=np.intp, count=len(gids))
+        rules.append((goods < 0, lambda i: InvalidQuery(f"{path}: row {table.lines[i]}: unknown good_id {gids[i]!r}")))
+        # an unknown good's row takes good 0's slot: its own fault comes
+        # first, and any repeat that slot makes lies after it
+        slot = person * K + np.maximum(goods, 0)
+        cols = [names.index("delta"), names.index("ystar")]
+        (delta, delta_bad), (ystar, ystar_bad) = (_numbers(table.cells[j :: len(names)]) for j in cols)
+        values, unparsed = np.stack([delta, ystar], axis=1), np.stack([delta_bad, ystar_bad], axis=1)
+    else:
+        slot = person
+        cols = range(1, 1 + 2 * K)
+        # the value cells row by row, read at once
+        cells = table.cells.copy()
+        del cells[:: len(names)]
+        values, unparsed = (a.reshape(len(inds), 2 * K) for a in _numbers(cells))
+    filled = np.bincount(slot, minlength=len(who) * K)
+    repeated = filled[slot] > 1
+    if repeated.any():
+        # the first row of each slot is no repeat
+        repeated[np.unique(slot, return_index=True)[1]] = False
+    rules.append((repeated, lambda i: InvalidQuery(
+        f"{path}: rows {table.lines[int((slot == slot[i]).argmax())]} and {table.lines[i]}: individual {inds[i]!r} "
+        + (f"lists good {gids[i]!r} twice" if long else "is listed twice"))))
+    for c, j in enumerate(cols):
+        rules.append(_number_rule(path, table, j, unparsed[:, c]))
+        rules.append(_range_rule(path, table, j, ("delta", "ystar")[c % 2], values[:, c]))
+    _raise_first(rules)
+    ids = list(who)
+    if long:
+        lacking = filled.reshape(len(ids), K) == 0
+        if lacking.any():
+            i = int(np.flatnonzero(lacking.any(axis=1))[0])
+            missing = [good_ids[k] for k in np.flatnonzero(lacking[i])]
+            raise InvalidQuery(f"{path}: individual {ids[i]!r}: missing goods {missing}")
+        pairs = np.empty((slot.size, 2))
+        pairs[slot] = values
+        lines = np.empty(slot.size, dtype=np.intp)
+        lines[slot] = table.lines
+    else:
+        pairs = values
         lines = np.repeat(table.lines, K)
     pairs = pairs.reshape(len(ids), K, 2)
     with np.errstate(over="ignore"):
@@ -684,7 +688,7 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
     code = EXIT_OK
     for i, s in enumerate(samples):
         diag, failed_code, status, line = _isolated(
-            s.good_id, shape_diagnostic, s, cfg.alpha, child_seed(seed, _SEED_DIAG, i)
+            s.good_id, shape_diagnostic, s, cfg.alpha, child_seed(seed, _SEED_CS, i)
         )
         if line is not None:
             print(line, file=sys.stderr)

@@ -70,7 +70,7 @@ class PairedSample:
 def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
     """Max-ranks of the response plus the factor turning rank jumps into xi.
 
-    Returns (ranks, scale) with xi = 1 - jump_sum * scale, where scale is
+    Returns (ranks, scale) with xi = 1 - (sum of rank jumps) * scale, where scale is
     3/(n^2 - 1) for a tie-free response and n / (2 * sum l_i*(n - l_i)) when
     the response has ties.  Both depend only on the multiset of response
     values, so grid evaluators can reuse them across reorderings of the
@@ -98,16 +98,6 @@ def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(rng_seed).random(n)
 
 
-def jump_sum(first: np.ndarray, ranks: np.ndarray, rng_seed: int) -> int:
-    """Sum of |ranks[k'] - ranks[k]| over neighbours k, k' in the ascending order of `first`.
-
-    Observations tied in `first` are ordered by tie_uniforms(rng_seed, n),
-    then by index: the tie order of `xi`.
-    """
-    order = np.lexsort((tie_uniforms(rng_seed, first.shape[0]), first))
-    return int(np.abs(np.diff(ranks[order])).sum())
-
-
 def xi(sample: PairedSample, rng_seed: int) -> float:
     """Dependence of `second` on `first`, computed in O(n log n).
 
@@ -116,7 +106,10 @@ def xi(sample: PairedSample, rng_seed: int) -> float:
     Raises DegenerateResponse when every response value is equal.
     """
     ranks, scale = response_rank_scale(sample.second)
-    return 1.0 - jump_sum(sample.first, ranks, rng_seed) * scale
+    # rank jumps between neighbours in the ascending order of `first`,
+    # ties ordered by tie_uniforms, then by index
+    order = np.lexsort((tie_uniforms(rng_seed, sample.n), sample.first))
+    return 1.0 - int(np.abs(np.diff(ranks[order])).sum()) * scale
 
 
 def critical_value(alpha: float) -> float:

@@ -583,6 +583,26 @@ def test_diagnose_reports_unbounded_above(tmp_path):
     assert rows[0]["case_id"] == "UNBOUNDED_ABOVE"
 
 
+def test_diagnose_stat_at_zero_is_the_ci_profile_at_zero(tmp_path, capsys):
+    from test_golden import _tie_good_rows
+
+    # the golden test's data; with --jitter the tie good's order comes from its seed
+    assert main(["simulate", "--seed", "1", "--theta", "0.2,0.5", "--n", "300",
+                 "--out", str(tmp_path / "sim")]) == 0
+    data = _write(tmp_path, "data.csv", (tmp_path / "sim_data.csv").read_text(encoding="utf-8")
+                  + "\n".join(_tie_good_rows()) + "\n")
+    common = ["--data", data, "--seed", "3", "--jitter", "0.01"]
+    assert main(["ci", "--mode", "xi", "--grid-lo", "0", "--grid-nodes", "300", "--grid-hi", "1.5",
+                 "--out", str(tmp_path / "ci")] + common) == 0
+    assert main(["diagnose", "--out", str(tmp_path / "dg")] + common) == 0
+    capsys.readouterr()
+    diag = {r["good_id"]: r["stat_at_zero"] for r in _rows(str(tmp_path / "dg_diagnostics.csv"))}
+    assert list(diag) == ["good1", "good2", "tie"]
+    for good, stat in diag.items():
+        first = _rows(str(tmp_path / f"ci_profile_{good}.csv"))[0]
+        assert (first["theta"], first["stat"]) == ("0", stat)
+
+
 def test_mc_command_smoke(tmp_path, capsys):
     assert main(["mc", "--table", "2", "--reps", "1", "--k", "2", "--seed", "4",
                  "--out", str(tmp_path / "mc")]) == 0

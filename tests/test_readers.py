@@ -99,6 +99,7 @@ def data_file(draw) -> bytes:
 @example(data=b'good_id,price,quantity\n"a,b",1,2\r\n"a,b",2,"1\r\n"a,b",3,1\n')
 @example(data=b"good_id,price,quantity,instrument\na,1,2,1\na,0,1,y\na,3,1,1\na,2,2,2\n")
 @example(data=b"good_id,price,quantity,instrument\na,1,2,x\na,0,1,y\na,3,1,1\n")
+@example(data=b"good_id,price,quantity\na,1,x\na,y,1\n")
 def test_ingest_matches_the_per_row_reader(tmp_path_factory, data):
     path = _write(tmp_path_factory, data)
     got_log, ref_log = [], []
@@ -152,6 +153,7 @@ def long_query(draw, good_ids) -> bytes:
 @example(case=(["a", "b"], b"id,good_id,delta,ystar\nh1,a,1,2\nh2,a,1,2\nh1,a,3,2\nh2,b,1,2\n"))
 @example(case=(["a", "b"], b"id,good_id,delta,ystar\nh1,a,1,2\nh2,b,1,2\nh1,b,1,2\n"))
 @example(case=(["a", "b"], b"id,good_id,delta,ystar\nh1,a,1,2\nh1,c,1,2\n"))
+@example(case=(["a", "b"], b"id,good_id,delta,ystar\nh1,a,1,2\nh1,a,-1,2\nh2,c,1,2\n"))
 def test_long_query_matches_the_per_row_reader(tmp_path_factory, case):
     good_ids, data = case
     path = _write(tmp_path_factory, data)
@@ -174,6 +176,7 @@ def wide_query(draw, good_ids) -> bytes:
 @given(case=GOOD_ORDERS.flatmap(lambda good_ids: st.tuples(st.just(good_ids), wide_query(good_ids))))
 @example(case=(["a"], b"id,delta_a,ystar_a\nh1,1,2\nh2,1e200,1e300\n"))
 @example(case=(["a"], b"id,delta_a,ystar_a\nh1,1,2\nh1,1,2\n"))
+@example(case=(["a"], b"id,delta_a,ystar_a\nh1,1,x\nh2,-1,2\n"))
 def test_wide_query_matches_the_per_row_reader(tmp_path_factory, case):
     good_ids, data = case
     path = _write(tmp_path_factory, data)
