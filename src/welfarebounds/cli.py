@@ -465,36 +465,35 @@ def _exit_code(exc: BaseException) -> int:
     return EXIT_NUMERIC
 
 
-def _isolated(good_id: str, compute, *args):
-    """compute(*args) for one good; a data or numerical error fails that good alone.
+def _failed(good_id: str, exc: BaseException) -> tuple[int, str]:
+    """Print the stderr line of a data or numerical error that fails one good.
 
-    Returns (result, EXIT_OK, None, None), or (None, the error's exit code,
-    "FAILED:<ErrorName>", the stderr line naming the good once).
+    The line names the good once.  Returns (the error's exit code,
+    "FAILED:<ErrorName>"); any other error ends the command and is raised.
     """
-    try:
-        return compute(*args), EXIT_OK, None, None
-    except (DataError, NumericalError) as exc:
-        name, message = type(exc).__name__, str(exc)
-        if not message.startswith(f"{good_id}: "):
-            message = f"{good_id}: {message}"
-        return None, _exit_code(exc), f"FAILED:{name}", f"{name}: {message}"
+    if not isinstance(exc, (DataError, NumericalError)):
+        raise exc
+    name, message = type(exc).__name__, str(exc)
+    if not message.startswith(f"{good_id}: "):
+        message = f"{good_id}: {message}"
+    print(f"{name}: {message}", file=sys.stderr)
+    return _exit_code(exc), f"FAILED:{name}"
 
 
 def _interval_unit(unit):
     """One (good, mode) of _good_intervals, run in a fan_out worker.
 
-    Returns _isolated's tuple, whose result is (interval, profile); xi mode
-    evaluates the whole profile only when it is kept, else xi_hull.  Any
-    other error the command ends with is returned, not raised, so that the
-    parent raises it after the stderr lines of the goods before it.
+    Returns (interval, profile), or the library or memory error it hit, so
+    that the parent reads every unit's outcome in file order; xi mode
+    evaluates the whole profile only when it is kept, else xi_hull.
     """
     from .confset import cs_combined, xi_hull
 
     sample, share, mode, grid, seed, ls, keep_profile = unit
     try:
         if mode == "xi" and not keep_profile:
-            return _isolated(sample.good_id, lambda: (xi_hull(sample, share, grid, seed), None))
-        return _isolated(sample.good_id, cs_combined, sample, share, mode, grid, seed, ls)
+            return xi_hull(sample, share, grid, seed), None
+        return cs_combined(sample, share, mode, grid, seed, ls)
     except (WelfareBoundsError, MemoryError) as exc:
         return exc
 
@@ -504,9 +503,10 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, k
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
-    data or numerical error hit that (good, mode) (see _isolated), whose
-    interval is empty with source FAILED, and whose stderr line is printed
-    in file order.  profiles maps a good id to its xi-mode grid profile when
+    data or numerical error hit that (good, mode), whose interval is empty
+    with source FAILED, and whose stderr line (see _failed) is printed in
+    file order; any other error is raised after the lines of the goods
+    before it.  profiles maps a good id to its xi-mode grid profile when
     keep_profiles is set, else is empty.  code is the exit code of the first
     failure, or EXIT_OK.  The (good, mode) pairs are fan_out units.  A mode
     that fits least squares with --ls tsls needs an instrument for every
@@ -531,16 +531,14 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, k
     code = EXIT_OK
     for (s, _, m, *_), outcome in zip(units, fan_out(_interval_unit, units)):
         if isinstance(outcome, BaseException):
-            raise outcome
-        result, failed_code, status, line = outcome
-        if line is not None:
-            print(line, file=sys.stderr)
-        code = code or failed_code
-        iv, profile = result or (Interval.make_empty(1.0 - share, "FAILED"), None)
-        status = status or ("EMPTY" if iv.empty else "OK")
+            failed_code, status = _failed(s.good_id, outcome)
+            code = code or failed_code
+            rows.append((s.good_id, m, Interval.make_empty(1.0 - share, "FAILED"), status))
+            continue
+        iv, profile = outcome
         if profile is not None:
             profiles[s.good_id] = profile
-        rows.append((s.good_id, m, iv, status))
+        rows.append((s.good_id, m, iv, "EMPTY" if iv.empty else "OK"))
     return rows, profiles, code
 
 
@@ -687,16 +685,14 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
     rows = []
     code = EXIT_OK
     for i, s in enumerate(samples):
-        diag, failed_code, status, line = _isolated(
-            s.good_id, shape_diagnostic, s, cfg.alpha, child_seed(seed, _SEED_CS, i)
-        )
-        if line is not None:
-            print(line, file=sys.stderr)
-        code = code or failed_code
-        if diag is None:
+        try:
+            diag = shape_diagnostic(s, cfg.alpha, child_seed(seed, _SEED_CS, i))
+        except (DataError, NumericalError) as exc:
+            failed_code, status = _failed(s.good_id, exc)
+            code = code or failed_code
             rows.append([s.good_id, None, None, critical, status])
-        else:
-            rows.append([s.good_id, diag.stat_at_zero, diag.stat_at_inf, critical, diag.case_id])
+            continue
+        rows.append([s.good_id, diag.stat_at_zero, diag.stat_at_inf, critical, diag.case_id])
     _write_csv(
         f"{cfg.out}_diagnostics.csv",
         f"confidence-set shape diagnostics at alpha = {_fmt(cfg.alpha)};"

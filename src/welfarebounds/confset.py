@@ -130,9 +130,10 @@ def _chunk_rows(width: int) -> int:
 
     A chunk's five buffers take 25 bytes per key (float key, int64 high
     part, int32 label and jump, bool mask), and its rows are sized to fit a
-    2 MiB per-core L2 cache, within [16, 128].
+    2 MiB per-core L2 cache, within [1, 128]: one row where a row alone
+    is larger.
     """
-    return max(16, min(128, 2**21 // (25 * width)))
+    return max(1, min(128, 2**21 // (25 * width)))
 
 
 def _repeats_a_row(price: np.ndarray, inv_y: np.ndarray) -> bool:

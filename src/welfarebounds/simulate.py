@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -170,6 +172,11 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
+def _total(values) -> float:
+    """The values added left to right from 0.0 (sum() compensates its float sums from Python 3.12)."""
+    return reduce(add, values, 0.0)
+
+
 def _interval_unit(unit) -> tuple[Interval, float]:
     """Good k's interval in replication r at sample size n, and its CPU seconds.
 
@@ -187,66 +194,51 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
 
     Good k of replication r inverts the rank statistic at level 1 - share
     over a grid on [1e-6, 1] with seed (seed, _CS, r, k).  Every (n, r, k)
-    is one fan_out unit; the parent sums their intervals in (n, r, k)
-    order.  The replications whose K intervals are all nonempty go, in
-    order, to welfare(n, boxes), which returns that n's welfare rows and
-    skip counts.
+    is one fan_out unit.  The results of one n form a block in (r, k)
+    order: a good's averages are over its nonempty intervals in
+    replication order, its coverage and the joint coverage over all reps.
+    The replications whose K intervals are all nonempty go, in order, to
+    welfare(n, boxes), which returns that n's welfare rows and skip counts.
     """
     K = theta.shape[0]
     grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
     report = McReport(reps, [], [], {}, {}, true_welfare_loss=true_wl)
     units = [(theta, n, seed, r, k, grid, share) for n in n_values for r in range(reps) for k in range(K)]
-    results = iter(fan_out(_interval_unit, units))
-    for n in n_values:
-        sums = np.zeros((K, 4))
-        covers = np.zeros(K)
-        counts = np.zeros(K, dtype=int)
-        empties = np.zeros(K, dtype=int)
-        joint = 0
-        boxes = []
-        t_ci = 0.0
-        for r in range(reps):
-            ivs = []
-            for k in range(K):
-                iv, seconds = next(results)
-                t_ci += seconds
-                ivs.append(iv)
-                if iv.empty:
-                    empties[k] += 1
-                    continue
-                sums[k] += (iv.lower, iv.upper, iv.length, iv.length**2)
-                covers[k] += iv.contains(theta[k])
-                counts[k] += 1
-            joint += all(iv.contains(theta[k]) for k, iv in enumerate(ivs))
-            if not any(iv.empty for iv in ivs):
-                boxes.append(tuple(ivs))
+    results = fan_out(_interval_unit, units)
+    for j, n in enumerate(n_values):
+        block = results[j * reps * K : (j + 1) * reps * K]
+        runs = [[iv for iv, _ in block[r * K : (r + 1) * K]] for r in range(reps)]
+        boxes = [tuple(run) for run in runs if not any(iv.empty for iv in run)]
         t0 = time.process_time()
         rows, skipped = welfare(n, boxes)
-        report.timings[f"ci_n{n}"] = t_ci
+        report.timings[f"ci_n{n}"] = sum(seconds for _, seconds in block)
         report.timings[f"welfare_n{n}"] = time.process_time() - t0
         for k in range(K):
-            c = max(counts[k], 1)
-            mean_len = sums[k, 2] / c
-            var_len = (sums[k, 3] - c * mean_len**2) / (c - 1) if c > 1 else 0.0
+            column = [run[k] for run in runs]
+            kept = [iv for iv in column if not iv.empty]
+            c = max(len(kept), 1)
+            mean_len = _total(iv.length for iv in kept) / c
+            var_len = (_total(iv.length**2 for iv in kept) - c * mean_len**2) / (c - 1) if c > 1 else 0.0
             report.intervals.append(
                 IntervalSummary(
                     n=n,
                     good_id=f"good{k + 1}",
                     theta_true=float(theta[k]),
-                    avg_lower=sums[k, 0] / c,
-                    avg_upper=sums[k, 1] / c,
+                    avg_lower=_total(iv.lower for iv in kept) / c,
+                    avg_upper=_total(iv.upper for iv in kept) / c,
                     avg_length=mean_len,
-                    coverage=covers[k] / reps,
-                    n_empty=int(empties[k]),
+                    coverage=sum(iv.contains(theta[k]) for iv in column) / reps,
+                    n_empty=reps - len(kept),
                     var_length=max(var_len, 0.0),
-                    n_used=int(counts[k]),
+                    n_used=len(kept),
                 )
             )
         report.welfare += rows
-        report.joint_coverage[n] = joint / reps
+        report.joint_coverage[n] = sum(all(iv.contains(t) for iv, t in zip(run, theta)) for run in runs) / reps
         report.skipped.update(skipped)
-        if empties.sum():
-            report.skipped[f"empty_sets_n{n}"] = int(empties.sum())
+        empty = sum(iv.empty for run in runs for iv in run)
+        if empty:
+            report.skipped[f"empty_sets_n{n}"] = empty
     return report
 
 

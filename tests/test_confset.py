@@ -311,6 +311,12 @@ def _chunked(chunk):
     return mock.patch.object(confset, "_chunk_rows", lambda width: chunk)
 
 
+@pytest.mark.parametrize("width", [5243, 10**4, 10**5, 10**6])
+def test_a_chunk_fits_the_cache_unless_one_row_is_larger(width):
+    # a chunk's five buffers take 25 bytes per key; 2**21 is the cache it is sized to
+    assert confset._chunk_rows(width) * 25 * width <= max(2**21, 25 * width)
+
+
 def _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed):
     # node j equals xi of its residual with the good's own seed, bit for bit
     inv_y = 1.0 / quantity

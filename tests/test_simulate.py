@@ -1,8 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from welfarebounds import _fanout, simulate
+from welfarebounds.confset import GridSpec
+from welfarebounds.regress import Interval
 from welfarebounds.simulate import (
+    MC_ALPHA,
+    TABLE1_DELTA,
+    TABLE1_THETA,
+    TABLE1_YSTAR,
     DgpConfig,
     child_seed,
     draw_sample,
@@ -10,6 +19,7 @@ from welfarebounds.simulate import (
     mc_table2,
     substream,
 )
+from welfarebounds.welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery, bounds_box
 
 
 def test_config_validation():
@@ -135,3 +145,53 @@ def test_mc_table2_fixed_query_and_bracketing():
     assert a.true_welfare_loss == pytest.approx(1.0155550315560185, rel=1e-12)
     assert a.joint_coverage == {200: 1.0}
     assert list(a.timings) == ["ci_n200", "welfare_n200"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
+    reps, seed, n, nodes = 4, 21, 200, 120
+    theta = np.asarray(TABLE1_THETA)
+    share = MC_ALPHA / theta.shape[0]
+    grid = GridSpec(POSITIVITY_FLOOR, 1.0, nodes)
+    config = DgpConfig(theta=theta, n=n, seed=seed)
+    # every (r, k) interval of the unpatched study, then the empty ones by (r, k)
+    runs = [
+        [simulate.xi_hull(simulate._draw_good(config, r, k), share, grid, child_seed(seed, simulate._CS, r, k))
+         for k in range(3)]
+        for r in range(reps)
+    ]
+    assert not any(iv.empty for run in runs for iv in run)
+    emptied = {(1, 0), (2, 0), (2, 2)}
+    empty_seeds = {child_seed(seed, simulate._CS, r, k) for r, k in emptied}
+    for r, k in emptied:
+        runs[r][k] = Interval.make_empty(1.0 - share, "XI")
+    real_hull = simulate.xi_hull
+
+    def xi_hull(sample, alpha, grid, rng_seed):
+        # the fork carries this patch into the pool's workers
+        if rng_seed in empty_seeds:
+            return Interval.make_empty(1.0 - alpha, "XI")
+        return real_hull(sample, alpha, grid, rng_seed)
+
+    with mock.patch.object(simulate, "xi_hull", xi_hull), mock.patch.object(_fanout, "_cpus", lambda: workers):
+        report = mc_table1(reps=reps, seed=seed, n_values=(n,), grid_nodes=nodes)
+
+    for k, row in enumerate(report.intervals):
+        column = [run[k] for run in runs]
+        kept = [iv for iv in column if not iv.empty]
+        assert (row.n_empty, row.n_used) == (reps - len(kept), len(kept))
+        # averages over the kept replications, coverage over all of them
+        assert row.avg_lower == pytest.approx(np.mean([iv.lower for iv in kept]), rel=1e-12)
+        assert row.avg_upper == pytest.approx(np.mean([iv.upper for iv in kept]), rel=1e-12)
+        assert row.avg_length == pytest.approx(np.mean([iv.length for iv in kept]), rel=1e-12)
+        assert row.coverage == sum(iv.contains(theta[k]) for iv in column) / reps
+    assert [row.n_empty for row in report.intervals] == [2, 0, 1]
+    joint = [all(iv.contains(t) for iv, t in zip(run, theta)) for run in runs]
+    assert report.joint_coverage == {n: sum(joint) / reps}
+    assert report.skipped["empty_sets_n200"] == 3
+    # table 1's ii averages over the complete boxes alone: replications 0 and 3
+    query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
+    wl_ii = [bounds_box(ConstraintSet(tuple(runs[r])), query).wl_max for r in (0, 3)]
+    by_label = {w.label: w.value for w in report.welfare}
+    assert by_label["ii"] == pytest.approx(np.mean(wl_ii), rel=1e-12)
+    assert by_label["ii_covers_true"] == np.mean([w >= report.true_welfare_loss for w in wl_ii])
