@@ -10,10 +10,12 @@ run inline: in a daemonic process (a multiprocessing pool's worker, which
 may have no children) and while another Python thread runs (it may hold a
 lock that the child would inherit held).  What is left is native threads:
 from Python 3.12, os.fork() warns (DeprecationWarning) when the process has
-any other thread, as it does once numpy's OpenBLAS has started its pool.
-OpenBLAS stops that pool around a fork (pthread_atfork), so the warning is
-silenced for the pool's forks alone.  The CI workflow runs the tests on
-Python 3.12.
+any other thread.  A CLI process has none, since welfarebounds.cli gives
+numpy one BLAS thread before numpy loads; a library caller that imports
+numpy first, as the test process does, may have OpenBLAS's thread pool
+running.  OpenBLAS stops that pool around a fork (pthread_atfork), so the
+warning is silenced for the pool's forks alone.  The CI workflow runs the
+tests on Python 3.12.
 """
 
 from __future__ import annotations

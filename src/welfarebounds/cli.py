@@ -27,8 +27,16 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from itertools import repeat
+
+# One BLAS thread per process, set before numpy loads OpenBLAS.  The CLI's
+# parallelism is fan_out's processes: a BLAS pool in each would oversubscribe
+# the CPUs, and above ~10 000 rows OpenBLAS splits a dot product over its
+# threads, so the least-squares bits would depend on the CPU count.  Set
+# outright: a user's value above 1 would bring that dependence back.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -101,8 +109,13 @@ class _Table:
         return ((line, self.cells[i * w : i * w + w]) for i, line in enumerate(self.lines))
 
 
-def _records(raws) -> list:
-    """Each raw line (with its line break) parsed by the csv module as one record."""
+def _records(path: str, raws, lines) -> list:
+    """Each raw line (with its line break) parsed by the csv module as one record.
+
+    lines[i] is raws[i]'s line in the file.  The first line the csv module
+    cannot read (a cell longer than csv.field_size_limit(), or before
+    Python 3.11 a NUL) raises ParseError naming the file and the line.
+    """
     try:
         records = list(csv.reader(raws))
     except csv.Error:
@@ -110,7 +123,12 @@ def _records(raws) -> list:
     if len(records) != len(raws):
         # A quoted cell ran past its line's end (or the run raised): each
         # line is a record of its own, ended where the line ends.
-        records = [next(csv.reader([raw])) for raw in raws]
+        records = []
+        for lineno, raw in zip(lines, raws):
+            try:
+                records.append(next(csv.reader([raw])))
+            except csv.Error as exc:
+                raise ParseError(f"{path}: row {lineno}: {exc}") from None
     return records
 
 
@@ -121,8 +139,8 @@ def _read_table(path: str, required=()) -> _Table:
     that does not decode raises ParseError naming the file and row.  Lines
     end at \\n, \\r\\n or \\r; blank lines and '#' comment lines are skipped,
     and each other line is one CSV record whose cells are stripped.  A
-    missing required column raises SchemaError, and a data row without one
-    cell per header name ParseError.
+    missing required column raises SchemaError, and a line the csv module
+    cannot read or a data row without one cell per header name ParseError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -142,7 +160,7 @@ def _read_table(path: str, required=()) -> _Table:
     if not raws:
         raise SchemaError(f"{path}: no header row found")
     if '"' in text or "\0" in text or max(map(len, raws)) > csv.field_size_limit():
-        records = _records(raws)
+        records = _records(path, raws, lines)
         counts = list(map(len, records))
         cells = [cell.strip() for record in records for cell in record]
     else:
@@ -484,16 +502,17 @@ def _interval_unit(unit):
     """One (good, mode) of _good_intervals, run in a fan_out worker.
 
     Returns (interval, profile), or the library or memory error it hit, so
-    that the parent reads every unit's outcome in file order; xi mode
-    evaluates the whole profile only when it is kept, else xi_hull.
+    that the parent reads every unit's outcome in file order.  The profile
+    is cs_xi's for an xi unit that keeps it, and None for every other unit,
+    whose interval is cs_combined's.
     """
-    from .confset import cs_combined, xi_hull
+    from .confset import cs_combined, cs_xi
 
     sample, share, mode, grid, seed, ls, keep_profile = unit
     try:
-        if mode == "xi" and not keep_profile:
-            return xi_hull(sample, share, grid, seed), None
-        return cs_combined(sample, share, mode, grid, seed, ls)
+        if mode == "xi" and keep_profile:
+            return cs_xi(sample, share, grid, seed)
+        return cs_combined(sample, share, mode, grid, seed, ls), None
     except (WelfareBoundsError, MemoryError) as exc:
         return exc
 

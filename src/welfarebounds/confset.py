@@ -4,8 +4,8 @@ The rank-dependence statistic of the residual price - theta/quantity against
 the instrument is evaluated on a grid of theta values; the nodes where
 sqrt(n) times the statistic stays below its critical value form the
 acceptance region, and the reported interval is its hull (minimum to
-maximum accepted node).  The full profile is kept for diagnostics, including
-a segment count that flags disconnected acceptance regions.
+maximum accepted node).  `cs_xi` also returns the full profile, which the
+CLI's `ci` writes; every other caller asks `cs_combined` for the interval.
 
 The grid nodes are independent: `profile_stats` evaluates them in the
 calling thread, chunk by chunk in buffers allocated once per grid, and
@@ -87,15 +87,6 @@ class XiProfile:
 
     def accepted(self) -> np.ndarray:
         return self.stats <= self.critical
-
-    @property
-    def n_segments(self) -> int:
-        """Number of contiguous accepted runs; > 1 flags a disconnected region."""
-        acc = self.accepted()
-        if not acc.any():
-            return 0
-        starts = acc & ~np.concatenate(([False], acc[:-1]))
-        return int(starts.sum())
 
 
 @dataclass(frozen=True)
@@ -406,18 +397,17 @@ def cs_combined(
     grid: GridSpec,
     rng_seed: int = 0,
     ls_mode: str = "auto",
-) -> tuple[Interval, XiProfile | None]:
-    """One good's interval at per-good error share alpha_share, and its profile.
+) -> Interval:
+    """One good's interval at per-good error share alpha_share.
 
-    mode "xi":        grid inversion over `grid` at 1 - alpha_share; the
-                      profile is returned with the interval.
+    mode "xi":        grid inversion over `grid` at 1 - alpha_share, as
+                      xi_hull evaluates it (cs_xi's interval, bit for bit).
     mode "ls":        delta-method interval at 1 - alpha_share (ls_mode as in
                       fit_inverse_demand); `grid` is unused.
     mode "intersect": both pieces at 1 - alpha_share/2, `grid.nodes` nodes
                       laid over the least-squares interval clipped below at
                       POSITIVITY_FLOOR, then intersected.
-    The profile is None outside xi mode.  An empty outcome is an empty
-    interval at level 1 - alpha_share.
+    An empty outcome is an empty interval at level 1 - alpha_share.
     """
     if not 0.0 < alpha_share < 1.0:
         raise InvalidLevel(
@@ -425,12 +415,12 @@ def cs_combined(
         )
     kind = mode.lower()
     if kind == "xi":
-        return cs_xi(sample, alpha_share, grid, rng_seed)
+        return xi_hull(sample, alpha_share, grid, rng_seed)
     if kind not in ("ls", "intersect"):
         raise ValueError(f"mode must be xi, ls, or intersect, got {mode!r}")
     fit = fit_inverse_demand(sample, ls_mode)
     if kind == "ls":
-        return theta_interval_delta(fit, 1.0 - alpha_share), None
+        return theta_interval_delta(fit, 1.0 - alpha_share)
 
     half = alpha_share / 2.0
     ls = theta_interval_delta(fit, 1.0 - half)
@@ -438,7 +428,7 @@ def cs_combined(
     hi = ls.upper
     if hi < lo:
         # the least-squares interval sits below the positivity floor
-        return Interval.make_empty(1.0 - alpha_share, "INTERSECT"), None
+        return Interval.make_empty(1.0 - alpha_share, "INTERSECT")
     if hi - lo < 1e-12:
         # Degenerate least-squares interval: check the single point.
         z = _effective_instrument(sample)
@@ -446,11 +436,11 @@ def cs_combined(
             sample.price, sample.quantity, z, np.array([lo]), rng_seed
         )[0]
         if stat > critical_value(half):
-            return Interval.make_empty(1.0 - alpha_share, "INTERSECT"), None
+            return Interval.make_empty(1.0 - alpha_share, "INTERSECT")
         xi_part = Interval(lo, lo, 1.0 - half, "XI")
     else:
         xi_part = xi_hull(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed)
-    return intersect(xi_part, ls), None
+    return intersect(xi_part, ls)
 
 
 def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDiagnostic:

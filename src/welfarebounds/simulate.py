@@ -13,18 +13,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from ._fanout import fan_out
-from .confset import GridSpec, child_seed, xi_hull
+from .confset import GridSpec, child_seed, cs_combined
 from .regress import GoodSample, Interval
 from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
     WelfareQuery,
+    _total,
     bounds_box,
     welfare_loss,
 )
@@ -169,12 +168,7 @@ class McReport:
 
 
 def _mean(values) -> float:
-    return sum(values) / len(values)
-
-
-def _total(values) -> float:
-    """The values added left to right from 0.0 (sum() compensates its float sums from Python 3.12)."""
-    return reduce(add, values, 0.0)
+    return _total(values) / len(values)
 
 
 def _interval_unit(unit) -> tuple[Interval, float]:
@@ -185,7 +179,7 @@ def _interval_unit(unit) -> tuple[Interval, float]:
     theta, n, seed, r, k, grid, share = unit
     sample = _draw_good(DgpConfig(theta=theta, n=n, seed=seed), r, k)
     t0 = time.process_time()
-    iv = xi_hull(sample, share, grid, child_seed(seed, _CS, r, k))
+    iv = cs_combined(sample, share, "xi", grid, child_seed(seed, _CS, r, k))
     return iv, time.process_time() - t0
 
 

@@ -25,7 +25,8 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -41,6 +42,11 @@ _THETA_TINY = 1e-12
 # Branch-and-bound stops once no open node's lower bound lies more than this
 # relative distance below the best value found.
 _BNB_RTOL = 1e-12
+
+
+def _total(values) -> float:
+    """The values added left to right from 0.0 (sum() compensates its float sums from Python 3.12)."""
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class ConstraintSet:
 
     def joint_level(self) -> float:
         """Union-bound confidence level of the whole box."""
-        return max(0.0, 1.0 - sum(1.0 - iv.level for iv in self.box))
+        return max(0.0, 1.0 - _total(1.0 - iv.level for iv in self.box))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """The per-row CSV readers of welfarebounds.cli before they read whole columns.
 
-Kept verbatim as the reference for test_readers.py: the column readers must
-return the same values, or raise the same exception with the same message,
-on every file.
+Kept verbatim as the reference for test_readers.py, except that a line the
+csv module cannot read raises ParseError: the column readers must return the
+same values, or raise the same exception with the same message, on every
+file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     """CSV rows with their 1-based line numbers; '#' comment lines skipped.
 
     The file is UTF-8, with or without a leading byte-order mark; a byte
-    that does not decode raises ParseError naming the file and row.
+    that does not decode, and a line the csv module cannot read (a cell
+    longer than csv.field_size_limit(), or before Python 3.11 a NUL), raise
+    ParseError naming the file and row.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -37,7 +40,10 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     for lineno, raw in enumerate(io.StringIO(text, newline=""), start=1):
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        parsed = next(csv.reader([raw]))
+        try:
+            parsed = next(csv.reader([raw]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
         out.append((lineno, [cell.strip() for cell in parsed]))
     return out
 

@@ -301,7 +301,7 @@ def test_case2_substitute_for_unshipped_data():
 
     diag = shape_diagnostic(sample, 0.05, rng_seed=123)
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
-    combined, _ = cs_combined(sample, 0.05, "intersect", GridSpec(POSITIVITY_FLOOR, 6.0, 2000), 9)
+    combined = cs_combined(sample, 0.05, "intersect", GridSpec(POSITIVITY_FLOOR, 6.0, 2000), 9)
     tightened = combined.lower > ls.lower + 0.1 and combined.upper <= ls.upper
     ok = diag.case_id == "UNBOUNDED_ABOVE" and tightened
     _criterion(

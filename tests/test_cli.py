@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -903,6 +904,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "[] 1"
 
 
+def test_least_squares_bits_do_not_depend_on_the_cpu_count():
+    # Above ~10 000 rows OpenBLAS splits a dot product over its threads, so
+    # a fit's last bits followed the CPU count until the CLI pinned numpy to
+    # one BLAS thread.  The child sees no thread setting but the CLI's own.
+    if shutil.which("taskset") is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs taskset and at least two CPUs in the affinity mask")
+    src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import welfarebounds.cli\n"
+        "from welfarebounds.regress import fit_inverse_demand\n"
+        "from welfarebounds.simulate import DgpConfig, draw_sample\n"
+        "for n in (10_001, 50_000, 200_000):\n"
+        "    sample = draw_sample(DgpConfig(theta=[0.4], n=n, seed=1, endogeneity=0.5))[0]\n"
+        "    fit = fit_inverse_demand(sample, 'tsls')\n"
+        "    print(n, fit.beta_hat.hex(), fit.se_beta.hex())\n"
+    )
+    one_cpu = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
+    outs = [
+        subprocess.run(prefix + [sys.executable, "-c", probe], env=env, capture_output=True,
+                       text=True, timeout=120, check=True).stdout
+        for prefix in ([], one_cpu)
+    ]
+    assert len(outs[0].splitlines()) == 3
+    assert outs[0] == outs[1]
+
+
 def test_level_that_rounds_to_one_is_invalid_level(tmp_path, capsys):
     with pytest.raises(InvalidLevel):
         critical_value(1e-17)
@@ -958,6 +987,32 @@ def test_non_utf8_input_is_named_and_a_bom_is_read(tmp_path, capsys, flag):
     # a leading byte-order mark, as spreadsheet "CSV UTF-8" exports write it, changes nothing
     assert outputs["bom"] == outputs["plain"] != []
     assert outputs["bad"] == []
+
+
+# file kind: (valid file text, line whose last cell is padded past the csv field limit)
+_LONG_CELL_CASES = {
+    "data": (TWO_GOOD_CSV, 3),
+    "query": (LONG_QUERY, 2),
+    "intervals": (TWO_GOOD_INTERVALS, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LONG_CELL_CASES))
+def test_a_cell_past_the_csv_field_limit_is_a_parse_error(tmp_path, capsys, kind):
+    # the padded cell is valid once stripped; the csv module refuses it for its length
+    text, line = _LONG_CELL_CASES[kind]
+    limit = csv.field_size_limit()
+    lines = text.splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace("\n", " " * limit + "\n")
+    path = _write(tmp_path, "long.csv", "".join(lines))
+    argv = {
+        "data": ["ci", "--mode", "ls", "--data", path],
+        "query": ["welfare", "--intervals", _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS), "--query", path],
+        "intervals": ["welfare", "--query", _write(tmp_path, "q.csv", LONG_QUERY), "--intervals", path],
+    }[kind]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 3
+    assert capsys.readouterr().err == f"ParseError: {path}: row {line}: field larger than field limit ({limit})\n"
+    assert not list(tmp_path.glob("x_*"))
 
 
 _ODD_CELLS = st.one_of(

@@ -91,7 +91,6 @@ def test_cs_xi_covers_truth_on_model_data():
     assert iv.source == "XI"
     assert iv.level == pytest.approx(1 - 0.1 / 3)
     assert prof.critical == critical_value(0.1 / 3)
-    assert prof.n_segments >= 1
 
 
 def test_cs_xi_empty_when_grid_misses_truth():
@@ -100,9 +99,8 @@ def test_cs_xi_empty_when_grid_misses_truth():
     assert iv.empty and iv.source == "XI"
     assert iv.level == pytest.approx(0.9)
     assert prof.stats.min() > prof.critical
-    # cs_combined returns the same pair in xi mode
-    combined, same = cs_combined(sample, 0.1, "xi", GridSpec(0.8, 0.9, 200), 3)
-    assert combined == iv and np.array_equal(same.stats, prof.stats)
+    # cs_combined returns the same interval in xi mode
+    assert cs_combined(sample, 0.1, "xi", GridSpec(0.8, 0.9, 200), 3) == iv
 
 
 def test_cs_xi_accepts_truth_under_degenerate_shock():
@@ -158,8 +156,7 @@ def test_bonferroni_share():
 def test_cs_combined_ls_only_noiseless():
     p = np.linspace(1, 2, 60)
     sample = GoodSample(p, 0.5 / p)
-    iv, prof = cs_combined(sample, 0.05, "ls", GridSpec(1e-6, 6.0, 2))
-    assert prof is None
+    iv = cs_combined(sample, 0.05, "ls", GridSpec(1e-6, 6.0, 2))
     assert iv.lower == pytest.approx(0.5, abs=1e-10)
     assert iv.upper == pytest.approx(0.5, abs=1e-10)
     assert iv.level == pytest.approx(0.95)
@@ -169,22 +166,22 @@ def test_cs_combined_intersect_is_subset_of_pieces():
     sample = draw_sample(DgpConfig(theta=np.array([0.4]), n=1500, seed=9))[0]
     share = 0.05
     grid = GridSpec(1e-6, 1.0, 800)
-    combined, prof = cs_combined(sample, share, "intersect", grid, 4)
-    assert prof is None
+    combined = cs_combined(sample, share, "intersect", grid, 4)
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - share / 2)
     assert combined.lower >= ls.lower - 1e-12
     assert combined.upper <= ls.upper + 1e-12
     assert combined.level == pytest.approx(1 - share)
-    xi_only, prof = cs_combined(sample, share, "xi", grid, 4)
+    xi_only, prof = cs_xi(sample, share, grid, 4)
     assert np.array_equal(prof.thetas, grid.values())
+    assert cs_combined(sample, share, "xi", grid, 4) == xi_only
     assert xi_only.contains(0.4) and combined.contains(0.4)
     # a least-squares interval below the positivity floor empties the
     # intersection: exact inverse demand with theta = 1e-9
     p = np.linspace(1.0, 2.0, 60)
     below = GoodSample(p, 1e-9 / p)
-    assert cs_combined(below, share, "ls", grid)[0].upper < POSITIVITY_FLOOR
-    empty, prof = cs_combined(below, share, "intersect", grid, 4)
-    assert empty.empty and empty.source == "INTERSECT" and prof is None
+    assert cs_combined(below, share, "ls", grid).upper < POSITIVITY_FLOOR
+    empty = cs_combined(below, share, "intersect", grid, 4)
+    assert empty.empty and empty.source == "INTERSECT"
     assert empty.level == 1 - share
 
 
@@ -195,7 +192,7 @@ def test_case2_shape_and_intersection_tightening():
     assert diag.stat_at_zero > diag.critical
     assert diag.stat_at_inf <= diag.critical
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
-    combined, _ = cs_combined(sample, 0.05, "intersect", GridSpec(1e-6, 6.0, 2000), 9)
+    combined = cs_combined(sample, 0.05, "intersect", GridSpec(1e-6, 6.0, 2000), 9)
     # the rank test prunes the small-theta region the delta method cannot
     assert combined.lower > ls.lower + 0.1
     assert combined.upper <= ls.upper
@@ -260,10 +257,9 @@ def test_smoothing_barely_moves_bounds_on_discrete_instrument():
 def test_profile_segments_counting():
     stats = np.array([5.0, 0.2, 0.3, 5.0, 0.1, 5.0])
     prof = XiProfile(thetas=np.linspace(0, 1, 6), stats=stats, critical=1.0)
-    assert prof.n_segments == 2
     assert prof.accepted().tolist() == [False, True, True, False, True, False]
     empty = XiProfile(thetas=np.linspace(0, 1, 3), stats=np.full(3, 9.0), critical=1.0)
-    assert empty.n_segments == 0
+    assert not empty.accepted().any()
 
 
 @settings(max_examples=40, deadline=None)

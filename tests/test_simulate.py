@@ -147,6 +147,12 @@ def test_mc_table2_fixed_query_and_bracketing():
     assert list(a.timings) == ["ci_n200", "welfare_n200"]
 
 
+def test_mean_adds_left_to_right_on_every_python():
+    # sum([0.1] * 10) is 1.0 from Python 3.12, which compensates float sums,
+    # and 0.9999999999999999 before it; the mc welfare averages must not follow
+    assert simulate._mean([0.1] * 10) == 0.9999999999999999 / 10
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
     reps, seed, n, nodes = 4, 21, 200, 120
@@ -156,7 +162,7 @@ def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
     config = DgpConfig(theta=theta, n=n, seed=seed)
     # every (r, k) interval of the unpatched study, then the empty ones by (r, k)
     runs = [
-        [simulate.xi_hull(simulate._draw_good(config, r, k), share, grid, child_seed(seed, simulate._CS, r, k))
+        [simulate.cs_combined(simulate._draw_good(config, r, k), share, "xi", grid, child_seed(seed, simulate._CS, r, k))
          for k in range(3)]
         for r in range(reps)
     ]
@@ -165,15 +171,15 @@ def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
     empty_seeds = {child_seed(seed, simulate._CS, r, k) for r, k in emptied}
     for r, k in emptied:
         runs[r][k] = Interval.make_empty(1.0 - share, "XI")
-    real_hull = simulate.xi_hull
+    real_combined = simulate.cs_combined
 
-    def xi_hull(sample, alpha, grid, rng_seed):
+    def cs_combined(sample, alpha_share, mode, grid, rng_seed):
         # the fork carries this patch into the pool's workers
         if rng_seed in empty_seeds:
-            return Interval.make_empty(1.0 - alpha, "XI")
-        return real_hull(sample, alpha, grid, rng_seed)
+            return Interval.make_empty(1.0 - alpha_share, "XI")
+        return real_combined(sample, alpha_share, mode, grid, rng_seed)
 
-    with mock.patch.object(simulate, "xi_hull", xi_hull), mock.patch.object(_fanout, "_cpus", lambda: workers):
+    with mock.patch.object(simulate, "cs_combined", cs_combined), mock.patch.object(_fanout, "_cpus", lambda: workers):
         report = mc_table1(reps=reps, seed=seed, n_values=(n,), grid_nodes=nodes)
 
     for k, row in enumerate(report.intervals):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_bounds_box_degenerate():
     true_wl = welfare_loss(theta, THREE_GOOD_QUERY)
     assert wb.wl_min == wb.wl_max == true_wl
     assert wb.level == pytest.approx(0.9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+def test_joint_level_is_exact(levels):
+    # Each 1 - level is a multiple of 2**-53 no larger than 1, so a partial
+    # sum below 1 is exact and one at 1 or above clips the level to 0: the
+    # left-to-right total and Python 3.12's compensated sum() agree on it.
+    box = tuple(Interval(0.1, 0.2, level, "BOX") for level in levels)
+    exact = 1 - sum(Fraction(1.0 - level) for level in levels)
+    assert Fraction(ConstraintSet(box).joint_level()) == max(exact, 0)
 
 
 def test_bounds_box_fixed_unit_box():
