@@ -24,8 +24,8 @@ _EXPORTS = {
         ),
         "errors": (
             "ConfigError", "DataError", "DegenerateResponse", "EmptyConfidenceSet",
-            "InvalidGrid", "InvalidLevel", "InvalidQuery", "InvalidSample", "InvalidTheta",
-            "NearZeroSlope", "NegativePriceChange", "NonpositiveSlope", "NumericalError",
+            "InvalidLevel", "InvalidQuery", "InvalidSample", "InvalidTheta", "NearZeroSlope",
+            "NonpositiveSlope", "NumericalError",
             "ParseError", "SchemaError", "SingularDesign", "TooFewObservations",
             "WeakFirstStage", "WelfareBoundsError",
         ),

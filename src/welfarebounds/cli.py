@@ -298,7 +298,7 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     EMPTY rows become empty intervals; FAILED:<ErrorName> rows become empty
     intervals tagged with source FAILED.  A row that is no valid Interval
     (lower above upper, a non-finite endpoint, a level outside [0, 1]) raises
-    ParseError naming the file and row.
+    ParseError naming the file and row, with Interval's DataError message.
     """
     table = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
     idx = {name: table.names.index(name) for name in table.names}
@@ -315,14 +315,11 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
         level = _cell_float(path, cells[idx["level"]], lineno, "level")
         status = cells[idx["status"]]
         source = "FAILED" if status.startswith("FAILED:") else method.upper()
+        empty = status == "EMPTY" or source == "FAILED"
+        lower, upper = (math.nan if empty else _cell_float(path, cells[idx[c]], lineno, c) for c in ("lower", "upper"))
         try:
-            if status == "EMPTY" or source == "FAILED":
-                out[gid] = Interval.make_empty(level, source)
-            else:
-                lower = _cell_float(path, cells[idx["lower"]], lineno, "lower")
-                upper = _cell_float(path, cells[idx["upper"]], lineno, "upper")
-                out[gid] = Interval(lower, upper, level, source)
-        except ValueError as exc:
+            out[gid] = Interval(lower, upper, level, source, empty)
+        except DataError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
@@ -451,11 +448,11 @@ def _require(value, flag: str):
 
 def _load_samples(cfg: argparse.Namespace, flag: str = "--data") -> list[GoodSample]:
     """Ingest the data file, smooth instruments if --jitter, report rejected rows."""
+    if cfg.jitter > 0 and cfg.seed is None:
+        raise ConfigError("--jitter requires --seed for reproducible noise")
     reject_log: list = []
     samples = ingest_csv(_require(cfg.data, flag), reject_log)
     if cfg.jitter > 0:
-        if cfg.seed is None:
-            raise ConfigError("--jitter requires --seed for reproducible noise")
         if any(s.instrument is None for s in samples):
             raise ConfigError("--jitter requires an instrument column")
         from .confset import child_seed, smooth_instrument
@@ -517,8 +514,8 @@ def _interval_unit(unit):
         return exc
 
 
-def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, keep_profiles: bool):
-    """Each good's interval in each mode, at the Bonferroni share alpha/K.
+def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, modes, keep_profiles: bool):
+    """Each good's interval in each mode over `grid`, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
@@ -527,19 +524,21 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, k
     file order; any other error is raised after the lines of the goods
     before it.  profiles maps a good id to its xi-mode grid profile when
     keep_profiles is set, else is empty.  code is the exit code of the first
-    failure, or EXIT_OK.  The (good, mode) pairs are fan_out units.  A mode
-    that fits least squares with --ls tsls needs an instrument for every
-    good, else SchemaError before any work.
+    failure, or EXIT_OK.  An xi interval that ends at --grid-hi, or at a
+    --grid-lo above POSITIVITY_FLOOR, gets a GridEdge stderr line in file
+    order: the set may extend past the grid.  The (good, mode) pairs are
+    fan_out units.  A mode that fits least squares with --ls tsls needs an
+    instrument for every good, else SchemaError before any work.  The
+    callers build `grid` before they read the data file: a bad one fails first.
     """
     from ._fanout import fan_out
-    from .confset import GridSpec, bonferroni_share, child_seed
+    from .confset import bonferroni_share, child_seed
 
     needs_ls = any(m != "xi" for m in modes)
     if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
         raise SchemaError("column 'instrument' is required for TSLS")
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
-    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     units = [
         (s, share, m, grid, child_seed(seed, _SEED_CS, i), cfg.ls, keep_profiles)
         for i, s in enumerate(samples)
@@ -557,15 +556,23 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, modes, k
         iv, profile = outcome
         if profile is not None:
             profiles[s.good_id] = profile
+        for flag, edge, hit in (("--grid-lo", grid.lo, iv.lower == grid.lo > POSITIVITY_FLOOR),
+                                ("--grid-hi", grid.hi, iv.upper == grid.hi)):
+            if hit and m == "xi":
+                print(f"GridEdge: {s.good_id}: xi interval reaches {flag} {_fmt(edge)}; the set may extend beyond it",
+                      file=sys.stderr)
         rows.append((s.good_id, m, iv, "EMPTY" if iv.empty else "OK"))
     return rows, profiles, code
 
 
 def cmd_ci(cfg: argparse.Namespace) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
+    from .confset import GridSpec
+
+    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     samples = _load_samples(cfg)
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
-    rows, profiles, code = _good_intervals(samples, cfg, modes, True)
+    rows, profiles, code = _good_intervals(samples, cfg, grid, modes, True)
     _write_csv(
         f"{cfg.out}_intervals.csv",
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
@@ -590,10 +597,13 @@ def _box_from_config(cfg: argparse.Namespace) -> tuple[list[str], list[Interval]
         mode = None if cfg.mode == "all" else cfg.mode
         box_map = read_intervals_csv(cfg.intervals, mode)
         return list(box_map.keys()), list(box_map.values()), EXIT_OK
-    samples = _load_samples(cfg, "--data or --intervals")
+    from .confset import GridSpec
+
     if cfg.mode == "all":
         raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
-    rows, _, code = _good_intervals(samples, cfg, (cfg.mode,), False)
+    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
+    samples = _load_samples(cfg, "--data or --intervals")
+    rows, _, code = _good_intervals(samples, cfg, grid, (cfg.mode,), False)
     return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
 
 
@@ -623,15 +633,11 @@ def cmd_welfare(cfg: argparse.Namespace) -> int:
 
 
 def _parse_theta(text: str) -> np.ndarray:
+    """The --theta list's floats; DgpConfig checks their count and range."""
     try:
-        theta = np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError as exc:
-        raise ConfigError(f"bad --theta list {text!r}: {exc}") from exc
-    if theta.size == 0:
-        raise ConfigError("--theta must list at least one value")
-    if not np.all((theta > 0) & (theta <= 1)):
-        raise ConfigError(f"--theta entries must lie in (0, 1], got {text!r}")
-    return theta
+        raise ConfigError(f"bad --theta list {text!r}: {exc}", ("theta",)) from exc
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
@@ -824,62 +830,45 @@ def _read_config(path: str, command: str, subparsers: dict[str, argparse.Argumen
         if key not in actions:
             raise ConfigError(f"{path}:{lineno}: key {key!r} is not read by {command!r}")
         action = actions[key]
-        try:
-            if action.default is None and text.lower() in ("", "none"):
-                value = None
-            else:
+        if action.default is None and text.lower() in ("", "none"):
+            value = None
+        else:
+            try:
                 value = (action.type or str)(text)
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(f"{value!r} is not one of {', '.join(map(str, action.choices))}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} is not one of"
+                                  f" {', '.join(map(str, action.choices))}")
         defaults[key] = (lineno, value)
     subparsers[command].set_defaults(**{key: value for key, (_, value) in defaults.items()})
     return defaults
 
 
-def validate(cfg: argparse.Namespace, actions, origin: dict) -> None:
-    """The range checks argparse does not make, on the parameters the command has.
+def validate(cfg: argparse.Namespace, actions) -> None:
+    """The checks that must precede the library's: every other range rule is the owning type's.
 
-    origin maps a parameter whose value a config file set to its
-    `<file>:<line>`, which then starts the error's message.
+    alpha and jitter are checked here as well as in bonferroni_share and
+    smooth_instrument, which run only after the data file is read (and
+    `welfare --intervals` loads no confset); a bad value must fail first.
     """
-
-    def fail(message: str, *dests: str):
-        where = next((origin[d] for d in dests if d in origin), None)
-        raise ConfigError(f"{where}: {message}" if where else message)
-
     for action in actions:
         value = getattr(cfg, action.dest, None)
         if action.type is float and value is not None and not math.isfinite(value):
-            fail(f"{action.dest.replace('_', '-')} must be finite, got {value}", action.dest)
+            raise ConfigError(f"{action.dest.replace('_', '-')} must be finite, got {value}", (action.dest,))
     if "alpha" in cfg and not 0.0 < cfg.alpha < 1.0:
-        fail(f"alpha must lie strictly in (0, 1), got {cfg.alpha}", "alpha")
+        raise ConfigError(f"alpha must lie strictly in (0, 1), got {cfg.alpha}", ("alpha",))
     if cfg.seed is not None and cfg.seed < 0:
-        fail(f"seed must be nonnegative, got {cfg.seed}", "seed")
-    if "grid_nodes" in cfg:
-        if cfg.grid_nodes < 2:
-            fail(f"grid-nodes must be at least 2, got {cfg.grid_nodes}", "grid_nodes")
-        if cfg.grid_lo < 0:
-            fail(f"grid-lo must be nonnegative, got {cfg.grid_lo}", "grid_lo")
-        if not cfg.grid_hi > cfg.grid_lo:
-            fail(f"grid-hi ({cfg.grid_hi}) must exceed grid-lo ({cfg.grid_lo})", "grid_hi", "grid_lo")
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}", ("seed",))
     if "jitter" in cfg and cfg.jitter < 0:
-        fail(f"jitter must be nonnegative, got {cfg.jitter}", "jitter")
-    if "reps" in cfg:
-        if cfg.reps < 1:
-            fail(f"reps must be at least 1, got {cfg.reps}", "reps")
-        if cfg.k < 1:
-            fail(f"k must be at least 1, got {cfg.k}", "k")
-    if "n" in cfg and cfg.n < 3:
-        fail(f"n must be at least 3, got {cfg.n}", "n")
+        raise ConfigError(f"jitter must be nonnegative, got {cfg.jitter}", ("jitter",))
 
 
 def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
+    origin = {}  # the `<file>:<line>` of each parameter whose value the config file set
     try:
-        origin = {}
         if args.config is not None:
             from_file = _read_config(args.config, args.command, subparsers)
             args = parser.parse_args(argv)
@@ -889,11 +878,13 @@ def main(argv=None) -> int:
                 for key, (lineno, value) in from_file.items()
                 if getattr(args, key) is value or getattr(args, key) == value
             }
-        validate(args, subparsers[args.command]._actions, origin)
+        validate(args, subparsers[args.command]._actions)
         return _COMMANDS[args.command](args)
     except (WelfareBoundsError, OSError, MemoryError) as exc:
         kind = next((k for k in (OSError, MemoryError) if isinstance(exc, k)), type(exc))
-        print(f"{kind.__name__}: {exc}", file=sys.stderr)
+        # a ConfigError starts with the origin of the first of its parameters the file set
+        where = next((origin[p] for p in getattr(exc, "params", ()) if p in origin), None)
+        print(f"{kind.__name__}: {where}: {exc}" if where else f"{kind.__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, InvalidLevel, InvalidSample
+from .errors import ConfigError, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
 from . import xicor
@@ -61,17 +61,15 @@ class GridSpec:
 
     def __post_init__(self):
         if not isinstance(self.nodes, (int, np.integer)):
-            raise InvalidGrid(f"the node count must be an integer, got {self.nodes!r}")
+            raise ConfigError(f"grid-nodes must be an integer, got {self.nodes!r}", ("grid_nodes",))
         if self.nodes < 2:
-            raise InvalidGrid(f"need at least 2 nodes, got {self.nodes}")
+            raise ConfigError(f"grid-nodes must be at least 2, got {self.nodes}", ("grid_nodes",))
         if self.lo < 0:
-            raise InvalidGrid(f"grid lower bound must be nonnegative, got {self.lo}")
+            raise ConfigError(f"grid-lo must be nonnegative, got {self.lo}", ("grid_lo",))
         if not self.hi > self.lo:
-            raise InvalidGrid(
-                f"grid upper bound {self.hi} must exceed lower bound {self.lo}"
-            )
+            raise ConfigError(f"grid-hi ({self.hi}) must exceed grid-lo ({self.lo})", ("grid_hi", "grid_lo"))
         if not math.isfinite(self.hi):
-            raise InvalidGrid(f"grid upper bound must be finite, got {self.hi}")
+            raise ConfigError(f"grid-hi must be finite, got {self.hi}", ("grid_hi",))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.nodes)
@@ -386,7 +384,7 @@ def bonferroni_share(alpha: float, K: int) -> float:
     if not 0.0 < alpha < 1.0:
         raise InvalidLevel(f"alpha must lie strictly in (0, 1), got {alpha}")
     if K < 1:
-        raise ValueError(f"need at least one good, got K={K}")
+        raise ConfigError(f"need at least one good, got K={K}")
     return alpha / K
 
 
@@ -417,7 +415,7 @@ def cs_combined(
     if kind == "xi":
         return xi_hull(sample, alpha_share, grid, rng_seed)
     if kind not in ("ls", "intersect"):
-        raise ValueError(f"mode must be xi, ls, or intersect, got {mode!r}")
+        raise ConfigError(f"mode must be xi, ls, or intersect, got {mode!r}")
     fit = fit_inverse_demand(sample, ls_mode)
     if kind == "ls":
         return theta_interval_delta(fit, 1.0 - alpha_share)
@@ -475,7 +473,7 @@ def smooth_instrument(z, half_width: float, rng_seed: int) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     if half_width < 0:
-        raise ValueError(f"half width must be nonnegative, got {half_width}")
+        raise ConfigError(f"half width must be nonnegative, got {half_width}")
     if half_width == 0:
         return z.copy()
     rng = np.random.default_rng(rng_seed)

@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError-family -> 2, DataError-family
+The type or function that owns a range rule raises one of these, and the
+CLI maps them onto exit codes: ConfigError-family -> 2, DataError-family
 -> 3, NumericalError-family -> 4.  An empty confidence set is a result, not an
 error: the interval functions return it as an empty Interval, and
 ConstraintSet.empty flags a welfare constraint set that no theta meets (such
@@ -14,7 +15,12 @@ class WelfareBoundsError(Exception):
 
 
 class ConfigError(WelfareBoundsError):
-    """A run parameter is missing, malformed, or out of range."""
+    """A run parameter is missing, malformed, or out of range; `params` names
+    the parameters the rule reads, as the CLI's attributes ("grid_hi")."""
+
+    def __init__(self, message: str = "", params: tuple = ()):
+        super().__init__(message)
+        self.params = params
 
 
 class DataError(WelfareBoundsError):
@@ -27,10 +33,6 @@ class NumericalError(WelfareBoundsError):
 
 class InvalidLevel(ConfigError):
     """Confidence level or alpha outside (0, 1), or too near an end for a finite quantile."""
-
-
-class InvalidGrid(ConfigError):
-    """Grid bounds or node count do not describe a usable grid."""
 
 
 class InvalidSample(DataError):
@@ -50,8 +52,8 @@ class ParseError(DataError):
 
 
 class InvalidQuery(DataError):
-    """A query row has an empty id, an unknown or missing good, a repeat, a negative or
-    non-finite delta, or a nonpositive or non-finite ystar."""
+    """A query's delta and ystar differ in shape; a delta is negative, a ystar nonpositive,
+    or either or their product not finite; or a row has an empty id, an unknown or missing good, or a repeat."""
 
 
 class TooFewObservations(DataError):
@@ -76,10 +78,6 @@ class NearZeroSlope(NumericalError):
 
 class InvalidTheta(NumericalError):
     """A theta vector violates positivity or shape requirements."""
-
-
-class NegativePriceChange(NumericalError):
-    """Price decreases are outside the model's domain."""
 
 
 class EmptyConfidenceSet(WelfareBoundsError):

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
+    DataError,
     InvalidLevel,
     InvalidSample,
     NearZeroSlope,
@@ -102,13 +104,13 @@ class Interval:
 
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"level {self.level} lies outside [0, 1]")
+            raise DataError(f"level {self.level} lies outside [0, 1]")
         if self.empty:
             return
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"endpoints {self.lower}, {self.upper} must be finite")
+            raise DataError(f"endpoints {self.lower}, {self.upper} must be finite")
         if self.lower > self.upper:
-            raise ValueError(f"lower {self.lower} exceeds upper {self.upper}")
+            raise DataError(f"lower {self.lower} exceeds upper {self.upper}")
 
     @classmethod
     def make_empty(cls, level: float, source: str) -> "Interval":
@@ -136,7 +138,7 @@ def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
     if kind == "AUTO":
         kind = TSLS if sample.instrument is not None else OLS
     if kind not in (OLS, TSLS):
-        raise ValueError(f"mode must be auto, ols, or tsls, got {mode!r}")
+        raise ConfigError(f"mode must be auto, ols, or tsls, got {mode!r}")
     x = sample.price
     y = 1.0 / sample.quantity
     n = sample.n

@@ -18,6 +18,7 @@ import numpy as np
 
 from ._fanout import fan_out
 from .confset import GridSpec, child_seed, cs_combined
+from .errors import ConfigError
 from .regress import GoodSample, Interval
 from .welfare import (
     POSITIVITY_FLOOR,
@@ -57,7 +58,7 @@ class DgpConfig:
     quantity follows theta/(price - shock), and the instrument is the price
     itself unless `endogeneity` is set, in which case price mixes in the
     shock with that weight and an exogenous U[1,1.5] driver serves as the
-    instrument.
+    instrument; price - shock is positive for every draw exactly when endogeneity >= 0.
     """
 
     theta: np.ndarray
@@ -68,11 +69,13 @@ class DgpConfig:
     def __post_init__(self):
         theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
         if theta.ndim != 1 or theta.shape[0] < 1:
-            raise ValueError("theta must be a nonempty 1-d array")
-        if np.any(theta <= 0) or np.any(theta > 1):
-            raise ValueError("theta entries must lie in (0, 1]")
-        if self.n < 1:
-            raise ValueError(f"need a positive sample size, got {self.n}")
+            raise ConfigError("theta must be a nonempty 1-d array", ("theta",))
+        if not np.all((theta > 0) & (theta <= 1)):
+            raise ConfigError("theta entries must lie in (0, 1]", ("theta",))
+        if self.n < 3:
+            raise ConfigError(f"need a sample size of at least 3, got {self.n}", ("n",))
+        if self.endogeneity is not None and not self.endogeneity >= 0:
+            raise ConfigError(f"endogeneity must be nonnegative, got {self.endogeneity}", ("endogeneity",))
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -253,7 +256,7 @@ def mc_table1(
     are excluded from the affected averages and counted in `skipped`.
     """
     if reps < 1:
-        raise ValueError("need at least one replication")
+        raise ConfigError("need at least one replication", ("reps",))
     theta = np.asarray(TABLE1_THETA)
     K = theta.shape[0]
     query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
@@ -294,8 +297,10 @@ def mc_table2(
     from substituting the interval endpoints; `bracketed` reports the share
     of replications whose bounds enclose the true loss.
     """
-    if K < 1 or reps < 1:
-        raise ValueError("need at least one good and one replication")
+    if K < 1:
+        raise ConfigError(f"need at least one good, got K={K}", ("k",))
+    if reps < 1:
+        raise ConfigError("need at least one replication", ("reps",))
     theta = np.linspace(0.1, 0.9, K)
     q_rng = substream(seed, _QUERY, K)
     query = WelfareQuery(delta=q_rng.uniform(0.1, 1.1, K), y_star=q_rng.uniform(0.2, 1.2, K))

@@ -30,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import EmptyConfidenceSet, InvalidTheta, NegativePriceChange
+from .errors import DataError, EmptyConfidenceSet, InvalidQuery, InvalidTheta
 
 # Lower edge of the admissible theta space, and the default grid_lo.
 POSITIVITY_FLOOR = 1e-6
@@ -64,17 +64,17 @@ class WelfareQuery:
         delta = np.asarray(self.delta, dtype=float)
         y_star = np.asarray(self.y_star, dtype=float)
         if delta.ndim not in (1, 2) or delta.shape != y_star.shape:
-            raise ValueError("delta and y_star must be 1-d or 2-d arrays of equal shape")
+            raise InvalidQuery("delta and y_star must be 1-d or 2-d arrays of equal shape")
         if not np.all(np.isfinite(delta)) or np.any(delta < 0):
-            raise NegativePriceChange(
+            raise InvalidQuery(
                 "price changes must be finite and nonnegative; "
                 "price drops are outside the model's domain"
             )
         if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
-            raise ValueError("reference consumption must be finite and positive")
+            raise InvalidQuery("reference consumption must be finite and positive")
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(delta * y_star)):
-                raise ValueError("delta * y_star must be finite")
+                raise InvalidQuery("delta * y_star must be finite")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "y_star", y_star)
 
@@ -101,7 +101,7 @@ class ConstraintSet:
     def __post_init__(self):
         box = tuple(self.box)
         if not box:
-            raise ValueError("constraint box must contain at least one interval")
+            raise DataError("constraint box must contain at least one interval")
         object.__setattr__(self, "box", box)
 
     @property

@@ -153,7 +153,9 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
                 lower = _cell_float(path, cells[idx["lower"]], lineno, "lower")
                 upper = _cell_float(path, cells[idx["upper"]], lineno, "upper")
                 out[gid] = Interval(lower, upper, level, source)
-        except ValueError as exc:
+        except ParseError:
+            raise
+        except DataError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")

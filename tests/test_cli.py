@@ -362,15 +362,19 @@ def test_diagnose_keeps_the_other_goods_and_names_the_failed_one(tmp_path, capsy
     assert lines[2].startswith("a,") and lines[2].endswith(",1.04029677575,WHOLE_SPACE")
     assert lines[3:] == ["b,,,1.04029677575,FAILED:DegenerateResponse"]
     assert capsys.readouterr().err == "DegenerateResponse: b: all response values are equal\n"
-    # every per-good stderr line names the good exactly once
+    # every per-good stderr line names the good exactly once; good a's xi
+    # set is the whole grid, so its xi row reaches --grid-hi
     query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.5\nh1,b,0.5,0.5\n")
-    for argv, code in ((["ci", "--mode", "all"], 3),
-                       (["welfare", "--mode", "xi", "--query", query], 3),
-                       (["welfare", "--mode", "ls", "--query", query], 4)):
+    edge = "GridEdge: a: xi interval reaches --grid-hi 6; the set may extend beyond it"
+    for argv, code, edges in ((["ci", "--mode", "all"], 3, 1),
+                              (["welfare", "--mode", "xi", "--query", query], 3, 1),
+                              (["welfare", "--mode", "ls", "--query", query], 4, 0)):
         assert main(argv + ["--data", data, "--out", str(tmp_path / "c")]) == code
         err = capsys.readouterr().err.splitlines()
-        assert err and all(line.count("b: ") == 1 for line in err)
-        assert {line.split(":")[0] for line in err} <= {"DegenerateResponse", "SingularDesign"}
+        assert err.count(edge) == edges
+        failed = [line for line in err if line != edge]
+        assert failed and all(line.count("b: ") == 1 for line in failed)
+        assert {line.split(":")[0] for line in failed} <= {"DegenerateResponse", "SingularDesign"}
 
 
 def _welfare_rows(path):
@@ -714,6 +718,84 @@ def test_config_file_range_error_names_file_and_line(tmp_path, capsys):
     cfg = _write(tmp_path, "range.cfg", "alpha = 0.1\n")
     assert main(["ci", "--data", data, "--config", cfg, "--alpha", "2", "--out", str(tmp_path / "r")]) == 2
     assert capsys.readouterr().err == "ConfigError: alpha must lie strictly in (0, 1), got 2.0\n"
+
+
+def test_library_range_error_names_the_config_line(tmp_path, capsys):
+    # a rule that a library type owns is that type's ConfigError, and it
+    # names the config line that set the first parameter the rule reads
+    missing = str(tmp_path / "missing.csv")
+    for argv, text, message in (
+        (["simulate", "--seed", "1"], "n = 2\n", ":1: need a sample size of at least 3, got 2"),
+        (["simulate", "--seed", "1"], "# truth\ntheta = 0.2,1.5\n", ":2: theta entries must lie in (0, 1]"),
+        (["simulate", "--seed", "1"], "theta = 0.2,x\n", ":1: bad --theta list '0.2,x': could not convert"
+                                                          " string to float: 'x'"),
+        (["mc", "--table", "2", "--seed", "1"], "reps = 0\n", ":1: need at least one replication"),
+        (["mc", "--table", "2", "--seed", "1", "--reps", "1"], "k = 0\n", ":1: need at least one good, got K=0"),
+        # the grid is built before the data file is read
+        (["ci", "--data", missing], "grid-lo = -1\n", ":1: grid-lo must be nonnegative, got -1.0"),
+        (["welfare", "--data", missing, "--mode", "xi"], "grid_hi = 0\n",
+         ":1: grid-hi (0.0) must exceed grid-lo (1e-06)"),
+    ):
+        cfg = _write(tmp_path, "lib.cfg", text)
+        capsys.readouterr()
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "lib")]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {cfg}{message}\n"
+    assert not list(tmp_path.glob("lib_*"))
+
+
+def test_config_faults_come_before_the_data_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.csv")
+    for argv, message in (
+        (["welfare", "--data", missing], "pick one --mode (xi, ls, or intersect) when computing from raw data"),
+        (["ci", "--data", missing, "--jitter", "0.1"], "--jitter requires --seed for reproducible noise"),
+    ):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "cf")]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+
+
+def test_negative_endogeneity_is_a_config_error(tmp_path, capsys):
+    # price - shock is positive for every draw exactly when endogeneity >= 0,
+    # so a negative value fails whatever the draw, naming the parameter
+    cfg = _write(tmp_path, "e.cfg", "# run\nendogeneity = -0.01\n")
+    for argv, where, value in ((["--n", "200", "--endogeneity", "-0.5"], "", "-0.5"),
+                               (["--n", "1000", "--config", cfg], f"{cfg}:2: ", "-0.01")):
+        capsys.readouterr()
+        assert main(["simulate", "--seed", "1", *argv, "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {where}endogeneity must be nonnegative, got {value}\n"
+    assert not list(tmp_path.glob("e_*"))
+
+
+def test_a_flag_the_command_does_not_read_is_not_range_checked(tmp_path, monkeypatch, capsys):
+    # the grid flags under welfare --intervals and --k under mc --table 1
+    # reach no library type; a non-finite float flag is still an error
+    intervals = _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS)
+    query = _write(tmp_path, "q.csv", LONG_QUERY)
+    welfare = ["welfare", "--intervals", intervals, "--query", query, "--out", str(tmp_path / "w")]
+    assert main(welfare + ["--grid-nodes", "1", "--grid-lo", "-1", "--grid-hi", "-2"]) == 0
+    assert _parsed(monkeypatch, ["mc", "--table", "1", "--k", "0", "--reps", "1", "--seed", "1"]).k == 0
+    capsys.readouterr()
+    assert main(welfare + ["--grid-hi", "nan"]) == 2
+    assert capsys.readouterr().err == "ConfigError: grid-hi must be finite, got nan\n"
+
+
+def test_xi_interval_at_a_grid_edge_is_reported(tmp_path, capsys):
+    sim = str(tmp_path / "sim")
+    assert main(["simulate", "--seed", "1", "--theta", "0.2,0.3", "--n", "1000", "--out", sim]) == 0
+    # good1's interval ends at the grid's first node, then at its last; good2's
+    # ends inside the first grid and is EMPTY on the second, which says nothing of the edges
+    for grid, rows, edge in (
+        (["--grid-lo", "0.2", "--grid-hi", "0.35", "--grid-nodes", "300"],
+         [("0.2", "0.242642140468", "OK"), ("0.250668896321", "0.349498327759", "OK")], "--grid-lo 0.2"),
+        (["--grid-hi", "0.22", "--grid-nodes", "500"],
+         [("0.165771789579", "0.22", "OK"), ("", "", "EMPTY")], "--grid-hi 0.22"),
+    ):
+        out = str(tmp_path / "ge")
+        capsys.readouterr()
+        assert main(["ci", "--data", f"{sim}_data.csv", "--mode", "xi", "--seed", "1", *grid, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            f"GridEdge: good1: xi interval reaches {edge}; the set may extend beyond it\n")
+        assert [(r["lower"], r["upper"], r["status"]) for r in _rows(f"{out}_intervals.csv")] == rows
 
 
 def test_config_file_feeds_command(tmp_path):

@@ -21,7 +21,7 @@ from welfarebounds.confset import (
     shape_diagnostic,
     smooth_instrument,
 )
-from welfarebounds.errors import InvalidGrid, InvalidLevel
+from welfarebounds.errors import ConfigError, InvalidLevel
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, draw_sample
 from welfarebounds.welfare import POSITIVITY_FLOOR
@@ -46,23 +46,23 @@ def _case2_sample(n=1500, seed=6):
 
 
 def test_grid_spec_validation():
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(ConfigError):
         GridSpec(0.5, 0.5, 100)
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(ConfigError):
         GridSpec(-0.1, 1.0, 100)
-    with pytest.raises(InvalidGrid):
+    with pytest.raises(ConfigError):
         GridSpec(0.0, 1.0, 1)
     vals = GridSpec(0.0, 1.0, 11).values()
     assert vals[0] == 0.0 and vals[-1] == 1.0 and len(vals) == 11
 
 
 def test_grid_spec_rejects_an_infinite_upper_bound():
-    with pytest.raises(InvalidGrid, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         GridSpec(0.0, math.inf, 10)
 
 
 def test_grid_spec_rejects_a_fractional_node_count():
-    with pytest.raises(InvalidGrid, match="integer"):
+    with pytest.raises(ConfigError, match="integer"):
         GridSpec(0.0, 1.0, 10.5)
 
 
@@ -149,7 +149,7 @@ def test_bonferroni_share():
     assert bonferroni_share(0.05, 1) == 0.05
     with pytest.raises(InvalidLevel):
         bonferroni_share(1.2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         bonferroni_share(0.1, 0)
 
 
@@ -235,7 +235,7 @@ def test_smooth_instrument_zero_width_is_identity():
     assert np.array_equal(smooth_instrument(z, 0.0, 1), z)
     tiny = smooth_instrument(z, 1e-12, 1)
     assert_allclose(tiny, z, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         smooth_instrument(z, -0.1, 1)
 
 

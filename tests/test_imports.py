@@ -5,7 +5,9 @@ the grid, Monte Carlo and statistics modules only in the commands that run
 them, so a command pays the import time of the layers it uses alone.
 """
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -59,3 +61,26 @@ except AttributeError as exc:
 """
     out = _python("-c", probe).stdout.strip()
     assert out == "module 'welfarebounds' has no attribute 'no_such_name'"
+
+
+def test_library_code_raises_only_the_package_errors():
+    # every `raise Name(...)` names a class of errors.py, which the CLI maps
+    # to an exit code, or a function of its own module that builds one
+    # (cli._not_a_number); a re-raise (`raise exc`) and a raise of a
+    # looked-up callable (`raise rules[i][1](i)`) pass, and __getattr__'s
+    # AttributeError is the one the module protocol asks for
+    package = pathlib.Path(welfarebounds.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    ours = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        builders = {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+        hits += [
+            f"{path.name}:{node.lineno}: {node.exc.func.id}"
+            for node in ast.walk(module)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name) and node.exc.func.id not in ours | builders
+        ]
+    allowed = [hit for hit in hits if hit.startswith("__init__.py:") and hit.endswith(": AttributeError")]
+    assert len(allowed) == 1 and hits == allowed

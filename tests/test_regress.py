@@ -1,3 +1,4 @@
+import math
 from statistics import NormalDist
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from welfarebounds.errors import (
+    ConfigError,
+    DataError,
     InvalidLevel,
     InvalidSample,
     NearZeroSlope,
@@ -14,6 +17,7 @@ from welfarebounds.errors import (
 )
 from welfarebounds.regress import (
     GoodSample,
+    Interval,
     LsFit,
     fit_inverse_demand,
     theta_interval_delta,
@@ -80,8 +84,16 @@ def test_tsls_fixes_endogeneity_bias():
     # auto picks TSLS with an instrument and OLS without one
     assert fit_inverse_demand(sample, "auto") == tsls
     assert fit_inverse_demand(GoodSample(p, sample.quantity), "AUTO") == ols
-    with pytest.raises(ValueError, match="auto, ols, or tsls"):
+    with pytest.raises(ConfigError, match="auto, ols, or tsls"):
         fit_inverse_demand(sample, "gmm")
+
+
+def test_interval_rules_are_data_errors():
+    for args, message in (((0.1, 0.2, 1.5, "LS"), "level 1.5 lies outside"),
+                          ((0.1, math.inf, 0.9, "LS"), "must be finite"),
+                          ((0.3, 0.2, 0.9, "LS"), "lower 0.3 exceeds upper 0.2")):
+        with pytest.raises(DataError, match=message):
+            Interval(*args)
 
 
 def test_ols_and_tsls_coincide_when_instrument_is_price():

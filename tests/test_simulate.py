@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from welfarebounds import _fanout, simulate
 from welfarebounds.confset import GridSpec
+from welfarebounds.errors import ConfigError
 from welfarebounds.regress import Interval
 from welfarebounds.simulate import (
     MC_ALPHA,
@@ -23,12 +25,37 @@ from welfarebounds.welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DgpConfig(theta=np.array([0.0, 0.5]), n=100, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DgpConfig(theta=np.array([1.5]), n=100, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DgpConfig(theta=np.array([0.5]), n=0, seed=1)
+    # a good needs three rows, so a smaller draw is a config error, not a bad sample
+    with pytest.raises(ConfigError, match="at least 3, got 2") as err:
+        DgpConfig(theta=np.array([0.5]), n=2, seed=1)
+    assert err.value.params == ("n",)
+    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+        DgpConfig(theta=np.array([math.nan]), n=100, seed=1)
+    # each study checks its counts before any work
+    with pytest.raises(ConfigError, match="one replication") as err:
+        mc_table1(0, seed=1)
+    assert err.value.params == ("reps",)
+    for K, reps, param in ((0, 1, "k"), (2, 0, "reps")):
+        with pytest.raises(ConfigError) as err:
+            mc_table2(K, reps, seed=1)
+        assert err.value.params == (param,)
+
+
+def test_negative_endogeneity_is_a_config_error():
+    # price - shock = z + (e - 1) * shock + u with z >= 1, shock in [0, 1)
+    # and u >= 0: positive for every draw exactly when e >= 0
+    for e in (-0.5, -0.01, math.nan):
+        with pytest.raises(ConfigError, match=f"endogeneity must be nonnegative, got {e}") as err:
+            DgpConfig(theta=np.array([0.5]), n=100, seed=1, endogeneity=e)
+        assert err.value.params == ("endogeneity",)
+    sample = draw_sample(DgpConfig(theta=np.array([0.5]), n=1000, seed=1, endogeneity=0.0))[0]
+    assert np.all(sample.quantity > 0)  # GoodSample accepted the draw
 
 
 def _shock(cfg, rep, k):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import kl_div
 
-from welfarebounds.errors import EmptyConfidenceSet, InvalidTheta, NegativePriceChange
+from welfarebounds.errors import DataError, EmptyConfidenceSet, InvalidQuery, InvalidTheta
 from welfarebounds.regress import Interval
 from welfarebounds.welfare import (
     POSITIVITY_FLOOR,
@@ -123,12 +123,14 @@ def test_invalid_inputs():
         welfare_loss(np.array([0.2, -0.3, 0.5]), THREE_GOOD_QUERY)
     with pytest.raises(InvalidTheta):
         welfare_loss(np.array([0.2, 0.3]), THREE_GOOD_QUERY)
-    with pytest.raises(NegativePriceChange):
+    with pytest.raises(InvalidQuery):
         WelfareQuery(delta=np.array([-0.1, 0.2]), y_star=np.ones(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidQuery):
         WelfareQuery(delta=np.array([0.1, 0.2]), y_star=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="must be finite"):  # each finite, the product not
+    with pytest.raises(InvalidQuery, match="must be finite"):  # each finite, the product not
         WelfareQuery(delta=np.array([1e200, 0.2]), y_star=np.array([1e200, 1.0]))
+    with pytest.raises(DataError, match="at least one interval"):
+        ConstraintSet(())
 
 
 def test_kl_div_identity():
@@ -430,11 +432,11 @@ def test_batched_box_equals_single_queries_bit_for_bit():
         none = bounds_box(constraints, WelfareQuery(delta[:0], y_star[:0]))
         assert none.wl_min.shape == none.wl_max.shape == (0,)
     constraints = ConstraintSet(box)
-    with pytest.raises(NegativePriceChange):
+    with pytest.raises(InvalidQuery):
         WelfareQuery(-delta, y_star)
     with pytest.raises(InvalidTheta):
         bounds_box(constraints, WelfareQuery(delta[:, :3], y_star[:, :3]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidQuery):
         WelfareQuery(delta[None], y_star[None])  # 3-d
 
 
