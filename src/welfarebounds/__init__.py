@@ -26,7 +26,7 @@ _EXPORTS = {
             "ConfigError", "DataError", "DegenerateResponse", "EmptyConfidenceSet",
             "InvalidLevel", "InvalidQuery", "InvalidSample", "InvalidTheta", "NearZeroSlope",
             "NonpositiveSlope", "NumericalError",
-            "ParseError", "SchemaError", "SingularDesign", "TooFewObservations",
+            "ParseError", "SchemaError", "SingularDesign",
             "WeakFirstStage", "WelfareBoundsError",
         ),
         "regress": ("GoodSample", "Interval", "LsFit", "fit_inverse_demand", "theta_interval_delta"),

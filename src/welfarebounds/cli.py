@@ -44,14 +44,14 @@ from .errors import (
     ConfigError,
     DataError,
     InvalidQuery,
+    InvalidSample,
     NumericalError,
     ParseError,
     SchemaError,
-    TooFewObservations,
     WelfareBoundsError,
 )
 from .regress import GoodSample, Interval
-from .welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery, bounds_box
+from .welfare import POSITIVITY_FLOOR, ConstraintSet, WelfareQuery, bounds_box, value_faults
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -238,12 +238,12 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
 
     Required columns: good_id, price, quantity; optional: instrument.  Rows
     with nonpositive price or quantity are rejected and their line numbers
-    appended to reject_log; a good left with fewer than 3 rows raises
-    TooFewObservations.  A faulty row raises ParseError naming the file and
-    row; of several, the first row in file order, with its first fault in
-    this order: an empty good_id, a price that is not a number, a quantity
-    that is not a number, and, on a row not rejected, an instrument that is
-    not a number.
+    appended to reject_log; GoodSample raises InvalidSample for a good left
+    with fewer than 3 rows, and a file left with none raises it too.  A
+    faulty row raises ParseError naming the file and row; of several, the
+    first row in file order, with its first fault in this order: an empty
+    good_id, a price that is not a number, a quantity that is not a number,
+    and, on a row not rejected, an instrument that is not a number.
     """
     table = _read_table(path, ("good_id", "price", "quantity"))
     names = table.names
@@ -273,23 +273,13 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     code = {gid: i for i, gid in enumerate(dict.fromkeys(kept_gids))}
     codes = np.fromiter(map(code.__getitem__, kept_gids), dtype=np.intp, count=len(kept))
     by_good = np.argsort(codes, kind="stable")
-    samples = []
-    stop = 0
-    for gid, count in zip(code, np.bincount(codes, minlength=len(code)).tolist()):
-        if count < 3:
-            raise TooFewObservations(f"good {gid!r}: only {count} usable rows (need at least 3)")
-        rows, stop = by_good[stop : stop + count], stop + count
-        samples.append(
-            GoodSample(
-                price=price[rows],
-                quantity=quantity[rows],
-                instrument=z[rows] if has_z else None,
-                good_id=gid,
-            )
-        )
-    if not samples:
-        raise TooFewObservations(f"{path}: no usable data rows")
-    return samples
+    if not code:
+        raise InvalidSample(f"{path}: no usable data rows")
+    ends = np.cumsum(np.bincount(codes))[:-1]
+    return [
+        GoodSample(price[rows], quantity[rows], z[rows] if has_z else None, gid)
+        for gid, rows in zip(code, np.split(by_good, ends))
+    ]
 
 
 def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
@@ -326,14 +316,10 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
     return out
 
 
-def _range_rule(path: str, table: _Table, j: int, kind: str, values: np.ndarray):
-    """The rule (mask, fault) of query column j: a delta that is not finite
-    and nonnegative, or a ystar that is not finite and positive."""
-    if kind == "delta":
-        ok, need = values >= 0, "finite and nonnegative"
-    else:
-        ok, need = values > 0, "finite and positive"
-    return ~(ok & np.isfinite(values)), lambda i: InvalidQuery(
+def _range_rule(path: str, table: _Table, j: int, kind: str, bad: np.ndarray, need: str):
+    """The rule (mask, fault) of query column j, a delta or ystar column: a
+    value that is not `need`, as value_faults' mask `bad` flags it."""
+    return bad, lambda i: InvalidQuery(
         f"{path}: row {table.lines[i]}: {kind} in column {table.names[j]!r} is {table.cell(i, j)!r}; it must be {need}"
     )
 
@@ -350,9 +336,9 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     a repeat).  Of several faulty rows the first in file order is named,
     with its first fault in this order.  Long: an empty id, an unknown
     good_id, a repeated (id, good_id) pair, then for delta and then ystar a
-    value that is not a number and one out of range (a delta must be finite
-    and nonnegative, a ystar finite and positive); after all rows, an
-    individual missing a good, then a delta * ystar that overflows.  Wide:
+    value that is not a number and one out of range (by WelfareQuery's value
+    rules, welfare.value_faults); after all rows, an individual missing a
+    good, then a delta * ystar that overflows.  Wide:
     an empty id, a repeated id, then each value column from left to right,
     not a number and then out of range; after all rows, an overflow.
     """
@@ -402,31 +388,32 @@ def read_query_csv(path: str, good_ids: list[str]) -> tuple[list[str], WelfareQu
     rules.append((repeated, lambda i: InvalidQuery(
         f"{path}: rows {table.lines[int((slot == slot[i]).argmax())]} and {table.lines[i]}: individual {inds[i]!r} "
         + (f"lists good {gids[i]!r} twice" if long else "is listed twice"))))
+    # each row's (delta, ystar) pairs, one per good the row holds
+    faults = value_faults(values[:, 0::2], values[:, 1::2])
     for c, j in enumerate(cols):
         rules.append(_number_rule(path, table, j, unparsed[:, c]))
-        rules.append(_range_rule(path, table, j, ("delta", "ystar")[c % 2], values[:, c]))
+        bad, need = faults[c % 2]
+        rules.append(_range_rule(path, table, j, ("delta", "ystar")[c % 2], bad[:, c // 2], need))
     _raise_first(rules)
     ids = list(who)
+    overflow, need = faults[2]
     if long:
         lacking = filled.reshape(len(ids), K) == 0
         if lacking.any():
             i = int(np.flatnonzero(lacking.any(axis=1))[0])
             missing = [good_ids[k] for k in np.flatnonzero(lacking[i])]
             raise InvalidQuery(f"{path}: individual {ids[i]!r}: missing goods {missing}")
-        pairs = np.empty((slot.size, 2))
-        pairs[slot] = values
-        lines = np.empty(slot.size, dtype=np.intp)
-        lines[slot] = table.lines
+        # the row of each (individual, good) slot: every slot is filled once
+        order = np.argsort(slot)
+        pairs, lines, overflows = values[order], np.asarray(table.lines)[order], overflow[order, 0]
     else:
-        pairs = values
-        lines = np.repeat(table.lines, K)
-    pairs = pairs.reshape(len(ids), K, 2)
-    with np.errstate(over="ignore"):
-        overflows = np.flatnonzero(~np.isfinite(pairs[..., 0] * pairs[..., 1]))
-    if overflows.size:
-        first = int(overflows[0])
+        pairs, lines, overflows = values, np.repeat(table.lines, K), overflow.ravel()
+    if overflows.any():
+        # the first in individual and then good order
+        first = int(overflows.argmax())
         raise InvalidQuery(f"{path}: row {lines[first]}: delta times ystar for good"
-                           f" {good_ids[first % K]!r} overflows; it must be finite")
+                           f" {good_ids[first % K]!r} overflows; it must be {need}")
+    pairs = pairs.reshape(len(ids), K, 2)
     return ids, WelfareQuery(pairs[..., 0], pairs[..., 1])
 
 
@@ -526,7 +513,8 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, mo
     keep_profiles is set, else is empty.  code is the exit code of the first
     failure, or EXIT_OK.  An xi interval that ends at --grid-hi, or at a
     --grid-lo above POSITIVITY_FLOOR, gets a GridEdge stderr line in file
-    order: the set may extend past the grid.  The (good, mode) pairs are
+    order: the set may extend past the grid; so does an empty xi interval,
+    whose set may lie wholly beyond it.  The (good, mode) pairs are
     fan_out units.  A mode that fits least squares with --ls tsls needs an
     instrument for every good, else SchemaError before any work.  The
     callers build `grid` before they read the data file: a bad one fails first.
@@ -556,6 +544,9 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, mo
         iv, profile = outcome
         if profile is not None:
             profiles[s.good_id] = profile
+        if m == "xi" and iv.empty:
+            print(f"GridEdge: {s.good_id}: no xi node of [--grid-lo {_fmt(grid.lo)}, --grid-hi {_fmt(grid.hi)}]"
+                  " was accepted; the set may lie beyond the grid", file=sys.stderr)
         for flag, edge, hit in (("--grid-lo", grid.lo, iv.lower == grid.lo > POSITIVITY_FLOOR),
                                 ("--grid-hi", grid.hi, iv.upper == grid.hi)):
             if hit and m == "xi":

@@ -36,7 +36,8 @@ class InvalidLevel(ConfigError):
 
 
 class InvalidSample(DataError):
-    """Arrays of mismatched length, too few rows, or non-finite entries."""
+    """A sample's arrays differ in length, hold too few rows or non-finite entries,
+    or a data file has no usable row."""
 
 
 class DegenerateResponse(DataError):
@@ -54,10 +55,6 @@ class ParseError(DataError):
 class InvalidQuery(DataError):
     """A query's delta and ystar differ in shape; a delta is negative, a ystar nonpositive,
     or either or their product not finite; or a row has an empty id, an unknown or missing good, or a repeat."""
-
-
-class TooFewObservations(DataError):
-    """A good has fewer usable rows than the estimators need."""
 
 
 class SingularDesign(NumericalError):

@@ -49,7 +49,7 @@ class GoodSample:
                 f"quantity has {quantity.shape[0]}"
             )
         if price.shape[0] < 3:
-            raise InvalidSample(f"{self.good_id}: need at least three observations")
+            raise InvalidSample(f"{self.good_id}: need at least three observations, got {price.shape[0]}")
         if not np.all(np.isfinite(price)) or not np.all(np.isfinite(quantity)):
             raise InvalidSample(f"{self.good_id}: non-finite price or quantity")
         if np.any(price <= 0) or np.any(quantity <= 0):

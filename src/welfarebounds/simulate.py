@@ -196,7 +196,10 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
     replication order, its coverage and the joint coverage over all reps.
     The replications whose K intervals are all nonempty go, in order, to
     welfare(n, boxes), which returns that n's welfare rows and skip counts.
+    Raises ConfigError when reps is below 1.
     """
+    if reps < 1:
+        raise ConfigError("need at least one replication", ("reps",))
     K = theta.shape[0]
     grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
     report = McReport(reps, [], [], {}, {}, true_welfare_loss=true_wl)
@@ -255,8 +258,6 @@ def mc_table1(
     fixed box only (iii and iv do not depend on the data).  Replications with an empty interval or an infeasible sum
     are excluded from the affected averages and counted in `skipped`.
     """
-    if reps < 1:
-        raise ConfigError("need at least one replication", ("reps",))
     theta = np.asarray(TABLE1_THETA)
     K = theta.shape[0]
     query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
@@ -299,8 +300,6 @@ def mc_table2(
     """
     if K < 1:
         raise ConfigError(f"need at least one good, got K={K}", ("k",))
-    if reps < 1:
-        raise ConfigError("need at least one replication", ("reps",))
     theta = np.linspace(0.1, 0.9, K)
     q_rng = substream(seed, _QUERY, K)
     query = WelfareQuery(delta=q_rng.uniform(0.1, 1.1, K), y_star=q_rng.uniform(0.2, 1.2, K))

@@ -49,6 +49,19 @@ def _total(values) -> float:
     return reduce(add, values, 0.0)
 
 
+def value_faults(delta: np.ndarray, y_star: np.ndarray) -> tuple:
+    """A query's value rules: one (mask, need) pair each for delta, y_star and
+    delta * y_star (float arrays of one shape), where mask flags the entries
+    that are not `need`, the rule's words."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spend = delta * y_star
+    return (
+        (~(np.isfinite(delta) & (delta >= 0)), "finite and nonnegative"),
+        (~(np.isfinite(y_star) & (y_star > 0)), "finite and positive"),
+        (~np.isfinite(spend), "finite"),
+    )
+
+
 @dataclass(frozen=True)
 class WelfareQuery:
     """Counterfactual price increases and reference consumption.
@@ -65,16 +78,14 @@ class WelfareQuery:
         y_star = np.asarray(self.y_star, dtype=float)
         if delta.ndim not in (1, 2) or delta.shape != y_star.shape:
             raise InvalidQuery("delta and y_star must be 1-d or 2-d arrays of equal shape")
-        if not np.all(np.isfinite(delta)) or np.any(delta < 0):
-            raise InvalidQuery(
-                "price changes must be finite and nonnegative; "
-                "price drops are outside the model's domain"
-            )
-        if not np.all(np.isfinite(y_star)) or np.any(y_star <= 0):
-            raise InvalidQuery("reference consumption must be finite and positive")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(delta * y_star)):
-                raise InvalidQuery("delta * y_star must be finite")
+        messages = (
+            "price changes must be {}; price drops are outside the model's domain",
+            "reference consumption must be {}",
+            "delta * y_star must be {}",
+        )
+        for (bad, need), message in zip(value_faults(delta, y_star), messages):
+            if bad.any():
+                raise InvalidQuery(message.format(need))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "y_star", y_star)
 

@@ -1,8 +1,10 @@
 """The per-row CSV readers of welfarebounds.cli before they read whole columns.
 
-Kept verbatim as the reference for test_readers.py, except that a line the
-csv module cannot read raises ParseError: the column readers must return the
-same values, or raise the same exception with the same message, on every
+Kept verbatim as the reference for test_readers.py, with two exceptions: a
+line the csv module cannot read raises ParseError, and ingest_csv no longer
+counts a good's rows, so GoodSample raises InvalidSample for a good with
+fewer than three, the one home of that rule.  The column readers must return
+the same values, or raise the same exception with the same message, on every
 file.
 """
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from welfarebounds.errors import ConfigError, DataError, InvalidQuery, ParseError, SchemaError, TooFewObservations
+from welfarebounds.errors import ConfigError, DataError, InvalidQuery, InvalidSample, ParseError, SchemaError
 from welfarebounds.regress import GoodSample, Interval
 from welfarebounds.welfare import WelfareQuery
 
@@ -82,8 +84,8 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
 
     Required columns: good_id, price, quantity; optional: instrument.  Rows
     with nonpositive price or quantity are rejected and their line numbers
-    appended to reject_log; a good left with fewer than 3 rows raises
-    TooFewObservations.
+    appended to reject_log; GoodSample raises InvalidSample for a good left
+    with fewer than 3 rows, and a file left with none raises it too.
     """
     names, idx, rows = _read_table(path, ("good_id", "price", "quantity"))
     has_z = "instrument" in names
@@ -107,10 +109,6 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
             )
     samples = []
     for gid, cols in groups.items():
-        if len(cols["price"]) < 3:
-            raise TooFewObservations(
-                f"good {gid!r}: only {len(cols['price'])} usable rows (need at least 3)"
-            )
         samples.append(
             GoodSample(
                 price=np.asarray(cols["price"]),
@@ -120,7 +118,7 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
             )
         )
     if not samples:
-        raise TooFewObservations(f"{path}: no usable data rows")
+        raise InvalidSample(f"{path}: no usable data rows")
     return samples
 
 

@@ -27,9 +27,9 @@ from welfarebounds.errors import (
     ConfigError,
     InvalidLevel,
     InvalidQuery,
+    InvalidSample,
     ParseError,
     SchemaError,
-    TooFewObservations,
 )
 from welfarebounds.regress import LsFit, theta_interval_delta
 from welfarebounds.xicor import critical_value
@@ -96,10 +96,18 @@ def test_ingest_rejects_nonpositive_rows(tmp_path):
     assert samples[1].n == 3
 
 
-def test_ingest_too_few_observations(tmp_path):
+def test_ingest_too_few_observations(tmp_path, capsys):
+    # GoodSample's rule, in its words; a file left with no row says so
     text = "good_id,price,quantity\na,1.0,1.0\na,1.2,0.9\n"
-    with pytest.raises(TooFewObservations):
-        ingest_csv(_write(tmp_path, "d.csv", text))
+    path = _write(tmp_path, "d.csv", text)
+    with pytest.raises(InvalidSample, match="^a: need at least three observations, got 2$"):
+        ingest_csv(path)
+    assert main(["ci", "--data", path, "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err == "InvalidSample: a: need at least three observations, got 2\n"
+    path = _write(tmp_path, "d.csv", "good_id,price,quantity\na,1.0,0\na,1.2,-1\n")
+    with pytest.raises(InvalidSample) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: no usable data rows"
 
 
 def test_tsls_without_instrument_is_schema_error(tmp_path, capsys):
@@ -783,19 +791,28 @@ def test_xi_interval_at_a_grid_edge_is_reported(tmp_path, capsys):
     sim = str(tmp_path / "sim")
     assert main(["simulate", "--seed", "1", "--theta", "0.2,0.3", "--n", "1000", "--out", sim]) == 0
     # good1's interval ends at the grid's first node, then at its last; good2's
-    # ends inside the first grid and is EMPTY on the second, which says nothing of the edges
-    for grid, rows, edge in (
+    # ends inside the first grid, and the second grid, below its θ = 0.3,
+    # accepts none of its nodes
+    beyond = ("GridEdge: good2: no xi node of [--grid-lo 1e-06, --grid-hi 0.22] was accepted;"
+              " the set may lie beyond the grid")
+    for grid, rows, edge, more in (
         (["--grid-lo", "0.2", "--grid-hi", "0.35", "--grid-nodes", "300"],
-         [("0.2", "0.242642140468", "OK"), ("0.250668896321", "0.349498327759", "OK")], "--grid-lo 0.2"),
+         [("0.2", "0.242642140468", "OK"), ("0.250668896321", "0.349498327759", "OK")], "--grid-lo 0.2", []),
         (["--grid-hi", "0.22", "--grid-nodes", "500"],
-         [("0.165771789579", "0.22", "OK"), ("", "", "EMPTY")], "--grid-hi 0.22"),
+         [("0.165771789579", "0.22", "OK"), ("", "", "EMPTY")], "--grid-hi 0.22", [beyond]),
     ):
         out = str(tmp_path / "ge")
         capsys.readouterr()
         assert main(["ci", "--data", f"{sim}_data.csv", "--mode", "xi", "--seed", "1", *grid, "--out", out]) == 0
-        assert capsys.readouterr().err == (
-            f"GridEdge: good1: xi interval reaches {edge}; the set may extend beyond it\n")
+        err = [f"GridEdge: good1: xi interval reaches {edge}; the set may extend beyond it"] + more
+        assert capsys.readouterr().err.splitlines() == err
         assert [(r["lower"], r["upper"], r["status"]) for r in _rows(f"{out}_intervals.csv")] == rows
+    # welfare --data prints the same lines, and the empty set makes every household EMPTY
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,good1,0.5,0.2\nh1,good2,0.2,0.8\n")
+    assert main(["welfare", "--data", f"{sim}_data.csv", "--mode", "xi", "--seed", "1", *grid,
+                 "--query", query, "--out", out]) == 0
+    assert capsys.readouterr().err.splitlines() == err
+    assert [r["status"] for r in _rows(f"{out}_welfare.csv")] == ["EMPTY"]
 
 
 def test_config_file_feeds_command(tmp_path):
@@ -963,6 +980,44 @@ def test_query_values_rejected_with_file_and_row(tmp_path, capsys):
     assert str(err.value) == f"{dup_wide}: rows 2 and 3: individual 'h1' is listed twice"
     assert main(["welfare", "--intervals", intervals, "--query", dup_wide,
                  "--out", str(tmp_path / "w")]) == 3
+
+
+# query values at each rule's edge: zeros, negatives, subnormals, non-finite
+# values, and pairs whose product overflows
+_QUERY_VALUES = st.sampled_from([0.0, -0.0, -1.0, -5e-324, 5e-324, 2.2e-308, 0.5, 1e200,
+                                 math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=st.lists(st.tuples(_QUERY_VALUES, _QUERY_VALUES), min_size=1, max_size=3), long=st.booleans())
+def test_query_reader_rejects_exactly_what_welfare_query_rejects(pairs, long):
+    # one home for the value rules: a one-row query file fails exactly when
+    # WelfareQuery on its values does, and by a rule that names the row
+    goods = ["a", "b", "c"][: 1 if long else len(pairs)]
+    pairs = pairs[: len(goods)]
+    if long:
+        text = "id,good_id,delta,ystar\n" + "".join(f"h1,a,{d!r},{y!r}\n" for d, y in pairs)
+    else:
+        text = ("id," + ",".join(f"delta_{g},ystar_{g}" for g in goods) + "\nh1,"
+                + ",".join(f"{d!r},{y!r}" for d, y in pairs) + "\n")
+    delta, y_star = (np.array([[pair[c] for pair in pairs]]) for c in (0, 1))
+
+    def fault(build):
+        try:
+            build()
+        except InvalidQuery as exc:
+            return str(exc)
+        return None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "q.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        read = fault(lambda: read_query_csv(path, goods))
+    if fault(lambda: welfarebounds.WelfareQuery(delta, y_star)) is None:
+        assert read is None
+    else:
+        assert read is not None and read.startswith(f"{path}: row 2: ")
 
 
 def test_wide_query_row_with_missing_cell(tmp_path):
