@@ -23,11 +23,9 @@ _EXPORTS = {
             "cs_xi", "intersect", "shape_diagnostic", "smooth_instrument",
         ),
         "errors": (
-            "ConfigError", "DataError", "DegenerateResponse", "EmptyConfidenceSet",
-            "InvalidLevel", "InvalidQuery", "InvalidSample", "InvalidTheta", "NearZeroSlope",
-            "NonpositiveSlope", "NumericalError",
-            "ParseError", "SchemaError", "SingularDesign",
-            "WeakFirstStage", "WelfareBoundsError",
+            "ConfigError", "DataError", "DegenerateResponse", "InvalidLevel", "InvalidQuery",
+            "InvalidSample", "InvalidTheta", "NearZeroSlope", "NonpositiveSlope", "NumericalError",
+            "ParseError", "SchemaError", "SingularDesign", "WeakFirstStage", "WelfareBoundsError",
         ),
         "regress": ("GoodSample", "Interval", "LsFit", "fit_inverse_demand", "theta_interval_delta"),
         "simulate": ("DgpConfig", "McReport", "draw_sample", "mc_table1", "mc_table2"),

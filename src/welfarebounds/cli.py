@@ -112,23 +112,17 @@ class _Table:
 def _records(path: str, raws, lines) -> list:
     """Each raw line (with its line break) parsed by the csv module as one record.
 
-    lines[i] is raws[i]'s line in the file.  The first line the csv module
-    cannot read (a cell longer than csv.field_size_limit(), or before
-    Python 3.11 a NUL) raises ParseError naming the file and the line.
+    A quoted cell that runs past its line's end ends there.  lines[i] is
+    raws[i]'s line in the file.  The first line the csv module cannot read
+    (a cell longer than csv.field_size_limit(), or before Python 3.11 a
+    NUL) raises ParseError naming the file and the line.
     """
-    try:
-        records = list(csv.reader(raws))
-    except csv.Error:
-        records = []
-    if len(records) != len(raws):
-        # A quoted cell ran past its line's end (or the run raised): each
-        # line is a record of its own, ended where the line ends.
-        records = []
-        for lineno, raw in zip(lines, raws):
-            try:
-                records.append(next(csv.reader([raw])))
-            except csv.Error as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
+    records = []
+    for lineno, raw in zip(lines, raws):
+        try:
+            records.append(next(csv.reader([raw])))
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
     return records
 
 
@@ -208,9 +202,9 @@ def _numbers(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
         return parsed.astype(float), np.equal(parsed, None)
 
 
-def _number_rule(path: str, table: _Table, j: int, unparsed: np.ndarray):
-    """The rule (mask, fault) of column j: a cell that is not a number, as `unparsed` flags it."""
-    return unparsed, lambda i: _not_a_number(path, table.lines[i], table.names[j], table.cell(i, j))
+def _number_rule(path: str, table: _Table, j: int, bad: np.ndarray):
+    """The rule (mask, fault) of column j: a cell that is not a number, as `bad` flags it."""
+    return bad, lambda i: _not_a_number(path, table.lines[i], table.names[j], table.cell(i, j))
 
 
 def _check_columns(path: str, names: list[str], required) -> None:
@@ -243,25 +237,27 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     faulty row raises ParseError naming the file and row; of several, the
     first row in file order, with its first fault in this order: an empty
     good_id, a price that is not a number, a quantity that is not a number,
-    and, on a row not rejected, an instrument that is not a number.
+    and, on a row not rejected, an instrument that is not a number.  A
+    non-finite value (nan, inf, -inf) is not a number here.
     """
     table = _read_table(path, ("good_id", "price", "quantity"))
     names = table.names
     has_z = "instrument" in names
     gids = table.column("good_id")
-    price, price_bad = _numbers(table.column("price"))
-    quantity, quantity_bad = _numbers(table.column("quantity"))
+    # a cell that does not parse reads NaN, so ~isfinite flags it too
+    price = _numbers(table.column("price"))[0]
+    quantity = _numbers(table.column("quantity"))[0]
     reject = (price <= 0) | (quantity <= 0)
     rules = [
         (np.fromiter(map(len, gids), dtype=np.intp, count=len(gids)) == 0,
          lambda i: ParseError(f"{path}: row {table.lines[i]}: empty good_id")),
-        _number_rule(path, table, names.index("price"), price_bad),
-        _number_rule(path, table, names.index("quantity"), quantity_bad),
+        _number_rule(path, table, names.index("price"), ~np.isfinite(price)),
+        _number_rule(path, table, names.index("quantity"), ~np.isfinite(quantity)),
     ]
     if has_z:
-        z, z_bad = _numbers(table.column("instrument"))
+        z = _numbers(table.column("instrument"))[0]
         # a rejected row's instrument is not checked
-        rules.append(_number_rule(path, table, names.index("instrument"), z_bad & ~reject))
+        rules.append(_number_rule(path, table, names.index("instrument"), ~np.isfinite(z) & ~reject))
     _raise_first(rules)
     if reject_log is not None:
         reject_log += [(table.lines[i], "nonpositive price or quantity") for i in np.flatnonzero(reject).tolist()]
@@ -434,7 +430,13 @@ def _require(value, flag: str):
 
 
 def _load_samples(cfg: argparse.Namespace, flag: str = "--data") -> list[GoodSample]:
-    """Ingest the data file, smooth instruments if --jitter, report rejected rows."""
+    """Check --alpha and --jitter, ingest the data file, smooth instruments if --jitter, report rejected rows.
+
+    Every command that reads the two flags calls this, and a bad value fails before the data read."""
+    if not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError(f"alpha must lie strictly in (0, 1), got {cfg.alpha}", ("alpha",))
+    if cfg.jitter < 0:
+        raise ConfigError(f"jitter must be nonnegative, got {cfg.jitter}", ("jitter",))
     if cfg.jitter > 0 and cfg.seed is None:
         raise ConfigError("--jitter requires --seed for reproducible noise")
     reject_log: list = []
@@ -603,22 +605,19 @@ def cmd_welfare(cfg: argparse.Namespace) -> int:
     good_ids, box, code = _box_from_config(cfg)
     ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
     constraints = ConstraintSet(box, sum_to=cfg.sum_to)
+    wb = bounds_box(constraints, query)
+    status = "OK" if not constraints.empty else "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
     n = len(ids)
-    if constraints.empty:
-        status = "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
-        order, wl_min, wl_max, level = range(n), np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
-    else:
-        wb = bounds_box(constraints, query)
-        status = "OK"
-        # ascending by the upper bound; a stable sort keeps ties in file order
-        order = sorted(range(n), key=wb.wl_max.tolist().__getitem__)
-        wl_min, wl_max, level = wb.wl_min[order], wb.wl_max[order], np.full(n, wb.level)
+    # ascending by the upper bound; a stable sort keeps ties, and an empty
+    # set's all-NaN bounds, in file order
+    order = sorted(range(n), key=wb.wl_max.tolist().__getitem__)
     _write_csv(
         f"{cfg.out}_welfare.csv",
         "welfare-loss bounds per individual in units of the numeraire;"
         " 'level' is the joint box level",
         ["rank", "id", "wl_min", "wl_max", "level", "status"],
-        [range(1, n + 1), [ids[i] for i in order], wl_min, wl_max, level, [status] * n],
+        [range(1, n + 1), [ids[i] for i in order], wb.wl_min[order], wb.wl_max[order], np.full(n, wb.level),
+         [status] * n],
     )
     return code
 
@@ -837,22 +836,16 @@ def _read_config(path: str, command: str, subparsers: dict[str, argparse.Argumen
 
 
 def validate(cfg: argparse.Namespace, actions) -> None:
-    """The checks that must precede the library's: every other range rule is the owning type's.
+    """The checks every command makes first: no float flag is non-finite and no seed negative.
 
-    alpha and jitter are checked here as well as in bonferroni_share and
-    smooth_instrument, which run only after the data file is read (and
-    `welfare --intervals` loads no confset); a bad value must fail first.
+    Every other range rule is the owning type's, or _load_samples' for alpha and jitter.
     """
     for action in actions:
         value = getattr(cfg, action.dest, None)
         if action.type is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{action.dest.replace('_', '-')} must be finite, got {value}", (action.dest,))
-    if "alpha" in cfg and not 0.0 < cfg.alpha < 1.0:
-        raise ConfigError(f"alpha must lie strictly in (0, 1), got {cfg.alpha}", ("alpha",))
     if cfg.seed is not None and cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}", ("seed",))
-    if "jitter" in cfg and cfg.jitter < 0:
-        raise ConfigError(f"jitter must be nonnegative, got {cfg.jitter}", ("jitter",))
 
 
 def main(argv=None) -> int:

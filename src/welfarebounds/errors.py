@@ -5,8 +5,7 @@ CLI maps them onto exit codes: ConfigError-family -> 2, DataError-family
 -> 3, NumericalError-family -> 4.  An empty confidence set is a result, not an
 error: the interval functions return it as an empty Interval, and
 ConstraintSet.empty flags a welfare constraint set that no theta meets (such
-an interval, or a sum target outside the box).  EmptyConfidenceSet is raised
-only when a library caller asks an empty ConstraintSet for its bounds.
+an interval, or a sum target outside the box), whose welfare bounds are NaN.
 """
 
 
@@ -76,11 +75,3 @@ class NearZeroSlope(NumericalError):
 class InvalidTheta(NumericalError):
     """A theta vector violates positivity or shape requirements."""
 
-
-class EmptyConfidenceSet(WelfareBoundsError):
-    """A welfare constraint set was asked for its bounds but holds no theta.
-
-    That is when an interval accepted no parameter value or lies wholly below
-    welfare.POSITIVITY_FLOOR, or when the sum target lies outside the box;
-    ConstraintSet.empty tells in advance.
-    """

@@ -30,7 +30,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import DataError, EmptyConfidenceSet, InvalidQuery, InvalidTheta
+from .errors import DataError, InvalidQuery, InvalidTheta
 
 # Lower edge of the admissible theta space, and the default grid_lo.
 POSITIVITY_FLOOR = 1e-6
@@ -127,22 +127,14 @@ class ConstraintSet:
             return True
         if self.sum_to is None:
             return False
-        lowers, uppers = self._endpoints()
+        lowers, uppers = self.bounds()
         eps = 1e-12 * max(1.0, abs(self.sum_to))
         return not lowers.sum() - eps <= self.sum_to <= uppers.sum() + eps
 
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Floored lower and raw upper endpoints (NaN for an empty interval)."""
         lowers = np.array([max(iv.lower, POSITIVITY_FLOOR) for iv in self.box], dtype=float)
         return lowers, np.array([iv.upper for iv in self.box], dtype=float)
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Floored lower and raw upper endpoints; raises EmptyConfidenceSet if empty."""
-        if self.empty:
-            raise EmptyConfidenceSet(
-                "a box interval is empty or lies below the positivity floor,"
-                " or the sum target lies outside the box"
-            )
-        return self._endpoints()
 
     def joint_level(self) -> float:
         """Union-bound confidence level of the whole box."""
@@ -154,7 +146,8 @@ class WelfareBounds:
     """Extremes of the loss over a constraint set, with the level they hold at.
 
     wl_min and wl_max are floats for a one-individual query and N-arrays
-    for an N-row query.  Both extremes are exact.
+    for an N-row query.  Both extremes are exact.  On an empty constraint
+    set wl_min, wl_max and level are NaN.
     """
 
     wl_min: float | np.ndarray
@@ -308,21 +301,26 @@ def bounds_box(constraints: ConstraintSet, query: WelfareQuery) -> WelfareBounds
     and the minimum, at a vertex of the feasible polytope, comes from
     Falk-Soland branch-and-bound, one individual at a time.  On an N-row
     query wl_min and wl_max are N-arrays, and row i equals the
-    one-individual call on row i bit for bit.  Raises EmptyConfidenceSet
-    when constraints.empty.
+    one-individual call on row i bit for bit.  When constraints.empty no
+    theta meets them, and wl_min, wl_max and level are NaN.  Raises
+    InvalidTheta when the box and the query differ in K.
     """
-    lowers, uppers = constraints.bounds()
     if constraints.K != query.K:
         raise InvalidTheta(f"box has {constraints.K} goods, query has {query.K}")
     c = query.spend_change
-    if constraints.sum_to is None:
-        theta_min, theta_max = lowers, uppers
+    if constraints.empty:
+        wl_min, wl_max, level = np.full(c.shape[:-1], np.nan), np.full(c.shape[:-1], np.nan), math.nan
     else:
-        target, rows = float(constraints.sum_to), c.reshape(-1, query.K)
-        theta_min = np.array([_solve_min(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
-        theta_max = np.array([_solve_max(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
-    wl_max = _loss_terms(theta_max, c).sum(axis=-1)
-    wl_min = np.minimum(_loss_terms(theta_min, c).sum(axis=-1), wl_max)
+        lowers, uppers = constraints.bounds()
+        if constraints.sum_to is None:
+            theta_min, theta_max = lowers, uppers
+        else:
+            target, rows = float(constraints.sum_to), c.reshape(-1, query.K)
+            theta_min = np.array([_solve_min(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
+            theta_max = np.array([_solve_max(r, lowers, uppers, target) for r in rows]).reshape(c.shape)
+        wl_max = _loss_terms(theta_max, c).sum(axis=-1)
+        wl_min = np.minimum(_loss_terms(theta_min, c).sum(axis=-1), wl_max)
+        level = constraints.joint_level()
     if c.ndim == 1:
         wl_min, wl_max = float(wl_min), float(wl_max)
-    return WelfareBounds(wl_min=wl_min, wl_max=wl_max, level=constraints.joint_level())
+    return WelfareBounds(wl_min=wl_min, wl_max=wl_max, level=level)

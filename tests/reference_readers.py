@@ -1,11 +1,13 @@
 """The per-row CSV readers of welfarebounds.cli before they read whole columns.
 
-Kept verbatim as the reference for test_readers.py, with two exceptions: a
-line the csv module cannot read raises ParseError, and ingest_csv no longer
+Kept verbatim as the reference for test_readers.py, with three exceptions: a
+line the csv module cannot read raises ParseError; ingest_csv no longer
 counts a good's rows, so GoodSample raises InvalidSample for a good with
-fewer than three, the one home of that rule.  The column readers must return
-the same values, or raise the same exception with the same message, on every
-file.
+fewer than three, the one home of that rule; and a non-finite price,
+quantity or (on a row not rejected) instrument is not a number to
+ingest_csv, so the fault names the file and row.  The column readers must
+return the same values, or raise the same exception with the same message,
+on every file.
 """
 
 from __future__ import annotations
@@ -57,6 +59,14 @@ def _cell_float(path: str, cell: str, lineno: int, col: str) -> float:
         raise ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number") from None
 
 
+def _data_float(path: str, cell: str, lineno: int, col: str) -> float:
+    """A data file's number: finite, else the cell is not a number."""
+    value = _cell_float(path, cell, lineno, col)
+    if not math.isfinite(value):
+        raise ParseError(f"{path}: row {lineno}: column {col!r} value {cell!r} is not a number")
+    return value
+
+
 def _check_columns(path: str, names: list[str], required) -> None:
     for col in required:
         if col not in names:
@@ -94,8 +104,8 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
         gid = cells[idx["good_id"]]
         if not gid:
             raise ParseError(f"{path}: row {lineno}: empty good_id")
-        price = _cell_float(path, cells[idx["price"]], lineno, "price")
-        quantity = _cell_float(path, cells[idx["quantity"]], lineno, "quantity")
+        price = _data_float(path, cells[idx["price"]], lineno, "price")
+        quantity = _data_float(path, cells[idx["quantity"]], lineno, "quantity")
         if price <= 0 or quantity <= 0:
             if reject_log is not None:
                 reject_log.append((lineno, "nonpositive price or quantity"))
@@ -105,7 +115,7 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
         group["quantity"].append(quantity)
         if has_z:
             group["instrument"].append(
-                _cell_float(path, cells[idx["instrument"]], lineno, "instrument")
+                _data_float(path, cells[idx["instrument"]], lineno, "instrument")
             )
     samples = []
     for gid, cols in groups.items():

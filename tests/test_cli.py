@@ -88,6 +88,31 @@ def test_ingest_nonnumeric_cell(tmp_path):
         assert str(err.value).startswith(f"{path}: {message}")
 
 
+def test_non_finite_data_cell_names_file_and_row(tmp_path, capsys):
+    # nan and inf parse as floats, but no data row may hold one: the fault
+    # names the file, row and column like any other cell that is not a number
+    text = "good_id,price,quantity,instrument\na,1.1,2.0,1\na,1.4,1.5,2\na,1.8,1.1,3\n"
+    for old, new, where in (("a,1.4,1.5,2", "a,nan,1.5,2", "row 3: column 'price' value 'nan'"),
+                            ("a,1.4,1.5,2", "a,-inf,1.5,2", "row 3: column 'price' value '-inf'"),
+                            ("a,1.8,1.1,3", "a,1.8,1e400,3", "row 4: column 'quantity' value '1e400'"),
+                            ("a,1.8,1.1,3", "a,1.8,1.1,inf", "row 4: column 'instrument' value 'inf'")):
+        path = _write(tmp_path, "d.csv", text.replace(old, new))
+        capsys.readouterr()
+        assert main(["ci", "--data", path, "--out", str(tmp_path / "n")]) == 3
+        assert capsys.readouterr().err == f"ParseError: {path}: {where} is not a number\n"
+    # a rejected row's instrument is not checked
+    path = _write(tmp_path, "d.csv", text + "a,0,1.0,nan\n")
+    assert ingest_csv(path)[0].n == 3
+    assert not list(tmp_path.glob("n_*"))
+
+
+def test_file_of_only_comments_has_no_header(tmp_path):
+    path = _write(tmp_path, "d.csv", "# a note\n\n   \n# another\n")
+    with pytest.raises(SchemaError) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: no header row found"
+
+
 def test_ingest_rejects_nonpositive_rows(tmp_path):
     text = TWO_GOOD_CSV + "b,1.7,0.0\n"
     rejects = []
@@ -510,8 +535,10 @@ def test_welfare_header_states_no_alpha(tmp_path):
 
 
 def test_welfare_empty_interval_propagates(tmp_path, capsys):
-    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n")
-    # an interval wholly below the positivity floor is as empty as an EMPTY row
+    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.2,0.8\n"
+                   "h2,a,0.9,0.2\nh2,b,0.9,0.8\nh0,a,0.1,0.2\nh0,b,0.1,0.8\n")
+    # an interval wholly below the positivity floor is as empty as an EMPTY row;
+    # the rows keep the query's order, with empty bounds and level
     for row in ("a,intersect,,,0.95,EMPTY", "a,ls,0,5e-7,0.975,OK"):
         intervals = _write(
             tmp_path,
@@ -522,9 +549,8 @@ def test_welfare_empty_interval_propagates(tmp_path, capsys):
         assert main(["welfare", "--intervals", intervals, "--query", query,
                      "--out", str(tmp_path / "w")]) == 0
         assert capsys.readouterr().err == ""
-        rows = _rows(str(tmp_path / "w_welfare.csv"))
-        assert rows[0]["status"] == "EMPTY"
-        assert rows[0]["wl_max"] == ""
+        lines = (tmp_path / "w_welfare.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == ["rank,id,wl_min,wl_max,level,status", "1,h1,,,,EMPTY", "2,h2,,,,EMPTY", "3,h0,,,,EMPTY"]
 
 
 def test_welfare_with_sum_constraint(tmp_path, capsys):
@@ -756,10 +782,25 @@ def test_config_faults_come_before_the_data_read(tmp_path, capsys):
     for argv, message in (
         (["welfare", "--data", missing], "pick one --mode (xi, ls, or intersect) when computing from raw data"),
         (["ci", "--data", missing, "--jitter", "0.1"], "--jitter requires --seed for reproducible noise"),
+        (["ci", "--data", missing, "--alpha", "2"], "alpha must lie strictly in (0, 1), got 2.0"),
+        (["ci", "--data", missing, "--jitter", "-1", "--seed", "1"], "jitter must be nonnegative, got -1.0"),
+        (["diagnose", "--data", missing, "--alpha", "0"], "alpha must lie strictly in (0, 1), got 0.0"),
+        (["welfare", "--data", missing, "--mode", "ls", "--alpha", "1"], "alpha must lie strictly in (0, 1), got 1.0"),
     ):
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "cf")]) == 2
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
+    # the grid is built first, so its fault comes before alpha's
+    capsys.readouterr()
+    assert main(["ci", "--data", missing, "--alpha", "2", "--grid-nodes", "1", "--out", str(tmp_path / "cf")]) == 2
+    assert capsys.readouterr().err == "ConfigError: grid-nodes must be at least 2, got 1\n"
+
+
+def test_jitter_needs_an_instrument_column(tmp_path, capsys):
+    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
+    assert main(["ci", "--data", data, "--jitter", "0.1", "--seed", "1", "--out", str(tmp_path / "j")]) == 2
+    assert capsys.readouterr().err == "ConfigError: --jitter requires an instrument column\n"
+    assert not list(tmp_path.glob("j_*"))
 
 
 def test_negative_endogeneity_is_a_config_error(tmp_path, capsys):
@@ -775,12 +816,18 @@ def test_negative_endogeneity_is_a_config_error(tmp_path, capsys):
 
 
 def test_a_flag_the_command_does_not_read_is_not_range_checked(tmp_path, monkeypatch, capsys):
-    # the grid flags under welfare --intervals and --k under mc --table 1
-    # reach no library type; a non-finite float flag is still an error
+    # the grid flags, --alpha and --jitter under welfare --intervals and --k
+    # under mc --table 1 are read by nothing; a non-finite float flag is
+    # still an error
     intervals = _write(tmp_path, "iv.csv", TWO_GOOD_INTERVALS)
     query = _write(tmp_path, "q.csv", LONG_QUERY)
     welfare = ["welfare", "--intervals", intervals, "--query", query, "--out", str(tmp_path / "w")]
-    assert main(welfare + ["--grid-nodes", "1", "--grid-lo", "-1", "--grid-hi", "-2"]) == 0
+    assert main(welfare) == 0
+    written = (tmp_path / "w_welfare.csv").read_bytes()
+    # welfare --intervals takes its levels from the file, and smooths no instrument
+    for ignored in (["--grid-nodes", "1", "--grid-lo", "-1", "--grid-hi", "-2"], ["--alpha", "2", "--jitter", "-1"]):
+        assert main(welfare + ignored) == 0
+        assert (tmp_path / "w_welfare.csv").read_bytes() == written
     assert _parsed(monkeypatch, ["mc", "--table", "1", "--k", "0", "--reps", "1", "--seed", "1"]).k == 0
     capsys.readouterr()
     assert main(welfare + ["--grid-hi", "nan"]) == 2

@@ -162,6 +162,30 @@ def test_cs_combined_ls_only_noiseless():
     assert iv.level == pytest.approx(0.95)
 
 
+def test_cs_combined_intersect_on_a_degenerate_ls_interval():
+    # a noiseless sample's least-squares interval is narrower than 1e-12, so
+    # intersect mode tests its one point: accepted gives [theta_hat,
+    # theta_hat], rejected an empty interval, as profile_stats at that point
+    # against critical_value(alpha_share / 2) decides
+    p = np.linspace(1, 2, 60)
+    sample = GoodSample(p, 0.5 / p)
+    share = 0.2
+    ls = theta_interval_delta(fit_inverse_demand(sample), 1 - share / 2)
+    assert ls.upper - ls.lower < 1e-12
+    point = max(ls.lower, POSITIVITY_FLOOR)
+    outcomes = set()
+    for seed in range(8):
+        iv = cs_combined(sample, share, "intersect", GridSpec(1e-6, 6.0, 2), seed)
+        stat = profile_stats(sample.price, sample.quantity, sample.price, np.array([point]), seed)[0]
+        accepted = stat <= critical_value(share / 2)
+        if accepted:
+            assert iv == Interval(point, point, 1 - share, "INTERSECT")
+        else:
+            assert iv.empty and iv.level == 1 - share and iv.source == "INTERSECT"
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
 def test_cs_combined_intersect_is_subset_of_pieces():
     sample = draw_sample(DgpConfig(theta=np.array([0.4]), n=1500, seed=9))[0]
     share = 0.05

@@ -100,6 +100,8 @@ def data_file(draw) -> bytes:
 @example(data=b"good_id,price,quantity,instrument\na,1,2,1\na,0,1,y\na,3,1,1\na,2,2,2\n")
 @example(data=b"good_id,price,quantity,instrument\na,1,2,x\na,0,1,y\na,3,1,1\n")
 @example(data=b"good_id,price,quantity\na,1,x\na,y,1\n")
+@example(data=b"good_id,price,quantity,instrument\na,1,2,1\na,nan,1,2\na,3,1,inf\na,2,2,2\n")
+@example(data=b"good_id,price,quantity,instrument\na,1,2,1\na,2,1,inf\na,3,1,2\na,nan,2,2\n")
 def test_ingest_matches_the_per_row_reader(tmp_path_factory, data):
     path = _write(tmp_path_factory, data)
     got_log, ref_log = [], []

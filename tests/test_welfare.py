@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import kl_div
 
-from welfarebounds.errors import DataError, EmptyConfidenceSet, InvalidQuery, InvalidTheta
+from welfarebounds.errors import DataError, InvalidQuery, InvalidTheta
 from welfarebounds.regress import Interval
 from welfarebounds.welfare import (
     POSITIVITY_FLOOR,
@@ -174,17 +174,42 @@ def test_bounds_box_fixed_unit_box():
     assert wb.level == 1.0
 
 
-def test_bounds_box_rejects_sum_target_and_empty_interval():
-    # a sum target the box cannot meet leaves no theta to bound; one it can
-    # meet narrows the box bounds
-    with pytest.raises(EmptyConfidenceSet, match="sum target"):
-        bounds_box(ConstraintSet(_box(0.1, 0.2, 3), sum_to=1.0), THREE_GOOD_QUERY)
+def _assert_nan_bounds(wb, rows=None):
+    """wl_min, wl_max and level are NaN: floats for one individual, rows-arrays for rows."""
+    assert math.isnan(wb.level)
+    for bound in (wb.wl_min, wb.wl_max):
+        if rows is None:
+            assert isinstance(bound, float) and math.isnan(bound)
+        else:
+            assert bound.shape == (rows,) and np.isnan(bound).all()
+
+
+def test_bounds_box_on_sum_target_and_empty_interval():
+    # a sum target the box cannot meet leaves no theta to bound, and the
+    # bounds are NaN; one it can meet narrows the box bounds
+    _assert_nan_bounds(bounds_box(ConstraintSet(_box(0.1, 0.2, 3), sum_to=1.0), THREE_GOOD_QUERY))
     on_box = bounds_box(ConstraintSet(_box(0.1, 0.9, 3)), THREE_GOOD_QUERY)
     on_slice = bounds_box(ConstraintSet(_box(0.1, 0.9, 3), sum_to=1.0), THREE_GOOD_QUERY)
     assert on_box.wl_min < on_slice.wl_min <= on_slice.wl_max < on_box.wl_max
     box = (Interval.make_empty(0.9, "XI"),) + _box(0.1, 0.9, 2)
-    with pytest.raises(EmptyConfidenceSet):
-        bounds_box(ConstraintSet(box), THREE_GOOD_QUERY)
+    _assert_nan_bounds(bounds_box(ConstraintSet(box), THREE_GOOD_QUERY))
+
+
+def test_empty_set_gives_nan_bounds_for_every_row():
+    # an empty interval, one below the floor, or an unmet sum target: NaN
+    # bounds on a one-row and an N-row query; a K mismatch still raises
+    rows = WelfareQuery(np.tile(THREE_GOOD_QUERY.delta, (4, 1)), np.tile(THREE_GOOD_QUERY.y_star, (4, 1)))
+    for constraints in (
+        ConstraintSet((Interval.make_empty(0.9, "XI"),) + _box(0.1, 0.9, 2)),
+        ConstraintSet((Interval(1e-9, 1e-8, 0.9, "LS"),) + _box(0.1, 0.9, 2)),
+        ConstraintSet(_box(0.4, 0.9, 3), sum_to=1.0),
+    ):
+        assert constraints.empty
+        _assert_nan_bounds(bounds_box(constraints, THREE_GOOD_QUERY))
+        _assert_nan_bounds(bounds_box(constraints, rows), 4)
+        _assert_nan_bounds(bounds_box(constraints, WelfareQuery(np.empty((0, 3)), np.empty((0, 3)))), 0)
+        with pytest.raises(InvalidTheta, match="box has 3 goods, query has 2"):
+            bounds_box(constraints, WelfareQuery(np.array([0.5, 0.8]), np.array([0.2, 0.6])))
 
 
 def test_bounds_where_c_over_theta_overflows():
@@ -235,14 +260,13 @@ def test_tight_box_with_sum():
     assert_allclose(wb.wl_min, true_wl, atol=1e-12)
 
 
-def test_infeasible_sum_raises():
+def test_infeasible_sum_gives_nan_bounds():
     # a sum target outside [sum of lowers, sum of uppers] leaves the set empty
     for lo, hi in ((0.1, 0.2), (0.4, 0.9)):
         constraints = ConstraintSet(_box(lo, hi, 3), sum_to=1.0)
         assert constraints.empty
         assert not ConstraintSet(constraints.box).empty
-        with pytest.raises(EmptyConfidenceSet, match="sum target"):
-            bounds_box(constraints, THREE_GOOD_QUERY)
+        _assert_nan_bounds(bounds_box(constraints, THREE_GOOD_QUERY))
 
 
 def _random_instance(rng, K):
@@ -495,8 +519,7 @@ def test_sum_slice_bounds_hold_at_sampled_points(seed, K, N, below_floor, side, 
                          rng.uniform(0.05, 2.0, (N, K)))
     assert constraints.empty == (side != "inside")
     if constraints.empty:
-        with pytest.raises(EmptyConfidenceSet):
-            bounds_box(constraints, query)
+        _assert_nan_bounds(bounds_box(constraints, query), N)
         return
     wb = bounds_box(constraints, query)
     vertices, mixes = _sampled_slice(rng, floored, hi, target, 20)
