@@ -20,7 +20,7 @@ _EXPORTS = {
     for module, names in {
         "confset": (
             "GridSpec", "ShapeDiagnostic", "XiProfile", "bonferroni_share", "cs_combined",
-            "cs_xi", "intersect", "shape_diagnostic", "smooth_instrument",
+            "cs_xi", "shape_diagnostic", "smooth_instrument",
         ),
         "errors": (
             "ConfigError", "DataError", "DegenerateResponse", "InvalidLevel", "InvalidQuery",

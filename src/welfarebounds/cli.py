@@ -278,38 +278,38 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     ]
 
 
-def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
-    """Per-good intervals from a cmd_ci output file, optionally one method only.
+def read_intervals_csv(path: str, mode: str | None) -> list[tuple[str, str, Interval, str]]:
+    """The (good_id, method, interval, status) rows of a cmd_ci output file, optionally one method only.
 
-    EMPTY rows become empty intervals; FAILED:<ErrorName> rows become empty
-    intervals tagged with source FAILED.  A row that is no valid Interval
-    (lower above upper, a non-finite endpoint, a level outside [0, 1]) raises
-    ParseError naming the file and row, with Interval's DataError message.
+    Rows come in file order, the shape _good_intervals returns.  EMPTY and
+    FAILED:<ErrorName> rows hold empty intervals.  A second row for a good
+    raises ConfigError, and a row that is no valid Interval (lower above
+    upper, a non-finite endpoint, a level outside [0, 1]) ParseError naming
+    the file and row, with Interval's DataError message.
     """
     table = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
     idx = {name: table.names.index(name) for name in table.names}
-    out: dict[str, Interval] = {}
+    rows: dict[str, tuple[str, str, Interval, str]] = {}
     for lineno, cells in table.rows():
         method = cells[idx["method"]]
         if mode is not None and method != mode:
             continue
         gid = cells[idx["good_id"]]
-        if gid in out:
+        if gid in rows:
             raise ConfigError(
                 f"{path}: several rows for good {gid!r}; pass --mode to pick one method"
             )
         level = _cell_float(path, cells[idx["level"]], lineno, "level")
         status = cells[idx["status"]]
-        source = "FAILED" if status.startswith("FAILED:") else method.upper()
-        empty = status == "EMPTY" or source == "FAILED"
+        empty = status == "EMPTY" or status.startswith("FAILED:")
         lower, upper = (math.nan if empty else _cell_float(path, cells[idx[c]], lineno, c) for c in ("lower", "upper"))
         try:
-            out[gid] = Interval(lower, upper, level, source, empty)
+            rows[gid] = (gid, method, Interval(lower, upper, level, empty=empty), status)
         except DataError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
-    if not out:
+    if not rows:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
-    return out
+    return list(rows.values())
 
 
 def _range_rule(path: str, table: _Table, j: int, kind: str, bad: np.ndarray, need: str):
@@ -507,11 +507,11 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, mo
     """Each good's interval in each mode over `grid`, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
-    status) in file order; status is OK, EMPTY, or FAILED:<ErrorName> when a
-    data or numerical error hit that (good, mode), whose interval is empty
-    with source FAILED, and whose stderr line (see _failed) is printed in
-    file order; any other error is raised after the lines of the goods
-    before it.  profiles maps a good id to its xi-mode grid profile when
+    status) in file order, the shape read_intervals_csv returns; status is
+    OK, EMPTY, or FAILED:<ErrorName> when a data or numerical error hit that
+    (good, mode), whose interval is then empty, and whose stderr line (see
+    _failed) is printed in file order; any other error is raised after the
+    lines of the goods before it.  profiles maps a good id to its xi-mode grid profile when
     keep_profiles is set, else is empty.  code is the exit code of the first
     failure, or EXIT_OK.  An xi interval that ends at --grid-hi, or at a
     --grid-lo above POSITIVITY_FLOOR, gets a GridEdge stderr line in file
@@ -541,7 +541,7 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, mo
         if isinstance(outcome, BaseException):
             failed_code, status = _failed(s.good_id, outcome)
             code = code or failed_code
-            rows.append((s.good_id, m, Interval.make_empty(1.0 - share, "FAILED"), status))
+            rows.append((s.good_id, m, Interval.make_empty(1.0 - share), status))
             continue
         iv, profile = outcome
         if profile is not None:
@@ -584,12 +584,10 @@ def cmd_ci(cfg: argparse.Namespace) -> int:
     return code
 
 
-def _box_from_config(cfg: argparse.Namespace) -> tuple[list[str], list[Interval], int]:
-    """Good ids, the box, and the exit code of the first per-good failure."""
+def _box_from_config(cfg: argparse.Namespace) -> tuple[list, int]:
+    """The box's (good_id, method, interval, status) rows and the exit code of the first per-good failure."""
     if cfg.intervals is not None:
-        mode = None if cfg.mode == "all" else cfg.mode
-        box_map = read_intervals_csv(cfg.intervals, mode)
-        return list(box_map.keys()), list(box_map.values()), EXIT_OK
+        return read_intervals_csv(cfg.intervals, None if cfg.mode == "all" else cfg.mode), EXIT_OK
     from .confset import GridSpec
 
     if cfg.mode == "all":
@@ -597,16 +595,17 @@ def _box_from_config(cfg: argparse.Namespace) -> tuple[list[str], list[Interval]
     grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     samples = _load_samples(cfg, "--data or --intervals")
     rows, _, code = _good_intervals(samples, cfg, grid, (cfg.mode,), False)
-    return [gid for gid, _, _, _ in rows], [iv for _, _, iv, _ in rows], code
+    return rows, code
 
 
 def cmd_welfare(cfg: argparse.Namespace) -> int:
     """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
-    good_ids, box, code = _box_from_config(cfg)
-    ids, query = read_query_csv(_require(cfg.query, "--query"), good_ids)
-    constraints = ConstraintSet(box, sum_to=cfg.sum_to)
+    rows, code = _box_from_config(cfg)
+    ids, query = read_query_csv(_require(cfg.query, "--query"), [gid for gid, _, _, _ in rows])
+    constraints = ConstraintSet([iv for _, _, iv, _ in rows], sum_to=cfg.sum_to)
     wb = bounds_box(constraints, query)
-    status = "OK" if not constraints.empty else "FAILED" if any(iv.source == "FAILED" for iv in box) else "EMPTY"
+    failed = any(good_status.startswith("FAILED:") for *_, good_status in rows)
+    status = "FAILED" if failed else "EMPTY" if constraints.empty else "OK"
     n = len(ids)
     # ascending by the upper bound; a stable sort keeps ties, and an empty
     # set's all-NaN bounds, in file order
@@ -836,16 +835,16 @@ def _read_config(path: str, command: str, subparsers: dict[str, argparse.Argumen
 
 
 def validate(cfg: argparse.Namespace, actions) -> None:
-    """The checks every command makes first: no float flag is non-finite and no seed negative.
+    """The check every command makes first: no float flag is non-finite.
 
-    Every other range rule is the owning type's, or _load_samples' for alpha and jitter.
+    Every other range rule is the owning type's or function's (the seed's is
+    xicor.seed_sequence, where a command reads --seed), or _load_samples'
+    for alpha and jitter.
     """
     for action in actions:
         value = getattr(cfg, action.dest, None)
         if action.type is float and value is not None and not math.isfinite(value):
             raise ConfigError(f"{action.dest.replace('_', '-')} must be finite, got {value}", (action.dest,))
-    if cfg.seed is not None and cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}", ("seed",))
 
 
 def main(argv=None) -> int:

@@ -30,11 +30,14 @@ over processes.
 Intersection with the delta-method interval follows the usual error-budget
 split: each piece runs at half the per-good share, and the grid is laid over
 the bounded least-squares interval (clipped below at POSITIVITY_FLOOR),
-which also supplies the parameter space that pure grid search lacks.
+which also supplies the parameter space that pure grid search lacks.  Every
+node then lies inside the least-squares interval, so the xi hull on that
+grid is the intersection, at the union-bound level 1 - share.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -44,7 +47,7 @@ from .errors import ConfigError, InvalidLevel, InvalidSample
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
 from . import xicor
-from .xicor import PairedSample, critical_value, response_rank_scale, xi
+from .xicor import PairedSample, critical_value, response_rank_scale, seed_sequence, xi
 
 CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
@@ -83,9 +86,6 @@ class XiProfile:
     stats: np.ndarray
     critical: float
 
-    def accepted(self) -> np.ndarray:
-        return self.stats <= self.critical
-
 
 @dataclass(frozen=True)
 class ShapeDiagnostic:
@@ -99,14 +99,12 @@ class ShapeDiagnostic:
 
     stat_at_zero: float
     stat_at_inf: float
-    critical: float
     case_id: str
 
 
 def child_seed(seed: int, *path: int) -> int:
-    """Deterministic integer seed derived from a spawn path."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
-    return int(ss.generate_state(1)[0])
+    """Deterministic integer seed derived from a spawn path; ConfigError for a negative seed."""
+    return int(seed_sequence(seed, *path).generate_state(1)[0])
 
 
 def _effective_instrument(sample: GoodSample) -> np.ndarray:
@@ -304,6 +302,14 @@ def profile_stats(
     return grid.stats
 
 
+def _hull(thetas: np.ndarray, hits: np.ndarray, level: float) -> Interval:
+    """From the first to the last accepted node, given their indices in
+    ascending order; empty when no node is accepted."""
+    if not hits.size:
+        return Interval.make_empty(level)
+    return Interval(float(thetas[hits[0]]), float(thetas[hits[-1]]), level)
+
+
 def cs_xi(
     sample: GoodSample,
     alpha: float,
@@ -319,19 +325,7 @@ def cs_xi(
     z = _effective_instrument(sample)
     thetas = grid.values()
     stats = profile_stats(sample.price, sample.quantity, z, thetas, rng_seed)
-    profile = XiProfile(thetas=thetas, stats=stats, critical=c)
-    acc = profile.accepted()
-    level = 1.0 - alpha
-    if not acc.any():
-        return Interval.make_empty(level, "XI"), profile
-    accepted_thetas = thetas[acc]
-    interval = Interval(
-        lower=float(accepted_thetas.min()),
-        upper=float(accepted_thetas.max()),
-        level=level,
-        source="XI",
-    )
-    return interval, profile
+    return _hull(thetas, np.flatnonzero(stats <= c), 1.0 - alpha), XiProfile(thetas, stats, c)
 
 
 def xi_hull(sample: GoodSample, alpha: float, grid: GridSpec, rng_seed: int) -> Interval:
@@ -356,27 +350,13 @@ def xi_hull(sample: GoodSample, alpha: float, grid: GridSpec, rng_seed: int) -> 
             hits = lo + np.flatnonzero(evaluator.stats[lo:hi] <= c)
             if hits.size:
                 return hits
-        return None
+        return np.empty(0, dtype=np.intp)
 
-    low = first_hits((lo, min(lo + step, total)) for lo in range(0, total, step))
-    if low is None:
-        return Interval.make_empty(1.0 - alpha, "XI")
-    done = min(low[0] - low[0] % step + step, total)
-    high = first_hits((max(done, hi - step), hi) for hi in range(total, done, -step))
-    last = (low if high is None else high)[-1]
-    return Interval(float(thetas[low[0]]), float(thetas[last]), 1.0 - alpha, "XI")
-
-
-def intersect(a: Interval, b: Interval) -> Interval:
-    """Intersection with union-bound level bookkeeping; empty is a valid result."""
-    level = max(0.0, 1.0 - (1.0 - a.level) - (1.0 - b.level))
-    if a.empty or b.empty:
-        return Interval.make_empty(level, "INTERSECT")
-    lower = max(a.lower, b.lower)
-    upper = min(a.upper, b.upper)
-    if lower > upper:
-        return Interval.make_empty(level, "INTERSECT")
-    return Interval(lower=lower, upper=upper, level=level, source="INTERSECT")
+    hits = first_hits((lo, min(lo + step, total)) for lo in range(0, total, step))
+    if hits.size:
+        done = min(hits[0] - hits[0] % step + step, total)
+        hits = np.concatenate((hits, first_hits((max(done, hi - step), hi) for hi in range(total, done, -step))))
+    return _hull(thetas, hits, 1.0 - alpha)
 
 
 def bonferroni_share(alpha: float, K: int) -> float:
@@ -402,9 +382,11 @@ def cs_combined(
                       xi_hull evaluates it (cs_xi's interval, bit for bit).
     mode "ls":        delta-method interval at 1 - alpha_share (ls_mode as in
                       fit_inverse_demand); `grid` is unused.
-    mode "intersect": both pieces at 1 - alpha_share/2, `grid.nodes` nodes
-                      laid over the least-squares interval clipped below at
-                      POSITIVITY_FLOOR, then intersected.
+    mode "intersect": both pieces at 1 - alpha_share/2: the xi hull over
+                      `grid.nodes` nodes laid over the least-squares interval
+                      clipped below at POSITIVITY_FLOOR.  The grid lies
+                      inside that interval, so the hull is the intersection,
+                      at level 1 - alpha_share.
     An empty outcome is an empty interval at level 1 - alpha_share.
     """
     if not 0.0 < alpha_share < 1.0:
@@ -421,24 +403,22 @@ def cs_combined(
         return theta_interval_delta(fit, 1.0 - alpha_share)
 
     half = alpha_share / 2.0
+    level = 1.0 - alpha_share
     ls = theta_interval_delta(fit, 1.0 - half)
     lo = max(ls.lower, POSITIVITY_FLOOR)
     hi = ls.upper
     if hi < lo:
         # the least-squares interval sits below the positivity floor
-        return Interval.make_empty(1.0 - alpha_share, "INTERSECT")
+        return Interval.make_empty(level)
     if hi - lo < 1e-12:
         # Degenerate least-squares interval: check the single point.
         z = _effective_instrument(sample)
-        stat = profile_stats(
-            sample.price, sample.quantity, z, np.array([lo]), rng_seed
-        )[0]
-        if stat > critical_value(half):
-            return Interval.make_empty(1.0 - alpha_share, "INTERSECT")
-        xi_part = Interval(lo, lo, 1.0 - half, "XI")
-    else:
-        xi_part = xi_hull(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed)
-    return intersect(xi_part, ls)
+        stat = profile_stats(sample.price, sample.quantity, z, np.array([lo]), rng_seed)[0]
+        return Interval.make_empty(level) if stat > critical_value(half) else Interval(lo, lo, level)
+    # np.linspace puts the first and last nodes exactly on lo and hi, so every
+    # node lies in [lo, hi], inside the least-squares interval: the xi hull is
+    # the two pieces' intersection.
+    return dataclasses.replace(xi_hull(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed), level=level)
 
 
 def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDiagnostic:
@@ -462,19 +442,20 @@ def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDi
         case = CASE_CONTAINS_ZERO
     else:
         case = CASE_WHOLE_SPACE
-    return ShapeDiagnostic(stat_at_zero=s0, stat_at_inf=s1, critical=c, case_id=case)
+    return ShapeDiagnostic(stat_at_zero=s0, stat_at_inf=s1, case_id=case)
 
 
 def smooth_instrument(z, half_width: float, rng_seed: int) -> np.ndarray:
     """Add seeded Uniform[-half_width, half_width] noise to a discrete instrument.
 
     Restores the continuity the inversion theory needs; independent noise
-    keeps the instrument valid.
+    keeps the instrument valid.  A negative seed is a ConfigError, whatever
+    the half width.
     """
     z = np.asarray(z, dtype=float)
     if half_width < 0:
         raise ConfigError(f"half width must be nonnegative, got {half_width}")
+    rng = np.random.Generator(np.random.PCG64(seed_sequence(rng_seed)))
     if half_width == 0:
         return z.copy()
-    rng = np.random.default_rng(rng_seed)
     return z + rng.uniform(-half_width, half_width, z.shape[0])

@@ -10,7 +10,7 @@ generating process.  Slope standard errors are HC1 sandwich estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,19 +88,17 @@ class LsFit:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval with a confidence level and a provenance tag.
+    """Closed interval with a confidence level.
 
-    `source` is one of XI, LS, INTERSECT, BOX, or FAILED (the CLI's empty
-    stand-in for a good whose interval could not be computed).  Empty
-    intervals carry NaN endpoints and `empty=True`; any other interval has
-    finite endpoints, lower <= upper, and every level lies in [0, 1].
+    Empty intervals carry NaN endpoints and `empty=True`, a keyword-only
+    field; any other interval has finite endpoints, lower <= upper, and
+    every level lies in [0, 1].
     """
 
     lower: float
     upper: float
     level: float
-    source: str
-    empty: bool = False
+    empty: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
@@ -113,8 +111,8 @@ class Interval:
             raise DataError(f"lower {self.lower} exceeds upper {self.upper}")
 
     @classmethod
-    def make_empty(cls, level: float, source: str) -> "Interval":
-        return cls(math.nan, math.nan, level, source, empty=True)
+    def make_empty(cls, level: float) -> "Interval":
+        return cls(math.nan, math.nan, level, empty=True)
 
     @property
     def length(self) -> float:
@@ -202,4 +200,4 @@ def theta_interval_delta(fit: LsFit, level: float) -> Interval:
             f"slope {fit.beta_hat:g} is so near zero that theta = 1/slope "
             "has no finite delta-method interval"
         )
-    return Interval(lower=lower, upper=upper, level=level, source="LS")
+    return Interval(lower, upper, level)

@@ -20,6 +20,7 @@ from ._fanout import fan_out
 from .confset import GridSpec, child_seed, cs_combined
 from .errors import ConfigError
 from .regress import GoodSample, Interval
+from .xicor import seed_sequence
 from .welfare import (
     POSITIVITY_FLOOR,
     ConstraintSet,
@@ -46,8 +47,7 @@ DEFAULT_N_VALUES = (200, 1000, 5000)
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based generator for one (purpose, replication, good, ...) path."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=path)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, *path)))
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class DgpConfig:
     itself unless `endogeneity` is set, in which case price mixes in the
     shock with that weight and an exogenous U[1,1.5] driver serves as the
     instrument; price - shock is positive for every draw exactly when endogeneity >= 0.
+    A negative seed is a ConfigError (xicor.seed_sequence).
     """
 
     theta: np.ndarray
@@ -76,6 +77,7 @@ class DgpConfig:
             raise ConfigError(f"need a sample size of at least 3, got {self.n}", ("n",))
         if self.endogeneity is not None and not self.endogeneity >= 0:
             raise ConfigError(f"endogeneity must be nonnegative, got {self.endogeneity}", ("endogeneity",))
+        seed_sequence(self.seed)  # raises for a negative seed
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -179,10 +181,10 @@ def _interval_unit(unit) -> tuple[Interval, float]:
 
     Runs in a fan_out worker; the draw is left out of the seconds.
     """
-    theta, n, seed, r, k, grid, share = unit
-    sample = _draw_good(DgpConfig(theta=theta, n=n, seed=seed), r, k)
+    config, r, k, grid, share = unit
+    sample = _draw_good(config, r, k)
     t0 = time.process_time()
-    iv = cs_combined(sample, share, "xi", grid, child_seed(seed, _CS, r, k))
+    iv = cs_combined(sample, share, "xi", grid, child_seed(config.seed, _CS, r, k))
     return iv, time.process_time() - t0
 
 
@@ -196,14 +198,16 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
     replication order, its coverage and the joint coverage over all reps.
     The replications whose K intervals are all nonempty go, in order, to
     welfare(n, boxes), which returns that n's welfare rows and skip counts.
-    Raises ConfigError when reps is below 1.
+    Raises ConfigError when reps is below 1, and when DgpConfig rejects the
+    seed or a sample size: in this process, before any worker starts.
     """
     if reps < 1:
         raise ConfigError("need at least one replication", ("reps",))
     K = theta.shape[0]
     grid = GridSpec(POSITIVITY_FLOOR, 1.0, grid_nodes)
     report = McReport(reps, [], [], {}, {}, true_welfare_loss=true_wl)
-    units = [(theta, n, seed, r, k, grid, share) for n in n_values for r in range(reps) for k in range(K)]
+    configs = [DgpConfig(theta=theta, n=n, seed=seed) for n in n_values]
+    units = [(config, r, k, grid, share) for config in configs for r in range(reps) for k in range(K)]
     results = fan_out(_interval_unit, units)
     for j, n in enumerate(n_values):
         block = results[j * reps * K : (j + 1) * reps * K]
@@ -261,7 +265,7 @@ def mc_table1(
     theta = np.asarray(TABLE1_THETA)
     K = theta.shape[0]
     query = WelfareQuery(delta=np.asarray(TABLE1_DELTA), y_star=np.asarray(TABLE1_YSTAR))
-    fixed_box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(K))
+    fixed_box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0) for _ in range(K))
     wl_iv = bounds_box(ConstraintSet(fixed_box), query).wl_max
     wl_iii = bounds_box(ConstraintSet(fixed_box, sum_to=1.0), query).wl_max
     true_wl = welfare_loss(theta, query)

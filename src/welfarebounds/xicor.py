@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateResponse, InvalidLevel, InvalidSample
+from .errors import ConfigError, DegenerateResponse, InvalidLevel, InvalidSample
 
 # Asymptotic variance of sqrt(n) * xi under independence.
 NULL_VARIANCE = 0.4
@@ -89,13 +89,25 @@ def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
     return ranks, scale
 
 
+def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
+    """The SeedSequence of `seed` and a spawn path: the package's one seed rule.
+
+    Every seeded generator is built from one, and a negative seed raises
+    ConfigError naming the parameter "seed".  Generator(PCG64(seed_sequence(s)))
+    is numpy's default_rng(s).
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}", ("seed",))
+    return np.random.SeedSequence(entropy=seed, spawn_key=path)
+
+
 def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     """The n uniforms that order observations tied in the conditioning variable.
 
     Observation k sorts by its value, then by the k-th uniform, then by k,
     in `xi` and at every node of confset's grid.
     """
-    return np.random.default_rng(rng_seed).random(n)
+    return np.random.Generator(np.random.PCG64(seed_sequence(rng_seed))).random(n)
 
 
 def xi(sample: PairedSample, rng_seed: int) -> float:

@@ -1,11 +1,13 @@
 """The per-row CSV readers of welfarebounds.cli before they read whole columns.
 
-Kept verbatim as the reference for test_readers.py, with three exceptions: a
+Kept verbatim as the reference for test_readers.py, with four exceptions: a
 line the csv module cannot read raises ParseError; ingest_csv no longer
 counts a good's rows, so GoodSample raises InvalidSample for a good with
-fewer than three, the one home of that rule; and a non-finite price,
+fewer than three, the one home of that rule; a non-finite price,
 quantity or (on a row not rejected) instrument is not a number to
-ingest_csv, so the fault names the file and row.  The column readers must
+ingest_csv, so the fault names the file and row; and read_intervals_csv
+returns the (good_id, method, interval, status) rows that `ci` writes, in
+file order, since an Interval carries no status.  The column readers must
 return the same values, or raise the same exception with the same message,
 on every file.
 """
@@ -132,16 +134,15 @@ def ingest_csv(path: str, reject_log: list | None = None) -> list[GoodSample]:
     return samples
 
 
-def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
-    """Per-good intervals from a cmd_ci output file, optionally one method only.
+def read_intervals_csv(path: str, mode: str | None) -> list[tuple[str, str, Interval, str]]:
+    """The (good_id, method, interval, status) rows of a cmd_ci output file, optionally one method only.
 
-    EMPTY rows become empty intervals; FAILED:<ErrorName> rows become empty
-    intervals tagged with source FAILED.  A row that is no valid Interval
-    (lower above upper, a non-finite endpoint, a level outside [0, 1]) raises
-    ParseError naming the file and row.
+    EMPTY and FAILED:<ErrorName> rows hold empty intervals.  A row that is
+    no valid Interval (lower above upper, a non-finite endpoint, a level
+    outside [0, 1]) raises ParseError naming the file and row.
     """
     _, idx, rows = _read_table(path, ("good_id", "method", "lower", "upper", "level", "status"))
-    out: dict[str, Interval] = {}
+    out: dict[str, tuple[str, str, Interval, str]] = {}
     for lineno, cells in rows:
         method = cells[idx["method"]]
         if mode is not None and method != mode:
@@ -153,21 +154,21 @@ def read_intervals_csv(path: str, mode: str | None) -> dict[str, Interval]:
             )
         level = _cell_float(path, cells[idx["level"]], lineno, "level")
         status = cells[idx["status"]]
-        source = "FAILED" if status.startswith("FAILED:") else method.upper()
         try:
-            if status == "EMPTY" or source == "FAILED":
-                out[gid] = Interval.make_empty(level, source)
+            if status == "EMPTY" or status.startswith("FAILED:"):
+                interval = Interval.make_empty(level)
             else:
                 lower = _cell_float(path, cells[idx["lower"]], lineno, "lower")
                 upper = _cell_float(path, cells[idx["upper"]], lineno, "upper")
-                out[gid] = Interval(lower, upper, level, source)
+                interval = Interval(lower, upper, level)
         except ParseError:
             raise
         except DataError as exc:
             raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        out[gid] = (gid, method, interval, status)
     if not out:
         raise DataError(f"{path}: no interval rows matched mode {mode!r}")
-    return out
+    return list(out.values())
 
 
 def _query_value(path: str, cell: str, lineno: int, col: str, kind: str) -> float:

@@ -69,7 +69,7 @@ def many_goods_reports():
 def test_deterministic_welfare_values():
     t0 = time.perf_counter()
     wl = welfare_loss(np.array([0.2, 0.3, 0.5]), THREE_GOOD_QUERY)
-    box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0, "BOX") for _ in range(3))
+    box = tuple(Interval(POSITIVITY_FLOOR, 1.0, 1.0) for _ in range(3))
     box_max = bounds_box(ConstraintSet(box), THREE_GOOD_QUERY).wl_max
     simplex_max = bounds_box(ConstraintSet(box, sum_to=1.0), THREE_GOOD_QUERY).wl_max
     elapsed = time.perf_counter() - t0

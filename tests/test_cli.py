@@ -31,7 +31,7 @@ from welfarebounds.errors import (
     ParseError,
     SchemaError,
 )
-from welfarebounds.regress import LsFit, theta_interval_delta
+from welfarebounds.regress import Interval, LsFit, theta_interval_delta
 from welfarebounds.xicor import critical_value
 
 TWO_GOOD_CSV = """good_id,price,quantity
@@ -324,12 +324,15 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err == f"ConfigError: {floor_cfg}:1: unknown key 'floor'\n"
     assert not list(tmp_path.glob("na_*"))
     # a negative seed, as a flag or a config key, is a config error naming the
-    # seed, and the config file's line when the file set it
+    # seed, and the config file's line when the file set it; mc --table 1
+    # first reads the seed in its workers' units, and fails before they start
     sim = ["simulate", "--theta", "0.3", "--n", "20"]
-    commands = (["ci", "--data", data], sim, ["mc", "--table", "2", "--k", "1", "--reps", "1"],
+    mc1 = ["mc", "--table", "1", "--reps", "1"]
+    commands = (["ci", "--data", data], sim, mc1, ["mc", "--table", "2", "--k", "1", "--reps", "1"],
                 ["diagnose", "--data", data])
     neg_cfg = _write(tmp_path, "neg.cfg", "seed = -1\n")
-    for argv, where in [(c + ["--seed", "-1"], "") for c in commands] + [(sim + ["--config", neg_cfg], f"{neg_cfg}:1: ")]:
+    for argv, where in [(c + ["--seed", "-1"], "") for c in commands] + [
+            (c + ["--config", neg_cfg], f"{neg_cfg}:1: ") for c in (sim, ["ci", "--data", data], mc1)]:
         capsys.readouterr()
         assert main(argv + ["--out", str(tmp_path / "ns")]) == 2
         assert capsys.readouterr().err == f"ConfigError: {where}seed must be nonnegative, got -1\n"
@@ -824,8 +827,10 @@ def test_a_flag_the_command_does_not_read_is_not_range_checked(tmp_path, monkeyp
     welfare = ["welfare", "--intervals", intervals, "--query", query, "--out", str(tmp_path / "w")]
     assert main(welfare) == 0
     written = (tmp_path / "w_welfare.csv").read_bytes()
-    # welfare --intervals takes its levels from the file, and smooths no instrument
-    for ignored in (["--grid-nodes", "1", "--grid-lo", "-1", "--grid-hi", "-2"], ["--alpha", "2", "--jitter", "-1"]):
+    # welfare --intervals takes its levels from the file, smooths no
+    # instrument and draws nothing
+    for ignored in (["--grid-nodes", "1", "--grid-lo", "-1", "--grid-hi", "-2"], ["--alpha", "2", "--jitter", "-1"],
+                    ["--seed", "-1"]):
         assert main(welfare + ignored) == 0
         assert (tmp_path / "w_welfare.csv").read_bytes() == written
     assert _parsed(monkeypatch, ["mc", "--table", "1", "--k", "0", "--reps", "1", "--seed", "1"]).k == 0
@@ -899,8 +904,8 @@ def test_intervals_reader_requires_unique_rows(tmp_path):
     )
     with pytest.raises(ConfigError):
         read_intervals_csv(path, None)
-    out = read_intervals_csv(path, "ls")
-    assert out["a"].upper == 0.3
+    [(gid, method, interval, status)] = read_intervals_csv(path, "ls")
+    assert (gid, method, interval, status) == ("a", "ls", Interval(0.1, 0.3, 0.95), "OK")
 
 
 @pytest.mark.parametrize(

@@ -12,16 +12,14 @@ from numpy.testing import assert_allclose
 from welfarebounds import confset, xicor
 from welfarebounds.confset import (
     GridSpec,
-    XiProfile,
     bonferroni_share,
     cs_combined,
     cs_xi,
-    intersect,
     profile_stats,
     shape_diagnostic,
     smooth_instrument,
 )
-from welfarebounds.errors import ConfigError, InvalidLevel
+from welfarebounds.errors import ConfigError, InvalidLevel, NumericalError
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, draw_sample
 from welfarebounds.welfare import POSITIVITY_FLOOR
@@ -88,7 +86,6 @@ def test_cs_xi_covers_truth_on_model_data():
     sample = draw_sample(DgpConfig(theta=np.array([0.5]), n=1000, seed=3))[0]
     iv, prof = cs_xi(sample, 0.1 / 3, GridSpec(1e-6, 1.0, 1000), rng_seed=5)
     assert iv.contains(0.5)
-    assert iv.source == "XI"
     assert iv.level == pytest.approx(1 - 0.1 / 3)
     assert prof.critical == critical_value(0.1 / 3)
 
@@ -96,7 +93,7 @@ def test_cs_xi_covers_truth_on_model_data():
 def test_cs_xi_empty_when_grid_misses_truth():
     sample = draw_sample(DgpConfig(theta=np.array([0.5]), n=2000, seed=77))[0]
     iv, prof = cs_xi(sample, 0.1, GridSpec(0.8, 0.9, 200), rng_seed=3)
-    assert iv.empty and iv.source == "XI"
+    assert iv.empty
     assert iv.level == pytest.approx(0.9)
     assert prof.stats.min() > prof.critical
     # cs_combined returns the same interval in xi mode
@@ -111,37 +108,6 @@ def test_cs_xi_accepts_truth_under_degenerate_shock():
     sample = GoodSample(p, 0.5 / (p - 0.5), instrument=rng.uniform(0, 1, 500))
     iv, _ = cs_xi(sample, 0.1, GridSpec(1e-6, 1.0, 500), rng_seed=3)
     assert iv.contains(0.5)
-
-
-def test_intersect_arithmetic():
-    a = Interval(0.842, 4.142, 0.975, "LS")
-    b = Interval(1.438, 6.0, 0.975, "XI")
-    out = intersect(a, b)
-    assert out.lower == 1.438 and out.upper == 4.142
-    assert out.level == pytest.approx(0.95)
-    assert out.source == "INTERSECT"
-
-
-def test_intersect_empty_outcome():
-    out = intersect(Interval(0, 1, 0.95, "XI"), Interval(2, 3, 0.95, "LS"))
-    assert out.empty
-    assert np.isnan(out.length)
-    assert not out.contains(2.5)
-
-
-def test_intersect_properties():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        lo = rng.uniform(0, 1, 3)
-        hi = lo + rng.uniform(0, 1, 3)
-        a, b, c = (Interval(l, h, 0.95, "BOX") for l, h in zip(lo, hi))
-        ab, ba = intersect(a, b), intersect(b, a)
-        assert (ab.lower, ab.upper, ab.empty) == (ba.lower, ba.upper, ba.empty)
-        left = intersect(intersect(a, b), c)
-        right = intersect(a, intersect(b, c))
-        assert (left.lower, left.upper, left.empty) == (right.lower, right.upper, right.empty)
-        aa = intersect(a, a)
-        assert (aa.lower, aa.upper) == (a.lower, a.upper)
 
 
 def test_bonferroni_share():
@@ -179,9 +145,9 @@ def test_cs_combined_intersect_on_a_degenerate_ls_interval():
         stat = profile_stats(sample.price, sample.quantity, sample.price, np.array([point]), seed)[0]
         accepted = stat <= critical_value(share / 2)
         if accepted:
-            assert iv == Interval(point, point, 1 - share, "INTERSECT")
+            assert iv == Interval(point, point, 1 - share)
         else:
-            assert iv.empty and iv.level == 1 - share and iv.source == "INTERSECT"
+            assert iv.empty and iv.level == 1 - share
         outcomes.add(accepted)
     assert outcomes == {True, False}
 
@@ -205,16 +171,68 @@ def test_cs_combined_intersect_is_subset_of_pieces():
     below = GoodSample(p, 1e-9 / p)
     assert cs_combined(below, share, "ls", grid).upper < POSITIVITY_FLOOR
     empty = cs_combined(below, share, "intersect", grid, 4)
-    assert empty.empty and empty.source == "INTERSECT"
+    assert empty.empty
     assert empty.level == 1 - share
+
+
+def _window_sample(kind, seed, n, theta):
+    if kind == "degenerate":
+        # exact inverse demand: a least-squares window narrower than 1e-12
+        p = np.linspace(1.0, 2.0, n)
+        return GoodSample(p, theta / p, instrument=p)
+    if kind == "below floor":
+        # exact inverse demand with theta = 1e-9: the window lies below the floor
+        p = np.linspace(1.0, 2.0, n)
+        return GoodSample(p, 1e-9 / p, instrument=p)
+    endogeneity = 0.5 if kind == "endogenous" else None
+    return draw_sample(DgpConfig(theta=np.array([theta]), n=n, seed=seed, endogeneity=endogeneity))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["exogenous", "endogenous"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 300),
+    theta=st.floats(0.05, 1.0),
+    share=st.floats(0.001, 0.5),
+    nodes=st.integers(2, 400),
+)
+@example(kind="degenerate", seed=1, n=60, theta=0.5, share=0.2, nodes=2)
+@example(kind="degenerate", seed=2, n=60, theta=0.5, share=0.2, nodes=50)
+@example(kind="below floor", seed=3, n=60, theta=0.5, share=0.05, nodes=300)
+def test_intersect_mode_is_the_xi_hull_on_the_least_squares_window(kind, seed, n, theta, share, nodes):
+    # The grid's nodes lie inside the least-squares interval, so intersect
+    # mode's interval is the xi hull over that window, at level 1 - share.
+    sample = _window_sample(kind, seed, n, theta)
+    grid = GridSpec(POSITIVITY_FLOOR, 6.0, nodes)
+    try:
+        ls = theta_interval_delta(fit_inverse_demand(sample, "auto"), 1 - share / 2)
+    except NumericalError as exc:
+        with pytest.raises(type(exc)):
+            cs_combined(sample, share, "intersect", grid, seed)
+        return
+    iv = cs_combined(sample, share, "intersect", grid, seed)
+    lo, hi = max(ls.lower, POSITIVITY_FLOOR), ls.upper
+    level = 1 - share
+    if hi < lo:
+        want = Interval.make_empty(level)
+    elif hi - lo < 1e-12:
+        # a single point, tested alone
+        stat = profile_stats(sample.price, sample.quantity, sample.instrument, np.array([lo]), seed)[0]
+        want = Interval.make_empty(level) if stat > critical_value(share / 2) else Interval(lo, lo, level)
+    else:
+        hull = confset.xi_hull(sample, share / 2, GridSpec(lo, hi, grid.nodes), seed)
+        want = dataclasses.replace(hull, level=level)
+    assert _same_interval(iv, want)
+    assert iv.empty or ls.lower <= iv.lower <= iv.upper <= ls.upper
 
 
 def test_case2_shape_and_intersection_tightening():
     sample = _case2_sample()
     diag = shape_diagnostic(sample, 0.05, rng_seed=123)
     assert diag.case_id == "UNBOUNDED_ABOVE"
-    assert diag.stat_at_zero > diag.critical
-    assert diag.stat_at_inf <= diag.critical
+    assert diag.stat_at_zero > critical_value(0.05)
+    assert diag.stat_at_inf <= critical_value(0.05)
     ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
     combined = cs_combined(sample, 0.05, "intersect", GridSpec(1e-6, 6.0, 2000), 9)
     # the rank test prunes the small-theta region the delta method cannot
@@ -276,14 +294,6 @@ def test_smoothing_barely_moves_bounds_on_discrete_instrument():
     smooth, _ = cs_xi(jittered, 0.025, grid, rng_seed=3)
     assert abs(raw.lower - smooth.lower) < 0.01
     assert abs(raw.upper - smooth.upper) < 0.01
-
-
-def test_profile_segments_counting():
-    stats = np.array([5.0, 0.2, 0.3, 5.0, 0.1, 5.0])
-    prof = XiProfile(thetas=np.linspace(0, 1, 6), stats=stats, critical=1.0)
-    assert prof.accepted().tolist() == [False, True, True, False, True, False]
-    empty = XiProfile(thetas=np.linspace(0, 1, 3), stats=np.full(3, 9.0), critical=1.0)
-    assert not empty.accepted().any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -598,7 +608,7 @@ def test_every_grid_entry_takes_the_seeds_xi_takes(seed):
         ]
         try:
             xi(PairedSample(sample.price, sample.instrument), seed)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             for entry in entries:
                 with pytest.raises(type(exc)) as err:
                     entry()

@@ -24,10 +24,12 @@ GOLDEN = {
     "run_profile_good2.csv": "7513338ef0fd8cfe0a16ceaf53bb5aabdb2b79b07d20e2270ecda0f2119491e0",
     "run_profile_tie.csv": "941ff8b5415296fa8293a377b5d2b27c82b42cee4225530cece4bcdcde211521",
     "sim_data.csv": "11fecfd5b9407e737ae5587c4c393e29251ecfed4ac9d3f5c663ad090892bfe8",
+    "w_failed_welfare.csv": "46dc9727f4481862715ec7019c13a982838f55a2e9a7fec4c54ad2d623ab5fdb",
     "w_long_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
     "w_long_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
     "w_wide_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
     "w_wide_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
+    "wd_intersect_welfare.csv": "01f6542b52010be3c6da8b65cbd01b16aa6c4eda3e60f8905fb6fcaf7ac8c85e",
 }
 
 
@@ -86,10 +88,20 @@ def test_primary_outputs_keep_their_bytes(tmp_path, capsys):
             lines = run(["welfare", "--intervals", f"{out('run')}_intervals.csv", "--mode", "xi",
                          "--query", str(query), "--out", out(f"w_{layout}_{name}")] + extra)
             assert lines == [f"wrote {out(f'w_{layout}_{name}')}_welfare.csv"]
+    # the box straight from the data, one intersect interval per good
+    lines = run(["welfare", "--data", str(data), "--mode", "intersect", "--alpha", "0.1", "--grid-nodes", "300",
+                 "--grid-hi", "1.5", "--seed", "3", "--query", str(long_q), "--out", out("wd_intersect")])
+    assert lines == [f"wrote {out('wd_intersect')}_welfare.csv"]
+    # a FAILED row fails the box, ahead of the EMPTY row
+    failed = tmp_path / "iv_failed.csv"
+    failed.write_text("good_id,method,lower,upper,level,status\ngood1,ls,0.15,0.25,0.9,OK\n"
+                      "good2,ls,,,0.9,FAILED:NonpositiveSlope\ntie,ls,,,0.9,EMPTY\n", encoding="utf-8")
+    lines = run(["welfare", "--intervals", str(failed), "--query", str(long_q), "--out", out("w_failed")])
+    assert lines == [f"wrote {out('w_failed')}_welfare.csv"]
     run(["mc", "--table", "1", "--reps", "2", "--seed", "11", "--out", out("mc1")])
     run(["mc", "--table", "2", "--k", "5", "--reps", "2", "--seed", "11", "--out", out("mc2")])
     assert {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(tmp_path.iterdir())
-        if p.name not in ("data.csv", "q_long.csv", "q_wide.csv")
+        if p.name not in ("data.csv", "iv_failed.csv", "q_long.csv", "q_wide.csv")
     } == GOLDEN

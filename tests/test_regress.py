@@ -89,11 +89,27 @@ def test_tsls_fixes_endogeneity_bias():
 
 
 def test_interval_rules_are_data_errors():
-    for args, message in (((0.1, 0.2, 1.5, "LS"), "level 1.5 lies outside"),
-                          ((0.1, math.inf, 0.9, "LS"), "must be finite"),
-                          ((0.3, 0.2, 0.9, "LS"), "lower 0.3 exceeds upper 0.2")):
+    for args, message in (((0.1, 0.2, 1.5), "level 1.5 lies outside"),
+                          ((0.1, math.inf, 0.9), "must be finite"),
+                          ((0.3, 0.2, 0.9), "lower 0.3 exceeds upper 0.2")):
         with pytest.raises(DataError, match=message):
             Interval(*args)
+
+
+def test_empty_is_keyword_only():
+    # a fourth positional argument would otherwise land in `empty` and
+    # build an empty interval
+    with pytest.raises(TypeError):
+        Interval(0.1, 0.2, 0.9, "LS")
+    assert Interval(0.1, 0.2, 0.9) == Interval(0.1, 0.2, 0.9, empty=False)
+
+
+def test_an_empty_interval_has_nan_length_and_contains_nothing():
+    out = Interval.make_empty(0.95)
+    assert out.empty and out.level == 0.95
+    assert np.isnan(out.lower) and np.isnan(out.upper)
+    assert np.isnan(out.length)
+    assert not out.contains(2.5)
 
 
 def test_ols_and_tsls_coincide_when_instrument_is_price():
@@ -114,7 +130,6 @@ def test_delta_interval_hand_values():
     assert_allclose(iv.lower, 0.16080072, atol=1e-6)
     assert_allclose(iv.upper, 0.23919928, atol=1e-6)
     assert iv.level == 0.95
-    assert iv.source == "LS"
 
 
 def test_delta_interval_bonferroni_level_quantile():

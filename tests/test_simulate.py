@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from welfarebounds import _fanout, simulate
-from welfarebounds.confset import GridSpec
+from welfarebounds import _fanout, simulate, xicor
+from welfarebounds.confset import GridSpec, cs_combined, shape_diagnostic, smooth_instrument
 from welfarebounds.errors import ConfigError
 from welfarebounds.regress import Interval
 from welfarebounds.simulate import (
@@ -45,6 +45,31 @@ def test_config_validation():
         with pytest.raises(ConfigError) as err:
             mc_table2(K, reps, seed=1)
         assert err.value.params == (param,)
+
+
+def test_a_negative_seed_is_a_config_error_in_every_library_entry():
+    # one rule, xicor.seed_sequence, names the parameter for the CLI; mc_table1
+    # first reads its seed in the units, and fails before any worker starts
+    sample = draw_sample(DgpConfig(theta=np.array([0.4]), n=60, seed=1))[0]
+    grid = GridSpec(POSITIVITY_FLOOR, 1.0, 20)
+    entries = [
+        lambda: draw_sample(DgpConfig(theta=np.array([0.3]), n=50, seed=-1)),
+        lambda: cs_combined(sample, 0.05, "xi", grid, rng_seed=-1),
+        lambda: cs_combined(sample, 0.05, "intersect", grid, rng_seed=-1),
+        lambda: shape_diagnostic(sample, 0.05, rng_seed=-1),
+        lambda: smooth_instrument(sample.instrument, 0.1, rng_seed=-1),
+        lambda: smooth_instrument(sample.instrument, 0.0, rng_seed=-1),
+        lambda: child_seed(-1, 2),
+        lambda: substream(-1, 0),
+        lambda: xicor.tie_uniforms(-1, 5),
+        lambda: mc_table1(1, seed=-1, n_values=(50,), grid_nodes=20),
+        lambda: mc_table2(2, 1, seed=-1, n_values=(50,), grid_nodes=20),
+    ]
+    with mock.patch.object(simulate, "fan_out", side_effect=AssertionError("a unit ran")):
+        for entry in entries:
+            with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$") as err:
+                entry()
+            assert err.value.params == ("seed",)
 
 
 def test_negative_endogeneity_is_a_config_error():
@@ -197,13 +222,13 @@ def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
     emptied = {(1, 0), (2, 0), (2, 2)}
     empty_seeds = {child_seed(seed, simulate._CS, r, k) for r, k in emptied}
     for r, k in emptied:
-        runs[r][k] = Interval.make_empty(1.0 - share, "XI")
+        runs[r][k] = Interval.make_empty(1.0 - share)
     real_combined = simulate.cs_combined
 
     def cs_combined(sample, alpha_share, mode, grid, rng_seed):
         # the fork carries this patch into the pool's workers
         if rng_seed in empty_seeds:
-            return Interval.make_empty(1.0 - alpha_share, "XI")
+            return Interval.make_empty(1.0 - alpha_share)
         return real_combined(sample, alpha_share, mode, grid, rng_seed)
 
     with mock.patch.object(simulate, "cs_combined", cs_combined), mock.patch.object(_fanout, "_cpus", lambda: workers):

@@ -26,7 +26,7 @@ THREE_GOOD_QUERY = WelfareQuery(
 
 
 def _box(lo, hi, K, level=1.0):
-    return tuple(Interval(lo, hi, level, "BOX") for _ in range(K))
+    return tuple(Interval(lo, hi, level) for _ in range(K))
 
 
 def kkt_gap(theta, c, lo, hi, target) -> float:
@@ -149,7 +149,7 @@ def test_kl_div_identity():
 
 def test_bounds_box_degenerate():
     theta = np.array([0.2, 0.3, 0.5])
-    box = tuple(Interval(t, t, 1 - 0.1 / 3, "BOX") for t in theta)
+    box = tuple(Interval(t, t, 1 - 0.1 / 3) for t in theta)
     wb = bounds_box(ConstraintSet(box), THREE_GOOD_QUERY)
     true_wl = welfare_loss(theta, THREE_GOOD_QUERY)
     assert wb.wl_min == wb.wl_max == true_wl
@@ -162,7 +162,7 @@ def test_joint_level_is_exact(levels):
     # Each 1 - level is a multiple of 2**-53 no larger than 1, so a partial
     # sum below 1 is exact and one at 1 or above clips the level to 0: the
     # left-to-right total and Python 3.12's compensated sum() agree on it.
-    box = tuple(Interval(0.1, 0.2, level, "BOX") for level in levels)
+    box = tuple(Interval(0.1, 0.2, level) for level in levels)
     exact = 1 - sum(Fraction(1.0 - level) for level in levels)
     assert Fraction(ConstraintSet(box).joint_level()) == max(exact, 0)
 
@@ -191,7 +191,7 @@ def test_bounds_box_on_sum_target_and_empty_interval():
     on_box = bounds_box(ConstraintSet(_box(0.1, 0.9, 3)), THREE_GOOD_QUERY)
     on_slice = bounds_box(ConstraintSet(_box(0.1, 0.9, 3), sum_to=1.0), THREE_GOOD_QUERY)
     assert on_box.wl_min < on_slice.wl_min <= on_slice.wl_max < on_box.wl_max
-    box = (Interval.make_empty(0.9, "XI"),) + _box(0.1, 0.9, 2)
+    box = (Interval.make_empty(0.9),) + _box(0.1, 0.9, 2)
     _assert_nan_bounds(bounds_box(ConstraintSet(box), THREE_GOOD_QUERY))
 
 
@@ -200,8 +200,8 @@ def test_empty_set_gives_nan_bounds_for_every_row():
     # bounds on a one-row and an N-row query; a K mismatch still raises
     rows = WelfareQuery(np.tile(THREE_GOOD_QUERY.delta, (4, 1)), np.tile(THREE_GOOD_QUERY.y_star, (4, 1)))
     for constraints in (
-        ConstraintSet((Interval.make_empty(0.9, "XI"),) + _box(0.1, 0.9, 2)),
-        ConstraintSet((Interval(1e-9, 1e-8, 0.9, "LS"),) + _box(0.1, 0.9, 2)),
+        ConstraintSet((Interval.make_empty(0.9),) + _box(0.1, 0.9, 2)),
+        ConstraintSet((Interval(1e-9, 1e-8, 0.9),) + _box(0.1, 0.9, 2)),
         ConstraintSet(_box(0.4, 0.9, 3), sum_to=1.0),
     ):
         assert constraints.empty
@@ -216,7 +216,7 @@ def test_bounds_where_c_over_theta_overflows():
     # c = 1e305 over theta = 1e-6 overflows; the term is then
     # theta * (log c - log theta + log1p(theta / c)), and the bounds are the
     # loss at the corners (box) and at the slice's two vertices (sum 0.9)
-    box = (Interval(1e-7, 0.6, 0.95, "LS"), Interval(0.3, 0.7, 0.95, "LS"))
+    box = (Interval(1e-7, 0.6, 0.95), Interval(0.3, 0.7, 0.95))
     q = WelfareQuery(np.array([1e305, 0.2]), np.array([1.0, 0.8]))
 
     def loss(theta):
@@ -253,7 +253,7 @@ def test_symmetric_two_goods():
 
 def test_tight_box_with_sum():
     theta = np.array([0.2, 0.3, 0.5])
-    box = tuple(Interval(t, t, 1.0, "BOX") for t in theta)
+    box = tuple(Interval(t, t, 1.0) for t in theta)
     wb = bounds_box(ConstraintSet(box, sum_to=1.0), THREE_GOOD_QUERY)
     true_wl = welfare_loss(theta, THREE_GOOD_QUERY)
     assert_allclose(wb.wl_max, true_wl, atol=1e-12)
@@ -274,7 +274,7 @@ def _random_instance(rng, K):
     hi = lo + rng.uniform(0.2, 0.7, K)
     target = float(rng.uniform(lo.sum(), hi.sum()))
     q = WelfareQuery(rng.uniform(0.05, 1.5, K), rng.uniform(0.1, 2.0, K))
-    box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
+    box = tuple(Interval(l, h, 1.0) for l, h in zip(lo, hi))
     return ConstraintSet(box, sum_to=target), q, lo, hi, target
 
 
@@ -364,7 +364,7 @@ def test_large_k_bounds_hold_at_sampled_points(K):
         target = float(lo.sum() + rng.uniform(0.25, 0.75) * (hi.sum() - lo.sum()))
         q = WelfareQuery(rng.uniform(0.1, 1.0, K) * (rng.random(K) > 0.1),
                          rng.uniform(0.2, 1.2, K))
-        box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
+        box = tuple(Interval(l, h, 1.0) for l, h in zip(lo, hi))
         wb, _, gap = max_with_argmax(ConstraintSet(box, sum_to=target), q)
         vertices, mixes = _sampled_slice(rng, lo, hi, target, 400)
         c = q.spend_change
@@ -375,7 +375,7 @@ def test_large_k_bounds_hold_at_sampled_points(K):
 
 def _sum_bounds(lo, hi, delta, y_star, target):
     """max_with_argmax on a unit-level box, with the query it built."""
-    box = tuple(Interval(l, h, 1.0, "BOX") for l, h in zip(lo, hi))
+    box = tuple(Interval(l, h, 1.0) for l, h in zip(lo, hi))
     q = WelfareQuery(np.asarray(delta, float), np.asarray(y_star, float))
     return *max_with_argmax(ConstraintSet(box, sum_to=target), q), q
 
@@ -405,8 +405,8 @@ def test_closed_form_max_edge_cases():
     assert ref_max - 1e-12 <= wb.wl_max <= ref_max + 1e-4
     assert abs(wb.wl_min - ref_min) <= 1e-4
     # lo == hi after the floor: [1e-9, 1e-6] floors to the point 1e-6
-    box = (Interval(1e-9, POSITIVITY_FLOOR, 1.0, "BOX"), Interval(0.1, 0.8, 1.0, "BOX"),
-           Interval(0.2, 0.6, 1.0, "BOX"))
+    box = (Interval(1e-9, POSITIVITY_FLOOR, 1.0), Interval(0.1, 0.8, 1.0),
+           Interval(0.2, 0.6, 1.0))
     q = WelfareQuery(np.array([0.5, 0.8, 0.2]), np.array([0.2, 0.6, 0.8]))
     wb, theta, gap = max_with_argmax(ConstraintSet(box, sum_to=0.9), q)
     assert theta[0] == POSITIVITY_FLOOR
@@ -439,7 +439,7 @@ def test_batched_box_equals_single_queries_bit_for_bit():
     N, K = 500, 10
     lo = rng.uniform(0.0, 0.6, K)
     lo[0] = 0.0  # floored to POSITIVITY_FLOOR
-    box = tuple(Interval(l, l + w, 0.99, "BOX") for l, w in zip(lo, rng.uniform(0.02, 0.4, K)))
+    box = tuple(Interval(l, l + w, 0.99) for l, w in zip(lo, rng.uniform(0.02, 0.4, K)))
     delta = rng.uniform(0.0, 1.0, (N, K)) * (rng.random((N, K)) > 0.1)
     y_star = rng.uniform(0.1, 2.0, (N, K))
     floored, hi = ConstraintSet(box).bounds()
@@ -479,7 +479,7 @@ def test_box_bounds_hold_at_sampled_points(seed, K, N, below_floor):
     under = rng.random(K) < below_floor
     lo[under] = rng.choice([0.0, 1e-9, 0.5 * POSITIVITY_FLOOR], int(under.sum()))
     hi = np.maximum(lo, POSITIVITY_FLOOR) + rng.uniform(0.0, 1.0, K) * (rng.random(K) > 0.1)
-    box = tuple(Interval(l, h, 0.99, "BOX") for l, h in zip(lo, hi))
+    box = tuple(Interval(l, h, 0.99) for l, h in zip(lo, hi))
     query = WelfareQuery(rng.uniform(0.0, 3.0, (N, K)) * (rng.random((N, K)) > 0.2),
                          rng.uniform(0.05, 2.0, (N, K)))
     wb = bounds_box(ConstraintSet(box), query)
@@ -513,7 +513,7 @@ def test_sum_slice_bounds_hold_at_sampled_points(seed, K, N, below_floor, side, 
     hi = floored + rng.uniform(0.0, 1.0, K) * (rng.random(K) > 0.1)
     s_lo, s_hi = float(floored.sum()), float(hi.sum())
     target = {"below": s_lo - gap, "inside": s_lo + frac * (s_hi - s_lo), "above": s_hi + gap}[side]
-    box = tuple(Interval(l, h, 0.99, "BOX") for l, h in zip(lo, hi))
+    box = tuple(Interval(l, h, 0.99) for l, h in zip(lo, hi))
     constraints = ConstraintSet(box, sum_to=target)
     query = WelfareQuery(rng.uniform(0.0, 3.0, (N, K)) * (rng.random((N, K)) > 0.2),
                          rng.uniform(0.05, 2.0, (N, K)))
