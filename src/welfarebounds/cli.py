@@ -488,49 +488,51 @@ def _interval_unit(unit):
     """One (good, mode) of _good_intervals, run in a fan_out worker.
 
     Returns (interval, profile), or the library or memory error it hit, so
-    that the parent reads every unit's outcome in file order.  The profile
-    is cs_xi's for an xi unit that keeps it, and None for every other unit,
-    whose interval is cs_combined's.
+    that the parent reads every unit's outcome in file order.  An xi unit
+    returns cs_xi's interval and grid profile; any other unit returns
+    cs_combined's interval and None.
     """
     from .confset import cs_combined, cs_xi
 
-    sample, share, mode, grid, seed, ls, keep_profile = unit
+    sample, share, mode, grid, seed, ls = unit
     try:
-        if mode == "xi" and keep_profile:
+        if mode == "xi":
             return cs_xi(sample, share, grid, seed)
         return cs_combined(sample, share, mode, grid, seed, ls), None
     except (WelfareBoundsError, MemoryError) as exc:
         return exc
 
 
-def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, modes, keep_profiles: bool):
-    """Each good's interval in each mode over `grid`, at the Bonferroni share alpha/K.
+def _good_intervals(cfg: argparse.Namespace, modes, data_flag: str = "--data"):
+    """Each good's interval in each mode over the grid flags' grid, at the Bonferroni share alpha/K.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order, the shape read_intervals_csv returns; status is
     OK, EMPTY, or FAILED:<ErrorName> when a data or numerical error hit that
     (good, mode), whose interval is then empty, and whose stderr line (see
     _failed) is printed in file order; any other error is raised after the
-    lines of the goods before it.  profiles maps a good id to its xi-mode grid profile when
-    keep_profiles is set, else is empty.  code is the exit code of the first
-    failure, or EXIT_OK.  An xi interval that ends at --grid-hi, or at a
-    --grid-lo above POSITIVITY_FLOOR, gets a GridEdge stderr line in file
-    order: the set may extend past the grid; so does an empty xi interval,
-    whose set may lie wholly beyond it.  The (good, mode) pairs are
-    fan_out units.  A mode that fits least squares with --ls tsls needs an
-    instrument for every good, else SchemaError before any work.  The
-    callers build `grid` before they read the data file: a bad one fails first.
+    lines of the goods before it.  profiles maps a good id to its xi-mode
+    grid profile.  code is the exit code of the first failure, or EXIT_OK.
+    An xi interval that ends at --grid-hi, or at a --grid-lo above
+    POSITIVITY_FLOOR, gets a GridEdge stderr line in file order: the set
+    may extend past the grid; so does an empty xi interval, whose set may
+    lie wholly beyond it.  The (good, mode) pairs are fan_out units.  A
+    mode that fits least squares with --ls tsls needs an instrument for
+    every good, else SchemaError before any work.  The grid is built before
+    the data file (`data_flag`) is read: a bad one fails first.
     """
     from ._fanout import fan_out
-    from .confset import bonferroni_share, child_seed
+    from .confset import GridSpec, bonferroni_share, child_seed
 
+    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
+    samples = _load_samples(cfg, data_flag)
     needs_ls = any(m != "xi" for m in modes)
     if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
         raise SchemaError("column 'instrument' is required for TSLS")
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
     units = [
-        (s, share, m, grid, child_seed(seed, _SEED_CS, i), cfg.ls, keep_profiles)
+        (s, share, m, grid, child_seed(seed, _SEED_CS, i), cfg.ls)
         for i, s in enumerate(samples)
         for m in modes
     ]
@@ -558,20 +560,22 @@ def _good_intervals(samples: list[GoodSample], cfg: argparse.Namespace, grid, mo
     return rows, profiles, code
 
 
+def _exact(x: float) -> str:
+    """x at round-trip precision (repr), which float() reads back bit for bit; NaN is empty."""
+    return "" if x != x else repr(float(x))
+
+
 def cmd_ci(cfg: argparse.Namespace) -> int:
     """Per-good intervals in the requested mode(s) plus grid-profile dumps."""
-    from .confset import GridSpec
-
-    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
-    samples = _load_samples(cfg)
     modes = ("xi", "ls", "intersect") if cfg.mode == "all" else (cfg.mode,)
-    rows, profiles, code = _good_intervals(samples, cfg, grid, modes, True)
+    rows, profiles, code = _good_intervals(cfg, modes)
     _write_csv(
         f"{cfg.out}_intervals.csv",
         f"theta confidence intervals in nominal price units; joint alpha = {_fmt(cfg.alpha)};"
         " 'level' is the per-good confidence level",
         ["good_id", "method", "lower", "upper", "level", "status"],
-        zip(*([gid, m, iv.lower, iv.upper, iv.level, status] for gid, m, iv, status in rows)),
+        zip(*([gid, m, _exact(iv.lower), _exact(iv.upper), _exact(iv.level), status]
+              for gid, m, iv, status in rows)),
     )
     for gid, prof in profiles.items():
         _write_csv(
@@ -584,23 +588,14 @@ def cmd_ci(cfg: argparse.Namespace) -> int:
     return code
 
 
-def _box_from_config(cfg: argparse.Namespace) -> tuple[list, int]:
-    """The box's (good_id, method, interval, status) rows and the exit code of the first per-good failure."""
-    if cfg.intervals is not None:
-        return read_intervals_csv(cfg.intervals, None if cfg.mode == "all" else cfg.mode), EXIT_OK
-    from .confset import GridSpec
-
-    if cfg.mode == "all":
-        raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
-    grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
-    samples = _load_samples(cfg, "--data or --intervals")
-    rows, _, code = _good_intervals(samples, cfg, grid, (cfg.mode,), False)
-    return rows, code
-
-
 def cmd_welfare(cfg: argparse.Namespace) -> int:
-    """Per-individual welfare-loss bounds, sorted ascending by the upper bound."""
-    rows, code = _box_from_config(cfg)
+    """Per-individual welfare-loss bounds over the box from --intervals, or from --data as cmd_ci computes it."""
+    if cfg.intervals is not None:
+        rows, code = read_intervals_csv(cfg.intervals, None if cfg.mode == "all" else cfg.mode), EXIT_OK
+    elif cfg.mode == "all":
+        raise ConfigError("pick one --mode (xi, ls, or intersect) when computing from raw data")
+    else:
+        rows, _, code = _good_intervals(cfg, (cfg.mode,), "--data or --intervals")
     ids, query = read_query_csv(_require(cfg.query, "--query"), [gid for gid, _, _, _ in rows])
     constraints = ConstraintSet([iv for _, _, iv, _ in rows], sum_to=cfg.sum_to)
     wb = bounds_box(constraints, query)

@@ -4,8 +4,8 @@ The rank-dependence statistic of the residual price - theta/quantity against
 the instrument is evaluated on a grid of theta values; the nodes where
 sqrt(n) times the statistic stays below its critical value form the
 acceptance region, and the reported interval is its hull (minimum to
-maximum accepted node).  `cs_xi` also returns the full profile, which the
-CLI's `ci` writes; every other caller asks `cs_combined` for the interval.
+maximum accepted node).  `cs_xi` also returns the full profile, for the CLI's
+xi units; every other caller asks `cs_combined` for the interval.
 
 The grid nodes are independent: `profile_stats` evaluates them in the
 calling thread, chunk by chunk in buffers allocated once per grid, and

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fanout import fan_out
-from .confset import GridSpec, child_seed, cs_combined
+from .confset import GridSpec, bonferroni_share, child_seed, cs_combined
 from .errors import ConfigError
 from .regress import GoodSample, Interval
 from .xicor import seed_sequence
@@ -284,7 +284,7 @@ def mc_table1(
         infeasible = len(boxes) - len(wl_i)
         return rows, {f"infeasible_sum_n{n}": infeasible} if infeasible else {}
 
-    return _replicate(theta, reps, seed, n_values, grid_nodes, MC_ALPHA / K, true_wl, welfare)
+    return _replicate(theta, reps, seed, n_values, grid_nodes, bonferroni_share(MC_ALPHA, K), true_wl, welfare)
 
 
 def mc_table2(
@@ -319,4 +319,4 @@ def mc_table2(
             WelfareSummary(n, "bracketed", _mean([b.wl_min <= true_wl <= b.wl_max for b in bounds])),
         ], {}
 
-    return _replicate(theta, reps, seed, n_values, grid_nodes, MC_ALPHA / K, true_wl, welfare)
+    return _replicate(theta, reps, seed, n_values, grid_nodes, bonferroni_share(MC_ALPHA, K), true_wl, welfare)

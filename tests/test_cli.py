@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import welfarebounds
 
-from welfarebounds import cli
+from welfarebounds import cli, simulate
 from welfarebounds.cli import (
     ingest_csv,
     main,
@@ -417,36 +418,42 @@ def _welfare_rows(path):
     return [(r["id"], r["status"], r["wl_min"], r["wl_max"], r["level"]) for r in _rows(path)]
 
 
-def _assert_same_welfare(a, b):
-    assert [r[:2] for r in a] == [r[:2] for r in b]
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra[2:], rb[2:]):
-            assert (x == y == "") or float(x) == pytest.approx(float(y), rel=1e-9)
-
-
 @pytest.mark.parametrize("mode", ["xi", "ls", "intersect"])
-def test_welfare_from_data_matches_ci_then_intervals(tmp_path, mode):
+def test_welfare_from_data_matches_ci_then_intervals(tmp_path, capsys, mode):
+    # ci writes each endpoint and level at round-trip precision, so
+    # welfare --intervals on its file writes welfare --data's bytes
     sim = str(tmp_path / "sim")
     assert main(["simulate", "--seed", "8", "--theta", "0.2,0.4,0.6", "--n", "400",
                  "--out", sim]) == 0
-    # repeated rows give exact ties, so the seeded tie-breaking is exercised too
+    # repeated rows give exact ties, so the seeded tie-breaking is exercised
+    # too; a rejected row, and in xi mode good3's interval at --grid-hi, print
+    # stderr lines
     lines = (tmp_path / "sim_data.csv").read_text(encoding="utf-8").splitlines(keepends=True)
-    (tmp_path / "sim_data.csv").write_text("".join(lines + lines[2:402:40]), encoding="utf-8")
+    (tmp_path / "sim_data.csv").write_text("".join(lines + lines[2:402:40] + ["good2,0,1.0,1.2\n"]),
+                                           encoding="utf-8")
     rng = np.random.default_rng(2)
-    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\n" + "".join(
-        f"h{h},good{k},{rng.uniform(0, 1)!r},{rng.uniform(0.1, 1)!r}\n"
-        for h in range(25) for k in (1, 2, 3)))
-    common = ["--seed", "4", "--alpha", "0.1", "--grid-nodes", "200", "--grid-hi", "1.0"]
-    assert main(["ci", "--data", f"{sim}_data.csv", "--mode", mode,
-                 "--out", str(tmp_path / "ci")] + common) == 0
-    for extra in ([], ["--sum-to", "1.1"]):
-        assert main(["welfare", "--data", f"{sim}_data.csv", "--mode", mode, "--query", query,
-                     "--out", str(tmp_path / "direct")] + common + extra) == 0
-        assert main(["welfare", "--intervals", str(tmp_path / "ci_intervals.csv"),
-                     "--query", query, "--out", str(tmp_path / "two")] + common + extra) == 0
-        direct = _welfare_rows(str(tmp_path / "direct_welfare.csv"))
-        assert {r[1] for r in direct} == {"OK"}
-        _assert_same_welfare(direct, _welfare_rows(str(tmp_path / "two_welfare.csv")))
+    households = [(f"h{h}", [(rng.uniform(0, 1), rng.uniform(0.1, 1)) for _ in range(3)]) for h in range(25)]
+    long_q = _write(tmp_path, "long.csv", "id,good_id,delta,ystar\n" + "".join(
+        f"{ind},good{k},{d!r},{y!r}\n" for ind, pairs in households for k, (d, y) in enumerate(pairs, 1)))
+    wide_q = _write(tmp_path, "wide.csv", "id," + ",".join(f"delta_good{k},ystar_good{k}" for k in (1, 2, 3))
+                    + "\n" + "".join(f"{ind}," + ",".join(f"{d!r},{y!r}" for d, y in pairs) + "\n"
+                                     for ind, pairs in households))
+    common = ["--mode", mode, "--seed", "4", "--alpha", "0.1", "--grid-nodes", "200", "--grid-hi", "0.65"]
+    capsys.readouterr()
+    assert main(["ci", "--data", f"{sim}_data.csv", "--out", str(tmp_path / "ci")] + common) == 0
+    ci_err = capsys.readouterr().err
+    assert ci_err.count("rejected row") == 1
+    assert ("GridEdge: good3: xi interval reaches --grid-hi 0.65" in ci_err) == (mode == "xi")
+    for query in (long_q, wide_q):
+        for extra in ([], ["--sum-to", "1.1"]):
+            assert main(["welfare", "--data", f"{sim}_data.csv", "--query", query,
+                         "--out", str(tmp_path / "direct")] + common + extra) == 0
+            assert capsys.readouterr().err == ci_err
+            assert main(["welfare", "--intervals", str(tmp_path / "ci_intervals.csv"),
+                         "--query", query, "--out", str(tmp_path / "two")] + common + extra) == 0
+            direct = (tmp_path / "direct_welfare.csv").read_bytes()
+            assert direct == (tmp_path / "two_welfare.csv").read_bytes()
+            assert {(r[1], r[4]) for r in _welfare_rows(str(tmp_path / "direct_welfare.csv"))} == {("OK", "0.9")}
 
 
 @pytest.mark.parametrize(
@@ -656,6 +663,17 @@ def test_mc_command_smoke(tmp_path, capsys):
     assert {r["label"] for r in wl} >= {"upper", "lower", "joint_coverage"}
 
 
+def test_mc_prints_a_skipped_line_per_left_out_kind(tmp_path, capsys):
+    def cs_combined(sample, alpha_share, mode, grid, rng_seed):
+        # the fork carries this patch into the pool's workers
+        return Interval.make_empty(1.0 - alpha_share)
+
+    with mock.patch.object(simulate, "cs_combined", cs_combined):
+        assert main(["mc", "--table", "1", "--reps", "2", "--seed", "4", "--out", str(tmp_path / "sk")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [f"skipped empty_sets_n{n}: 6" for n in (200, 1000, 5000)]
+
+
 def test_mc_table1_layout(tmp_path):
     assert main(["mc", "--table", "1", "--reps", "1", "--seed", "4",
                  "--out", str(tmp_path / "m1")]) == 0
@@ -849,9 +867,10 @@ def test_xi_interval_at_a_grid_edge_is_reported(tmp_path, capsys):
               " the set may lie beyond the grid")
     for grid, rows, edge, more in (
         (["--grid-lo", "0.2", "--grid-hi", "0.35", "--grid-nodes", "300"],
-         [("0.2", "0.242642140468", "OK"), ("0.250668896321", "0.349498327759", "OK")], "--grid-lo 0.2", []),
+         [("0.2", "0.2426421404682274", "OK"), ("0.25066889632107026", "0.3494983277591973", "OK")],
+         "--grid-lo 0.2", []),
         (["--grid-hi", "0.22", "--grid-nodes", "500"],
-         [("0.165771789579", "0.22", "OK"), ("", "", "EMPTY")], "--grid-hi 0.22", [beyond]),
+         [("0.1657717895791583", "0.22", "OK"), ("", "", "EMPTY")], "--grid-hi 0.22", [beyond]),
     ):
         out = str(tmp_path / "ge")
         capsys.readouterr()

@@ -119,6 +119,17 @@ def test_bonferroni_share():
         bonferroni_share(0.1, 0)
 
 
+def test_cs_combined_rejects_a_share_out_of_range_and_an_unknown_mode():
+    p = np.linspace(1, 2, 60)
+    sample = GoodSample(p, 0.5 / p)
+    grid = GridSpec(1e-6, 6.0, 2)
+    for share in (0.0, 1.0, -0.1):
+        with pytest.raises(InvalidLevel, match="alpha share must lie strictly in"):
+            cs_combined(sample, share, "ls", grid)
+    with pytest.raises(ConfigError, match="mode must be xi, ls, or intersect, got 'both'"):
+        cs_combined(sample, 0.05, "both", grid)
+
+
 def test_cs_combined_ls_only_noiseless():
     p = np.linspace(1, 2, 60)
     sample = GoodSample(p, 0.5 / p)

@@ -11,7 +11,7 @@ from welfarebounds.cli import main
 
 GOLDEN = {
     "dg_diagnostics.csv": "2604965dad9fd1fc972e8b9f4f6f41c1ac9442973310d8883d45790c563b6a32",
-    "jit_intervals.csv": "cf96f235a81a8b94d4843ca1ecfe2ef9e625289db3b9b6ff2d35b1b925895a90",
+    "jit_intervals.csv": "30e3c0fe1d4d917f5a55017fc7436eaf1536250bdc4e9eaca85ada42053c14da",
     "jit_profile_good1.csv": "2f804c5407707a804196d354286fac386452ac0edb01a573178f2c664c3f97fe",
     "jit_profile_good2.csv": "715bb8a43e76dd0bf59bc4059bf3c75d6084a389c35ea4e899a056103adcb3c7",
     "jit_profile_tie.csv": "982cd141ff78de0615d965fdeaea53f425c6bc22ca802c8906fa8dc873fba000",
@@ -19,16 +19,16 @@ GOLDEN = {
     "mc1_mc_welfare.csv": "803afb63d3d9d1fcab4b5ab2233774c6ecea6a799f170c94248356baf1e59797",
     "mc2_mc_intervals.csv": "93ca177641bdc09020df808a8c96beb69feb023e6582b53b9500fde66d3886c7",
     "mc2_mc_welfare.csv": "c1dab287e1f5d18e1117bf0e9baad7a2a95fd5d4e2c14167e7e74b1f7787b8df",
-    "run_intervals.csv": "e6585ccdf4e98df7fc1cf6337cdc8f610d6bc8a724cc2b7ed80477a6ed34c398",
+    "run_intervals.csv": "6d8654b43ac2d0f65c171253270db2863e2b618333afbf7c3e00bde5a77a0a40",
     "run_profile_good1.csv": "0e4bcbbc5ee5bdfaea2578f4a35b71afd4ad0e35635441176d1a9ee668d2202a",
     "run_profile_good2.csv": "7513338ef0fd8cfe0a16ceaf53bb5aabdb2b79b07d20e2270ecda0f2119491e0",
     "run_profile_tie.csv": "941ff8b5415296fa8293a377b5d2b27c82b42cee4225530cece4bcdcde211521",
     "sim_data.csv": "11fecfd5b9407e737ae5587c4c393e29251ecfed4ac9d3f5c663ad090892bfe8",
     "w_failed_welfare.csv": "46dc9727f4481862715ec7019c13a982838f55a2e9a7fec4c54ad2d623ab5fdb",
-    "w_long_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
-    "w_long_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
-    "w_wide_box_welfare.csv": "5c8ae11e20d325a8349a6cfb06288cfd817fd28e9da8c55cd8c4b6cc1f527cd1",
-    "w_wide_sum_welfare.csv": "3b6bdacd26fbb3c38cc12939ca4a692bc01aa584748f3f56508f23c0170d63cf",
+    "w_long_box_welfare.csv": "4a5bba8bb3aa2b8d09f2327c53be4e167ae5f498643215dbcf0761984be8742f",
+    "w_long_sum_welfare.csv": "0bc4e935834cf7b9d0af6d1c26fd3172d4127dc8b2e608596b36ef9cd76e37f5",
+    "w_wide_box_welfare.csv": "4a5bba8bb3aa2b8d09f2327c53be4e167ae5f498643215dbcf0761984be8742f",
+    "w_wide_sum_welfare.csv": "0bc4e935834cf7b9d0af6d1c26fd3172d4127dc8b2e608596b36ef9cd76e37f5",
     "wd_intersect_welfare.csv": "01f6542b52010be3c6da8b65cbd01b16aa6c4eda3e60f8905fb6fcaf7ac8c85e",
 }
 

@@ -40,6 +40,14 @@ def test_sample_validation():
         GoodSample([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
     with pytest.raises(InvalidSample):
         GoodSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], instrument=[1.0, 2.0])
+    with pytest.raises(InvalidSample, match="one-dimensional"):
+        GoodSample([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
+    with pytest.raises(InvalidSample, match="price has 3 rows, quantity has 4"):
+        GoodSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(InvalidSample, match="non-finite price or quantity"):
+        GoodSample([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(InvalidSample, match="non-finite instrument"):
+        GoodSample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], instrument=[1.0, np.inf, 3.0])
 
 
 def test_quantity_with_overflowing_reciprocal_is_invalid():

@@ -37,6 +37,9 @@ def test_config_validation():
     assert err.value.params == ("n",)
     with pytest.raises(ConfigError, match=r"\(0, 1\]"):
         DgpConfig(theta=np.array([math.nan]), n=100, seed=1)
+    with pytest.raises(ConfigError, match="nonempty 1-d array") as err:
+        DgpConfig(theta=np.array([[0.2, 0.3]]), n=100, seed=1)
+    assert err.value.params == ("theta",)
     # each study checks its counts before any work
     with pytest.raises(ConfigError, match="one replication") as err:
         mc_table1(0, seed=1)

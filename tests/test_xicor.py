@@ -19,6 +19,8 @@ def test_sample_validation():
         PairedSample([1.0], [1.0])
     with pytest.raises(InvalidSample):
         PairedSample([1.0, np.nan], [1.0, 2.0])
+    with pytest.raises(InvalidSample, match="first must be one-dimensional"):
+        PairedSample([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
 
 
 def test_ranks_strictly_monotone():
