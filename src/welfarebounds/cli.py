@@ -494,11 +494,11 @@ def _interval_unit(unit):
     """
     from .confset import cs_combined, cs_xi
 
-    sample, share, mode, grid, seed, ls = unit
+    sample, share, mode, grid, seed = unit
     try:
         if mode == "xi":
             return cs_xi(sample, share, grid, seed)
-        return cs_combined(sample, share, mode, grid, seed, ls), None
+        return cs_combined(sample, share, mode, grid, seed), None
     except (WelfareBoundsError, MemoryError) as exc:
         return exc
 
@@ -516,23 +516,20 @@ def _good_intervals(cfg: argparse.Namespace, modes, data_flag: str = "--data"):
     An xi interval that ends at --grid-hi, or at a --grid-lo above
     POSITIVITY_FLOOR, gets a GridEdge stderr line in file order: the set
     may extend past the grid; so does an empty xi interval, whose set may
-    lie wholly beyond it.  The (good, mode) pairs are fan_out units.  A
-    mode that fits least squares with --ls tsls needs an instrument for
-    every good, else SchemaError before any work.  The grid is built before
-    the data file (`data_flag`) is read: a bad one fails first.
+    lie wholly beyond it.  The ls and intersect modes fit least squares on
+    each good's instrument column, else on its price (GoodSample.z).  The
+    (good, mode) pairs are fan_out units.  The grid is built before the
+    data file (`data_flag`) is read: a bad one fails first.
     """
     from ._fanout import fan_out
     from .confset import GridSpec, bonferroni_share, child_seed
 
     grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     samples = _load_samples(cfg, data_flag)
-    needs_ls = any(m != "xi" for m in modes)
-    if needs_ls and cfg.ls == "tsls" and any(s.instrument is None for s in samples):
-        raise SchemaError("column 'instrument' is required for TSLS")
     share = bonferroni_share(cfg.alpha, len(samples))
     seed = cfg.seed if cfg.seed is not None else 0
     units = [
-        (s, share, m, grid, child_seed(seed, _SEED_CS, i), cfg.ls)
+        (s, share, m, grid, child_seed(seed, _SEED_CS, i))
         for i, s in enumerate(samples)
         for m in modes
     ]
@@ -750,7 +747,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--grid-lo", type=float, default=POSITIVITY_FLOOR)
         p.add_argument("--grid-hi", type=float, default=DEFAULT_GRID_HI)
         p.add_argument("--mode", choices=["xi", "ls", "intersect", "all"], default="all")
-        p.add_argument("--ls", choices=["auto", "ols", "tsls"], default="auto")
 
     p_ci = sub.add_parser("ci", help="per-good confidence intervals")
     for add in (add_common, add_data, add_intervals):

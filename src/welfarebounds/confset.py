@@ -107,11 +107,6 @@ def child_seed(seed: int, *path: int) -> int:
     return int(seed_sequence(seed, *path).generate_state(1)[0])
 
 
-def _effective_instrument(sample: GoodSample) -> np.ndarray:
-    # Exogenous-price designs pass price as its own instrument.
-    return sample.instrument if sample.instrument is not None else sample.price
-
-
 def _chunk_rows(width: int) -> int:
     """Nodes per chunk of a grid whose rows of keys are `width` wide.
 
@@ -322,9 +317,8 @@ def cs_xi(
     is empty when no node is accepted.
     """
     c = critical_value(alpha)
-    z = _effective_instrument(sample)
     thetas = grid.values()
-    stats = profile_stats(sample.price, sample.quantity, z, thetas, rng_seed)
+    stats = profile_stats(sample.price, sample.quantity, sample.z, thetas, rng_seed)
     return _hull(thetas, np.flatnonzero(stats <= c), 1.0 - alpha), XiProfile(thetas, stats, c)
 
 
@@ -340,7 +334,7 @@ def xi_hull(sample: GoodSample, alpha: float, grid: GridSpec, rng_seed: int) -> 
     """
     c = critical_value(alpha)
     thetas = grid.values()
-    evaluator = _Grid(sample.price, sample.quantity, _effective_instrument(sample), thetas, rng_seed)
+    evaluator = _Grid(sample.price, sample.quantity, sample.z, thetas, rng_seed)
     total, step = thetas.shape[0], evaluator.rows
 
     def first_hits(chunks):
@@ -374,14 +368,14 @@ def cs_combined(
     mode: str,
     grid: GridSpec,
     rng_seed: int = 0,
-    ls_mode: str = "auto",
 ) -> Interval:
     """One good's interval at per-good error share alpha_share.
 
     mode "xi":        grid inversion over `grid` at 1 - alpha_share, as
                       xi_hull evaluates it (cs_xi's interval, bit for bit).
-    mode "ls":        delta-method interval at 1 - alpha_share (ls_mode as in
-                      fit_inverse_demand); `grid` is unused.
+    mode "ls":        delta-method interval at 1 - alpha_share around
+                      fit_inverse_demand's slope (2SLS on sample.z);
+                      `grid` is unused.
     mode "intersect": both pieces at 1 - alpha_share/2: the xi hull over
                       `grid.nodes` nodes laid over the least-squares interval
                       clipped below at POSITIVITY_FLOOR.  The grid lies
@@ -393,13 +387,12 @@ def cs_combined(
         raise InvalidLevel(
             f"alpha share must lie strictly in (0, 1), got {alpha_share}"
         )
-    kind = mode.lower()
-    if kind == "xi":
+    if mode == "xi":
         return xi_hull(sample, alpha_share, grid, rng_seed)
-    if kind not in ("ls", "intersect"):
+    if mode not in ("ls", "intersect"):
         raise ConfigError(f"mode must be xi, ls, or intersect, got {mode!r}")
-    fit = fit_inverse_demand(sample, ls_mode)
-    if kind == "ls":
+    fit = fit_inverse_demand(sample)
+    if mode == "ls":
         return theta_interval_delta(fit, 1.0 - alpha_share)
 
     half = alpha_share / 2.0
@@ -412,8 +405,7 @@ def cs_combined(
         return Interval.make_empty(level)
     if hi - lo < 1e-12:
         # Degenerate least-squares interval: check the single point.
-        z = _effective_instrument(sample)
-        stat = profile_stats(sample.price, sample.quantity, z, np.array([lo]), rng_seed)[0]
+        stat = profile_stats(sample.price, sample.quantity, sample.z, np.array([lo]), rng_seed)[0]
         return Interval.make_empty(level) if stat > critical_value(half) else Interval(lo, lo, level)
     # np.linspace puts the first and last nodes exactly on lo and hi, so every
     # node lies in [lo, hi], inside the least-squares interval: the xi hull is
@@ -430,7 +422,7 @@ def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDi
     rule out any theta at this level.
     """
     c = critical_value(alpha)
-    z = _effective_instrument(sample)
+    z = sample.z
     root_n = math.sqrt(sample.n)
     s0 = root_n * xi(PairedSample(sample.price, z), rng_seed)
     s1 = root_n * xi(PairedSample(sample.quantity, z), rng_seed)

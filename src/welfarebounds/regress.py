@@ -1,7 +1,9 @@
 """Inverse-demand least squares and the delta-method interval for theta.
 
 The structural relation 1/quantity = intercept + beta * price + error is fit
-by OLS or, when an instrument is available, by just-identified 2SLS.  The
+by just-identified 2SLS on the sample's instrument, which is the price
+itself when the sample has none: an exogenous price is its own instrument,
+and 2SLS on it is OLS, the same float operations bit for bit.  The
 intercept is not optional: the structural error has nonzero mean, so the
 no-intercept regression is inconsistent even under the model's own data
 generating process.  Slope standard errors are HC1 sandwich estimates.
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DataError,
     InvalidLevel,
     InvalidSample,
@@ -24,9 +25,6 @@ from .errors import (
     SingularDesign,
     WeakFirstStage,
 )
-
-OLS = "OLS"
-TSLS = "TSLS"
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,11 @@ class GoodSample:
     def n(self) -> int:
         return self.price.shape[0]
 
+    @property
+    def z(self) -> np.ndarray:
+        """The instrument column, else the price: an exogenous price is its own instrument."""
+        return self.price if self.instrument is None else self.instrument
+
 
 @dataclass(frozen=True)
 class LsFit:
@@ -82,8 +85,6 @@ class LsFit:
     beta_hat: float
     intercept_hat: float
     se_beta: float
-    n: int
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -122,32 +123,22 @@ class Interval:
         return (not self.empty) and self.lower <= x <= self.upper
 
 
-def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
-    """Regress 1/quantity on price with intercept; TSLS instruments price.
+def fit_inverse_demand(sample: GoodSample) -> LsFit:
+    """Regress 1/quantity on price with intercept, instrumenting price by sample.z.
 
-    mode is OLS, TSLS or AUTO (any case); AUTO picks TSLS when the sample
-    has an instrument and OLS otherwise.  Raises SingularDesign on a
-    constant price column and WeakFirstStage when the instrument-price
-    covariance is exactly zero (the slope is then not identified by these
-    moments; rank-based inversion remains available).  Raises InvalidSample
-    when the slope, intercept or standard error overflows.
+    That is 2SLS on the instrument column, or OLS when the sample has none.
+    Raises SingularDesign on a constant price column and WeakFirstStage
+    when the instrument-price covariance is exactly zero (the slope is then
+    not identified by these moments; rank-based inversion remains
+    available).  Raises InvalidSample when the slope, intercept or standard
+    error overflows.
     """
-    kind = mode.upper()
-    if kind == "AUTO":
-        kind = TSLS if sample.instrument is not None else OLS
-    if kind not in (OLS, TSLS):
-        raise ConfigError(f"mode must be auto, ols, or tsls, got {mode!r}")
     x = sample.price
     y = 1.0 / sample.quantity
     n = sample.n
     if np.ptp(x) == 0:
         raise SingularDesign(f"{sample.good_id}: price is constant")
-    if kind == TSLS:
-        if sample.instrument is None:
-            raise InvalidSample(f"{sample.good_id}: TSLS requires an instrument")
-        w = sample.instrument
-    else:
-        w = x
+    w = sample.z
     # an overflow (a tiny quantity, a huge price) leaves a non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
         xt = x - x.mean()
@@ -165,7 +156,7 @@ def fit_inverse_demand(sample: GoodSample, mode: str = OLS) -> LsFit:
         se = math.sqrt(n / (n - 2) * meat) / abs(swx)
     if not all(map(math.isfinite, (beta, intercept, se))):
         raise InvalidSample(f"{sample.good_id}: the least-squares fit overflows (slope {beta:g})")
-    return LsFit(beta_hat=beta, intercept_hat=intercept, se_beta=se, n=n, mode=kind)
+    return LsFit(beta_hat=beta, intercept_hat=intercept, se_beta=se)
 
 
 def theta_interval_delta(fit: LsFit, level: float) -> Interval:

@@ -11,6 +11,7 @@ agree bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -109,7 +110,8 @@ def draw_sample(config: DgpConfig, rep: int = 0) -> list[GoodSample]:
 class IntervalSummary:
     """Per-(n, good) averages over replications.
 
-    var_length is the across-replication sample variance of the length, so
+    The averages are over the reps - n_empty nonempty intervals, and NaN
+    when there are none.  var_length is their lengths' sample variance, so
     consumers can attach Monte Carlo standard errors to the averages.
     """
 
@@ -122,7 +124,6 @@ class IntervalSummary:
     coverage: float
     n_empty: int = 0
     var_length: float = 0.0
-    n_used: int = 0
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,11 @@ class McReport:
         head = f"{'n':>6} {'good':>8} {'theta':>7} {'lower':>8} {'upper':>8} {'length':>8} {'cover':>7}"
         lines = [head]
         for row in self.intervals:
+            # an average over no nonempty interval is NaN, printed as -
+            averages = (f"{'-' if x != x else f'{x:.3f}':>8}" for x in (row.avg_lower, row.avg_upper, row.avg_length))
             lines.append(
                 f"{row.n:>6d} {row.good_id:>8} {row.theta_true:>7.3f} "
-                f"{row.avg_lower:>8.3f} {row.avg_upper:>8.3f} "
-                f"{row.avg_length:>8.3f} {row.coverage:>7.3f}"
+                f"{' '.join(averages)} {row.coverage:>7.3f}"
             )
         return "\n".join(lines)
 
@@ -172,8 +174,9 @@ class McReport:
         return "\n".join(lines)
 
 
-def _mean(values) -> float:
-    return _total(values) / len(values)
+def _mean(values: list) -> float:
+    """The values' sum, left to right, over their count; NaN for no value."""
+    return _total(values) / len(values) if values else math.nan
 
 
 def _interval_unit(unit) -> tuple[Interval, float]:
@@ -220,21 +223,20 @@ def _replicate(theta, reps, seed, n_values, grid_nodes, share, true_wl, welfare)
         for k in range(K):
             column = [run[k] for run in runs]
             kept = [iv for iv in column if not iv.empty]
-            c = max(len(kept), 1)
-            mean_len = _total(iv.length for iv in kept) / c
+            c = len(kept)
+            mean_len = _mean([iv.length for iv in kept])
             var_len = (_total(iv.length**2 for iv in kept) - c * mean_len**2) / (c - 1) if c > 1 else 0.0
             report.intervals.append(
                 IntervalSummary(
                     n=n,
                     good_id=f"good{k + 1}",
                     theta_true=float(theta[k]),
-                    avg_lower=_total(iv.lower for iv in kept) / c,
-                    avg_upper=_total(iv.upper for iv in kept) / c,
+                    avg_lower=_mean([iv.lower for iv in kept]),
+                    avg_upper=_mean([iv.upper for iv in kept]),
                     avg_length=mean_len,
                     coverage=sum(iv.contains(theta[k]) for iv in column) / reps,
-                    n_empty=reps - len(kept),
+                    n_empty=reps - c,
                     var_length=max(var_len, 0.0),
-                    n_used=len(kept),
                 )
             )
         report.welfare += rows

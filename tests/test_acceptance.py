@@ -145,7 +145,7 @@ def test_many_goods_trends(many_goods_reports):
             mean = float(np.mean([r.avg_length for r in rows]))
             # goods are independent, so the cell-mean variance sums per-good
             # across-replication variances
-            var = sum(r.var_length / max(r.n_used, 1) for r in rows) / len(rows) ** 2
+            var = sum(r.var_length / max(report.reps - r.n_empty, 1) for r in rows) / len(rows) ** 2
             sem = math.sqrt(var)
             dev = abs(mean - expected)
             lengths_ok = lengths_ok and dev <= 0.03 + 2 * sem
@@ -300,7 +300,7 @@ def test_case2_substitute_for_unshipped_data():
     sample = GoodSample(p, 1.0 / ((p - w) / 4.0 + eps), instrument=z, good_id="case2")
 
     diag = shape_diagnostic(sample, 0.05, rng_seed=123)
-    ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
+    ls = theta_interval_delta(fit_inverse_demand(sample), 1 - 0.05 / 2)
     combined = cs_combined(sample, 0.05, "intersect", GridSpec(POSITIVITY_FLOOR, 6.0, 2000), 9)
     tightened = combined.lower > ls.lower + 0.1 and combined.upper <= ls.upper
     ok = diag.case_id == "UNBOUNDED_ABOVE" and tightened

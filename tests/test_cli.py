@@ -136,27 +136,6 @@ def test_ingest_too_few_observations(tmp_path, capsys):
     assert str(err.value) == f"{path}: no usable data rows"
 
 
-def test_tsls_without_instrument_is_schema_error(tmp_path, capsys):
-    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
-    # xi mode fits no least squares, so --ls tsls needs no instrument there
-    for mode, code, written in (("ls", 3, False), ("xi", 0, True)):
-        assert main(["ci", "--data", data, "--mode", mode, "--ls", "tsls", "--grid-nodes", "50",
-                     "--out", str(tmp_path / mode)]) == code
-        assert ("instrument" in capsys.readouterr().err) == (not written)
-        assert (tmp_path / f"{mode}_intervals.csv").exists() == written
-
-
-def test_welfare_from_data_tsls_without_instrument_is_schema_error(tmp_path, capsys):
-    data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)
-    query = _write(tmp_path, "q.csv", "id,good_id,delta,ystar\nh1,a,0.5,0.2\nh1,b,0.5,0.2\n")
-    code = main(["welfare", "--data", data, "--mode", "ls", "--ls", "tsls",
-                 "--query", query, "--out", str(tmp_path / "o")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("SchemaError:") and "instrument" in err
-    assert not list(tmp_path.glob("o_*.csv"))
-
-
 def test_round_trip_simulate_ci(tmp_path):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--seed", "42", "--theta", "0.2,0.5", "--n", "600",
@@ -219,20 +198,30 @@ def test_empty_set_yields_empty_row_not_failure(tmp_path):
 
 
 def test_empty_intersect_row_keeps_level_and_xi_profile(tmp_path):
+    common = ["--seed", "9", "--grid-nodes", "150"]
+    # under endogeneity with the instrument column cut, price instruments
+    # itself and good1's slope is negative (FAILED)
     sim = str(tmp_path / "sim")
     assert main(["simulate", "--seed", "5", "--theta", "0.4,0.7", "--n", "500",
                  "--endogeneity", "0.5", "--out", sim]) == 0
-    common = ["--data", f"{sim}_data.csv", "--ls", "ols", "--seed", "9", "--grid-nodes", "150"]
-    # good1's OLS slope is negative (FAILED); good2's intersect grid rejects every node
-    assert main(["ci", "--mode", "all", "--out", str(tmp_path / "a")] + common) == 4
+    text = (tmp_path / "sim_data.csv").read_text(encoding="utf-8")
+    cut = _write(tmp_path, "cut.csv", "".join(",".join(line.split(",")[:3]) + "\n" for line in text.splitlines()))
+    assert main(["ci", "--data", cut, "--mode", "all", "--out", str(tmp_path / "a")] + common) == 4
     lines = (tmp_path / "a_intervals.csv").read_text(encoding="utf-8").splitlines()
     assert "good1,intersect,,,0.975,FAILED:NonpositiveSlope" in lines
-    assert "good2,intersect,,,0.975,EMPTY" in lines
+    # a theta below the positivity floor puts good1's least-squares window
+    # below it too, so its intersect row is EMPTY
+    low = str(tmp_path / "low")
+    assert main(["simulate", "--seed", "5", "--theta", "1e-8,0.7", "--n", "500", "--out", low]) == 0
+    common += ["--data", f"{low}_data.csv"]
+    assert main(["ci", "--mode", "all", "--out", str(tmp_path / "b")] + common) == 0
+    lines = (tmp_path / "b_intervals.csv").read_text(encoding="utf-8").splitlines()
+    assert "good1,intersect,,,0.975,EMPTY" in lines
     # the profile file is the xi-mode grid at its own critical value
-    header = (tmp_path / "a_profile_good2.csv").read_text(encoding="utf-8").splitlines()[0]
+    header = (tmp_path / "b_profile_good1.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.endswith("critical value = 1.23959006461")
-    assert main(["ci", "--mode", "intersect", "--out", str(tmp_path / "i")] + common) == 4
-    assert "good2,intersect,,,0.975,EMPTY" in (tmp_path / "i_intervals.csv").read_text(encoding="utf-8")
+    assert main(["ci", "--mode", "intersect", "--out", str(tmp_path / "i")] + common) == 0
+    assert "good1,intersect,,,0.975,EMPTY" in (tmp_path / "i_intervals.csv").read_text(encoding="utf-8")
     assert not list(tmp_path.glob("i_profile_*.csv"))
 
 
@@ -310,11 +299,15 @@ def test_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"ConfigError: {flag} must be finite")
     assert not list(tmp_path.glob("nf_*"))
     # mc and simulate read no alpha, so they take no --alpha flag; theta's
-    # lower edge is a constant, so no command takes --floor or a floor key
+    # lower edge is a constant, so no command takes --floor or a floor key;
+    # least squares always instruments price by the instrument column, else
+    # by the price, so no command takes --ls
     for argv in (["mc", "--table", "2", "--k", "2", "--reps", "1", "--seed", "4", "--alpha", "0.01"],
                  ["simulate", "--seed", "1", "--alpha", "0.3"],
                  ["ci", "--data", data, "--floor", "1e-6"],
-                 welfare + ["--floor", "1e-6"]):
+                 welfare + ["--floor", "1e-6"],
+                 ["ci", "--data", data, "--ls", "auto"],
+                 welfare + ["--ls", "auto"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / "na")])
         assert exc.value.code == 2
@@ -672,6 +665,14 @@ def test_mc_prints_a_skipped_line_per_left_out_kind(tmp_path, capsys):
         assert main(["mc", "--table", "1", "--reps", "2", "--seed", "4", "--out", str(tmp_path / "sk")]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-3:] == [f"skipped empty_sets_n{n}: 6" for n in (200, 1000, 5000)]
+    # a good with no nonempty interval has no averages: empty cells, and -
+    # in the printed table
+    rows = _rows(str(tmp_path / "sk_mc_intervals.csv"))
+    assert len(rows) == 9
+    for r in rows:
+        assert (r["avg_lower"], r["avg_upper"], r["avg_length"], r["n_empty"]) == ("", "", "", "2")
+    head = next(i for i, line in enumerate(out) if line.split()[3:6] == ["lower", "upper", "length"])
+    assert [line.split()[3:6] for line in out[head + 1 : head + 10]] == [["-", "-", "-"]] * 9
 
 
 def test_mc_table1_layout(tmp_path):
@@ -740,11 +741,12 @@ def test_every_flag_is_a_config_key_of_its_command(tmp_path, monkeypatch, capsys
     for argv in (["ci", "--alpha", "0.2", "--config", cfg], ["ci", "--config", cfg, "--alpha", "0.2"]):
         got = _parsed(monkeypatch, argv)
         assert (got.alpha, got.mode) == (0.2, "xi")
-    # a value outside the flag's choices names the file and line; the old
-    # long names of --ls, --k and --n are no keys
+    # a value outside the flag's choices names the file and line; the
+    # removed ls key and the old long names of --ls, --k and --n are no keys
     for command, text, message in (
         ("ci", "mode = bogus\n", ":1: bad value for mode: 'bogus' is not one of xi, ls, intersect, all"),
         ("mc", "# study\ntable = 3\n", ":2: bad value for table: 3 is not one of 1, 2"),
+        ("ci", "ls = auto\n", ":1: unknown key 'ls'"),
         ("ci", "ls_fit = ols\n", ":1: unknown key 'ls_fit'"),
         ("mc", "k_goods = 5\n", ":1: unknown key 'k_goods'"),
         ("simulate", "n_obs = 50\n", ":1: unknown key 'n_obs'"),
@@ -1127,7 +1129,7 @@ def test_least_squares_bits_do_not_depend_on_the_cpu_count():
         "from welfarebounds.simulate import DgpConfig, draw_sample\n"
         "for n in (10_001, 50_000, 200_000):\n"
         "    sample = draw_sample(DgpConfig(theta=[0.4], n=n, seed=1, endogeneity=0.5))[0]\n"
-        "    fit = fit_inverse_demand(sample, 'tsls')\n"
+        "    fit = fit_inverse_demand(sample)\n"
         "    print(n, fit.beta_hat.hex(), fit.se_beta.hex())\n"
     )
     one_cpu = ["taskset", "-c", str(min(os.sched_getaffinity(0)))]
@@ -1143,7 +1145,7 @@ def test_least_squares_bits_do_not_depend_on_the_cpu_count():
 def test_level_that_rounds_to_one_is_invalid_level(tmp_path, capsys):
     with pytest.raises(InvalidLevel):
         critical_value(1e-17)
-    fit = LsFit(beta_hat=2.0, intercept_hat=0.0, se_beta=0.5, n=30, mode="OLS")
+    fit = LsFit(beta_hat=2.0, intercept_hat=0.0, se_beta=0.5)
     with pytest.raises(InvalidLevel):
         theta_interval_delta(fit, 1.0 - 2.0**-53)
     data = _write(tmp_path, "d.csv", TWO_GOOD_CSV)

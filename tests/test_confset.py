@@ -168,7 +168,7 @@ def test_cs_combined_intersect_is_subset_of_pieces():
     share = 0.05
     grid = GridSpec(1e-6, 1.0, 800)
     combined = cs_combined(sample, share, "intersect", grid, 4)
-    ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - share / 2)
+    ls = theta_interval_delta(fit_inverse_demand(sample), 1 - share / 2)
     assert combined.lower >= ls.lower - 1e-12
     assert combined.upper <= ls.upper + 1e-12
     assert combined.level == pytest.approx(1 - share)
@@ -217,7 +217,7 @@ def test_intersect_mode_is_the_xi_hull_on_the_least_squares_window(kind, seed, n
     sample = _window_sample(kind, seed, n, theta)
     grid = GridSpec(POSITIVITY_FLOOR, 6.0, nodes)
     try:
-        ls = theta_interval_delta(fit_inverse_demand(sample, "auto"), 1 - share / 2)
+        ls = theta_interval_delta(fit_inverse_demand(sample), 1 - share / 2)
     except NumericalError as exc:
         with pytest.raises(type(exc)):
             cs_combined(sample, share, "intersect", grid, seed)
@@ -244,7 +244,7 @@ def test_case2_shape_and_intersection_tightening():
     assert diag.case_id == "UNBOUNDED_ABOVE"
     assert diag.stat_at_zero > critical_value(0.05)
     assert diag.stat_at_inf <= critical_value(0.05)
-    ls = theta_interval_delta(fit_inverse_demand(sample, "tsls"), 1 - 0.05 / 2)
+    ls = theta_interval_delta(fit_inverse_demand(sample), 1 - 0.05 / 2)
     combined = cs_combined(sample, 0.05, "intersect", GridSpec(1e-6, 6.0, 2000), 9)
     # the rank test prunes the small-theta region the delta method cannot
     assert combined.lower > ls.lower + 0.1

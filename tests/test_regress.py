@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from welfarebounds.confset import GridSpec, cs_combined
 from welfarebounds.errors import (
-    ConfigError,
     DataError,
     InvalidLevel,
     InvalidSample,
@@ -75,7 +75,6 @@ def test_ols_slope_matches_moment_oracle():
     fit = fit_inverse_demand(_exogenous_draw(5000, 0.2, seed=8))
     assert fit.beta_hat == pytest.approx(5.0, abs=0.25)
     assert fit.intercept_hat == pytest.approx(-2.5, abs=0.35)
-    assert fit.mode == "OLS"
 
 
 def test_tsls_fixes_endogeneity_bias():
@@ -85,15 +84,12 @@ def test_tsls_fixes_endogeneity_bias():
     w = rng.uniform(0, 1, n)
     p = z + 0.5 * w + rng.uniform(0, 0.1, n)
     sample = GoodSample(p, 0.2 / (p - w), instrument=z, good_id="endo")
-    ols = fit_inverse_demand(sample, "ols")
-    tsls = fit_inverse_demand(sample, "tsls")
+    # the instrument column makes the fit 2SLS; without it price is its own
+    # instrument, and the fit is the inconsistent OLS one
+    tsls = fit_inverse_demand(sample)
+    ols = fit_inverse_demand(GoodSample(p, sample.quantity, good_id="endo"))
     assert abs(tsls.beta_hat - 5.0) < 0.4
     assert abs(ols.beta_hat - 5.0) > 2.0
-    # auto picks TSLS with an instrument and OLS without one
-    assert fit_inverse_demand(sample, "auto") == tsls
-    assert fit_inverse_demand(GoodSample(p, sample.quantity), "AUTO") == ols
-    with pytest.raises(ConfigError, match="auto, ols, or tsls"):
-        fit_inverse_demand(sample, "gmm")
 
 
 def test_interval_rules_are_data_errors():
@@ -121,18 +117,25 @@ def test_an_empty_interval_has_nan_length_and_contains_nothing():
 
 
 def test_ols_and_tsls_coincide_when_instrument_is_price():
+    # a sample without an instrument column is instrumented by its price, so
+    # its fit and its least-squares intervals equal those of the same sample
+    # with the price copied into the instrument column, bit for bit
     rng = np.random.default_rng(3)
     p = rng.uniform(1, 2, 400)
     w = rng.uniform(0, 1, 400)
-    sample = GoodSample(p, 0.3 / (p - w), instrument=p.copy())
-    ols = fit_inverse_demand(sample, "ols")
-    tsls = fit_inverse_demand(sample, "tsls")
-    assert_allclose(ols.beta_hat, tsls.beta_hat, atol=1e-10)
-    assert_allclose(ols.se_beta, tsls.se_beta, atol=1e-10)
+    ols = GoodSample(p, 0.3 / (p - w))
+    tsls = GoodSample(p, 0.3 / (p - w), instrument=p.copy())
+    assert ols.z is ols.price and tsls.z is tsls.instrument
+    assert fit_inverse_demand(ols) == fit_inverse_demand(tsls)
+    grid = GridSpec(1e-6, 6.0, 300)
+    for mode in ("ls", "intersect"):
+        got = cs_combined(ols, 0.05, mode, grid, 4)
+        assert not got.empty
+        assert got == cs_combined(tsls, 0.05, mode, grid, 4)
 
 
 def test_delta_interval_hand_values():
-    fit = LsFit(beta_hat=5.0, intercept_hat=0.0, se_beta=0.5, n=100, mode="OLS")
+    fit = LsFit(beta_hat=5.0, intercept_hat=0.0, se_beta=0.5)
     iv = theta_interval_delta(fit, 0.95)
     # theta = 0.2, se_theta = 0.02, z = 1.959964
     assert_allclose(iv.lower, 0.16080072, atol=1e-6)
@@ -141,7 +144,7 @@ def test_delta_interval_hand_values():
 
 
 def test_delta_interval_bonferroni_level_quantile():
-    fit = LsFit(beta_hat=5.0, intercept_hat=0.0, se_beta=0.5, n=100, mode="OLS")
+    fit = LsFit(beta_hat=5.0, intercept_hat=0.0, se_beta=0.5)
     iv = theta_interval_delta(fit, 1 - 0.1 / 3)
     # z at the 0.983333 quantile is 2.1280452342
     assert_allclose(iv.lower, 0.2 - 2.1280452342 * 0.02, atol=1e-9)
@@ -149,7 +152,7 @@ def test_delta_interval_bonferroni_level_quantile():
 
 
 def test_delta_interval_clips_at_zero():
-    fit = LsFit(beta_hat=0.5, intercept_hat=0.0, se_beta=2.0, n=30, mode="OLS")
+    fit = LsFit(beta_hat=0.5, intercept_hat=0.0, se_beta=2.0)
     iv = theta_interval_delta(fit, 0.95)
     assert iv.lower == 0.0
     assert iv.upper > 0
@@ -157,7 +160,7 @@ def test_delta_interval_clips_at_zero():
 
 def test_nonpositive_slope_raises():
     for beta in (-1.0, 0.0):
-        fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=0.5, n=30, mode="OLS")
+        fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=0.5)
         with pytest.raises(NonpositiveSlope):
             theta_interval_delta(fit, 0.95)
 
@@ -165,7 +168,7 @@ def test_nonpositive_slope_raises():
 def test_near_zero_slope_raises():
     # beta^2 underflows (1e-170), 1/beta overflows (1e-320), or se/beta^2 overflows
     for beta, se in ((1e-170, 0.5), (1e-320, 0.0), (1e-150, 1e10)):
-        fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se, n=30, mode="OLS")
+        fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se)
         with pytest.raises(NearZeroSlope):
             theta_interval_delta(fit, 0.95)
 
@@ -173,7 +176,7 @@ def test_near_zero_slope_raises():
 def test_huge_slope_has_a_finite_interval():
     # beta^2 overflows above ~1.3e154; se/beta/beta is the same quantity
     beta, se = 1.3407807929942597e154, 1.6421143998800672e154
-    fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se, n=3, mode="TSLS")
+    fit = LsFit(beta_hat=beta, intercept_hat=0.0, se_beta=se)
     iv = theta_interval_delta(fit, 0.975)
     half = NormalDist().inv_cdf(0.9875) * (se / beta / beta)
     assert iv.lower == max(0.0, 1.0 / beta - half) and iv.upper == 1.0 / beta + half
@@ -181,7 +184,7 @@ def test_huge_slope_has_a_finite_interval():
 
 
 def test_bad_level_raises():
-    fit = LsFit(beta_hat=2.0, intercept_hat=0.0, se_beta=0.5, n=30, mode="OLS")
+    fit = LsFit(beta_hat=2.0, intercept_hat=0.0, se_beta=0.5)
     for level in (0.0, 1.0, 2.0):
         with pytest.raises(InvalidLevel):
             theta_interval_delta(fit, level)
@@ -192,18 +195,12 @@ def test_singular_design():
         fit_inverse_demand(GoodSample(np.full(10, 1.5), np.linspace(1, 2, 10)))
 
 
-def test_tsls_requires_instrument():
-    sample = GoodSample(np.linspace(1, 2, 10), np.linspace(1, 2, 10))
-    with pytest.raises(InvalidSample):
-        fit_inverse_demand(sample, "tsls")
-
-
 def test_weak_first_stage():
     rng = np.random.default_rng(4)
     p = rng.uniform(1, 2, 50)
     sample = GoodSample(p, 1.0 / p, instrument=np.full(50, 2.0))
     with pytest.raises(WeakFirstStage):
-        fit_inverse_demand(sample, "tsls")
+        fit_inverse_demand(sample)
 
 
 def test_scale_equivariance():

@@ -130,7 +130,7 @@ def test_normal_quantiles_match_ndtri():
     # every per-good level the package uses: alpha/K, and alpha/2K when intersecting
     from scipy.special import ndtri
 
-    fit = LsFit(beta_hat=1.0, intercept_hat=0.0, se_beta=1.0, n=100, mode="OLS")
+    fit = LsFit(beta_hat=1.0, intercept_hat=0.0, se_beta=1.0)
     for alpha in (0.01, 0.02, 0.05, 0.07, 0.1, 0.2):
         for K in range(1, 201):
             for share in (alpha / K, alpha / (2 * K)):
