@@ -19,8 +19,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "confset": (
-            "GridSpec", "ShapeDiagnostic", "XiProfile", "bonferroni_share", "cs_combined",
-            "cs_xi", "shape_diagnostic", "smooth_instrument",
+            "GoodInterval", "GridSpec", "ShapeDiagnostic", "XiProfile", "bonferroni_share",
+            "cs_combined", "cs_xi", "good_intervals", "shape_diagnostic", "smooth_instrument",
         ),
         "errors": (
             "ConfigError", "DataError", "DegenerateResponse", "InvalidLevel", "InvalidQuery",
@@ -33,7 +33,7 @@ _EXPORTS = {
             "POSITIVITY_FLOOR", "ConstraintSet", "WelfareBounds", "WelfareQuery", "bounds_box",
             "welfare_loss",
         ),
-        "xicor": ("PairedSample", "critical_value", "xi"),
+        "xicor": ("critical_value", "xi"),
     }.items()
     for name in names
 }

@@ -16,9 +16,9 @@ Each profile file's name percent-encodes `%`, `/`, `\\` and NUL in the good
 id.  Theta's lower edge is the constant welfare.POSITIVITY_FLOOR; no flag sets it.
 
 A command loads only the layers it runs: this module imports the readers'
-and the welfare solvers' modules, and the functions that run a grid, a
-Monte Carlo study or the process pool import confset, xicor, simulate and
-_fanout themselves, so `welfare --intervals` loads none of them.
+and the welfare solvers' modules, and the functions that run a grid or a
+Monte Carlo study import confset, xicor, simulate (and so _fanout)
+themselves, so `welfare --intervals` loads none of them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from itertools import repeat
 
 # One BLAS thread per process, set before numpy loads OpenBLAS.  The CLI's
-# parallelism is fan_out's processes: a BLAS pool in each would oversubscribe
+# parallelism is _fanout's processes: a BLAS pool in each would oversubscribe
 # the CPUs, and above ~10 000 rows OpenBLAS splits a dot product over its
 # threads, so the least-squares bits would depend on the CPU count.  Set
 # outright: a user's value above 1 would bring that dependence back.
@@ -62,8 +62,7 @@ EXIT_NUMERIC = 4
 # bounds it; the default of --grid-hi.
 DEFAULT_GRID_HI = 6.0
 
-# Spawn-path purpose codes for CLI-derived seeds (disjoint from simulate's).
-_SEED_CS = 9
+# Spawn-path purpose code of the --jitter noise (disjoint from confset.good_seed's and simulate's).
 _SEED_JITTER = 8
 
 # Percent-encoding that turns a good id into a file-name part, one to one.
@@ -484,27 +483,8 @@ def _failed(good_id: str, exc: BaseException) -> tuple[int, str]:
     return _exit_code(exc), f"FAILED:{name}"
 
 
-def _interval_unit(unit):
-    """One (good, mode) of _good_intervals, run in a fan_out worker.
-
-    Returns (interval, profile), or the library or memory error it hit, so
-    that the parent reads every unit's outcome in file order.  An xi unit
-    returns cs_xi's interval and grid profile; any other unit returns
-    cs_combined's interval and None.
-    """
-    from .confset import cs_combined, cs_xi
-
-    sample, share, mode, grid, seed = unit
-    try:
-        if mode == "xi":
-            return cs_xi(sample, share, grid, seed)
-        return cs_combined(sample, share, mode, grid, seed), None
-    except (WelfareBoundsError, MemoryError) as exc:
-        return exc
-
-
 def _good_intervals(cfg: argparse.Namespace, modes, data_flag: str = "--data"):
-    """Each good's interval in each mode over the grid flags' grid, at the Bonferroni share alpha/K.
+    """Each good's interval in each mode over the grid flags' grid, by confset.good_intervals.
 
     Returns (rows, profiles, code).  rows are (good_id, mode, interval,
     status) in file order, the shape read_intervals_csv returns; status is
@@ -516,44 +496,34 @@ def _good_intervals(cfg: argparse.Namespace, modes, data_flag: str = "--data"):
     An xi interval that ends at --grid-hi, or at a --grid-lo above
     POSITIVITY_FLOOR, gets a GridEdge stderr line in file order: the set
     may extend past the grid; so does an empty xi interval, whose set may
-    lie wholly beyond it.  The ls and intersect modes fit least squares on
-    each good's instrument column, else on its price (GoodSample.z).  The
-    (good, mode) pairs are fan_out units.  The grid is built before the
-    data file (`data_flag`) is read: a bad one fails first.
+    lie wholly beyond it.  The grid is built before the data file
+    (`data_flag`) is read: a bad one fails first.
     """
-    from ._fanout import fan_out
-    from .confset import GridSpec, bonferroni_share, child_seed
+    from .confset import GridSpec, good_intervals
 
     grid = GridSpec(cfg.grid_lo, cfg.grid_hi, cfg.grid_nodes)
     samples = _load_samples(cfg, data_flag)
-    share = bonferroni_share(cfg.alpha, len(samples))
-    seed = cfg.seed if cfg.seed is not None else 0
-    units = [
-        (s, share, m, grid, child_seed(seed, _SEED_CS, i))
-        for i, s in enumerate(samples)
-        for m in modes
-    ]
     rows = []
     profiles: dict = {}
     code = EXIT_OK
-    for (s, _, m, *_), outcome in zip(units, fan_out(_interval_unit, units)):
-        if isinstance(outcome, BaseException):
-            failed_code, status = _failed(s.good_id, outcome)
+    for out in good_intervals(samples, cfg.alpha, modes, grid, cfg.seed if cfg.seed is not None else 0):
+        gid, m, iv = out.good_id, out.mode, out.interval
+        if out.error is not None:
+            failed_code, status = _failed(gid, out.error)
             code = code or failed_code
-            rows.append((s.good_id, m, Interval.make_empty(1.0 - share), status))
+            rows.append((gid, m, iv, status))
             continue
-        iv, profile = outcome
-        if profile is not None:
-            profiles[s.good_id] = profile
+        if out.profile is not None:
+            profiles[gid] = out.profile
         if m == "xi" and iv.empty:
-            print(f"GridEdge: {s.good_id}: no xi node of [--grid-lo {_fmt(grid.lo)}, --grid-hi {_fmt(grid.hi)}]"
+            print(f"GridEdge: {gid}: no xi node of [--grid-lo {_fmt(grid.lo)}, --grid-hi {_fmt(grid.hi)}]"
                   " was accepted; the set may lie beyond the grid", file=sys.stderr)
         for flag, edge, hit in (("--grid-lo", grid.lo, iv.lower == grid.lo > POSITIVITY_FLOOR),
                                 ("--grid-hi", grid.hi, iv.upper == grid.hi)):
             if hit and m == "xi":
-                print(f"GridEdge: {s.good_id}: xi interval reaches {flag} {_fmt(edge)}; the set may extend beyond it",
+                print(f"GridEdge: {gid}: xi interval reaches {flag} {_fmt(edge)}; the set may extend beyond it",
                       file=sys.stderr)
-        rows.append((s.good_id, m, iv, "EMPTY" if iv.empty else "OK"))
+        rows.append((gid, m, iv, "EMPTY" if iv.empty else "OK"))
     return rows, profiles, code
 
 
@@ -635,7 +605,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         "synthetic demand draws; price and instrument in nominal units",
         ["good_id", "price", "quantity", "instrument"],
         [[s.good_id for s in samples for _ in range(s.n)]]
-        + [np.concatenate([getattr(s, col) for s in samples]) for col in ("price", "quantity", "instrument")],
+        + [np.concatenate([getattr(s, col) for s in samples]) for col in ("price", "quantity", "z")],
     )
     return EXIT_OK
 
@@ -682,7 +652,7 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
 
     A FAILED:<ErrorName> row still carries the critical value (alpha alone sets it).
     """
-    from .confset import child_seed, shape_diagnostic
+    from .confset import good_seed, shape_diagnostic
     from .xicor import critical_value
 
     samples = _load_samples(cfg)
@@ -692,7 +662,7 @@ def cmd_diagnose(cfg: argparse.Namespace) -> int:
     code = EXIT_OK
     for i, s in enumerate(samples):
         try:
-            diag = shape_diagnostic(s, cfg.alpha, child_seed(seed, _SEED_CS, i))
+            diag = shape_diagnostic(s, cfg.alpha, good_seed(seed, i))
         except (DataError, NumericalError) as exc:
             failed_code, status = _failed(s.good_id, exc)
             code = code or failed_code

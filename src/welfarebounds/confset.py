@@ -4,8 +4,10 @@ The rank-dependence statistic of the residual price - theta/quantity against
 the instrument is evaluated on a grid of theta values; the nodes where
 sqrt(n) times the statistic stays below its critical value form the
 acceptance region, and the reported interval is its hull (minimum to
-maximum accepted node).  `cs_xi` also returns the full profile, for the CLI's
-xi units; every other caller asks `cs_combined` for the interval.
+maximum accepted node).  `cs_xi` also returns the full profile; `cs_combined`
+returns the interval alone.  `good_intervals` is the per-good routine of the
+command line: every good's interval in each mode at its Bonferroni share,
+one process-pool unit per (good, mode), each good seeded by `good_seed`.
 
 The grid nodes are independent: `profile_stats` evaluates them in the
 calling thread, chunk by chunk in buffers allocated once per grid, and
@@ -43,11 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidLevel, InvalidSample
+from .errors import ConfigError, InvalidLevel, InvalidSample, WelfareBoundsError
 from .regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from .welfare import POSITIVITY_FLOOR
 from . import xicor
-from .xicor import PairedSample, critical_value, response_rank_scale, seed_sequence, xi
+from .xicor import critical_value, response_rank_scale, seed_sequence, xi
 
 CASE_BOUNDED = "BOUNDED_AB"
 CASE_UNBOUNDED_ABOVE = "UNBOUNDED_ABOVE"
@@ -102,9 +104,26 @@ class ShapeDiagnostic:
     case_id: str
 
 
+@dataclass(frozen=True)
+class GoodInterval:
+    """One (good, mode) outcome of good_intervals: profile is an xi outcome's grid
+    profile, and error the library or memory error that emptied the interval."""
+
+    good_id: str
+    mode: str
+    interval: Interval
+    profile: XiProfile | None = None
+    error: BaseException | None = None
+
+
 def child_seed(seed: int, *path: int) -> int:
     """Deterministic integer seed derived from a spawn path; ConfigError for a negative seed."""
     return int(seed_sequence(seed, *path).generate_state(1)[0])
+
+
+def good_seed(seed: int, index: int) -> int:
+    """The tie-order seed of the good at `index` under a run's seed (spawn path 9, index)."""
+    return child_seed(seed, 9, index)
 
 
 def _chunk_rows(width: int) -> int:
@@ -413,6 +432,33 @@ def cs_combined(
     return dataclasses.replace(xi_hull(sample, half, GridSpec(lo, hi, grid.nodes), rng_seed), level=level)
 
 
+def _good_unit(unit) -> GoodInterval:
+    """One (good, mode) of good_intervals, run in a fan_out worker."""
+    sample, share, mode, grid, rng_seed = unit
+    try:
+        if mode == "xi":
+            return GoodInterval(sample.good_id, mode, *cs_xi(sample, share, grid, rng_seed))
+        return GoodInterval(sample.good_id, mode, cs_combined(sample, share, mode, grid, rng_seed))
+    except (WelfareBoundsError, MemoryError) as exc:
+        return GoodInterval(sample.good_id, mode, Interval.make_empty(1.0 - share), error=exc)
+
+
+def good_intervals(samples: list[GoodSample], alpha: float, modes, grid: GridSpec, seed: int) -> list[GoodInterval]:
+    """Each good's interval in each mode at the Bonferroni share alpha/K, as `ci` computes them.
+
+    One GoodInterval per (good, mode), in that order; good i is seeded by
+    good_seed(seed, i).  An xi outcome holds cs_xi's interval and profile,
+    any other cs_combined's interval.  A library error or MemoryError is
+    the outcome's error, with an empty interval at level 1 - alpha/K.  Each
+    (good, mode) is one fan_out unit: the outcomes do not depend on the CPUs.
+    """
+    from ._fanout import fan_out
+
+    share = bonferroni_share(alpha, len(samples))
+    units = [(s, share, m, grid, good_seed(seed, i)) for i, s in enumerate(samples) for m in modes]
+    return fan_out(_good_unit, units)
+
+
 def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDiagnostic:
     """Classify the inverted set's shape from its two endpoint statistics.
 
@@ -424,8 +470,8 @@ def shape_diagnostic(sample: GoodSample, alpha: float, rng_seed: int) -> ShapeDi
     c = critical_value(alpha)
     z = sample.z
     root_n = math.sqrt(sample.n)
-    s0 = root_n * xi(PairedSample(sample.price, z), rng_seed)
-    s1 = root_n * xi(PairedSample(sample.quantity, z), rng_seed)
+    s0 = root_n * xi(sample.price, z, rng_seed)
+    s1 = root_n * xi(sample.quantity, z, rng_seed)
     if s0 > c and s1 > c:
         case = CASE_BOUNDED
     elif s0 > c:

@@ -56,10 +56,11 @@ class DgpConfig:
     """Random quasilinear demand generator.
 
     Prices are U[1,2] and shocks U[0,1] (guaranteeing an interior solution),
-    quantity follows theta/(price - shock), and the instrument is the price
-    itself unless `endogeneity` is set, in which case price mixes in the
-    shock with that weight and an exogenous U[1,1.5] driver serves as the
-    instrument; price - shock is positive for every draw exactly when endogeneity >= 0.
+    quantity follows theta/(price - shock), and there is no instrument
+    column (the price is its own instrument, GoodSample.z) unless
+    `endogeneity` is set, in which case price mixes in the shock with that
+    weight and an exogenous U[1,1.5] driver serves as the instrument;
+    price - shock is positive for every draw exactly when endogeneity >= 0.
     A negative seed is a ConfigError (xicor.seed_sequence).
     """
 
@@ -92,7 +93,7 @@ def _draw_good(config: DgpConfig, rep: int, k: int) -> GoodSample:
     if config.endogeneity is None:
         price = rng.uniform(1.0, 2.0, config.n)
         shock = rng.uniform(0.0, 1.0, config.n)
-        z = price.copy()
+        z = None
     else:
         z = rng.uniform(1.0, 1.5, config.n)
         shock = rng.uniform(0.0, 1.0, config.n)

@@ -23,7 +23,6 @@ single counting pass over the sorted response values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,40 +30,6 @@ from .errors import ConfigError, DegenerateResponse, InvalidLevel, InvalidSample
 
 # Asymptotic variance of sqrt(n) * xi under independence.
 NULL_VARIANCE = 0.4
-
-
-def _as_finite_1d(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidSample(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSample(f"{name} contains non-finite entries")
-    return arr
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """A conditioning variable paired with a response, equal lengths n >= 2."""
-
-    first: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        first = _as_finite_1d(self.first, "first")
-        second = _as_finite_1d(self.second, "second")
-        if first.shape[0] != second.shape[0]:
-            raise InvalidSample(
-                f"length mismatch: first has {first.shape[0]} rows, "
-                f"second has {second.shape[0]}"
-            )
-        if first.shape[0] < 2:
-            raise InvalidSample("need at least two observations")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    @property
-    def n(self) -> int:
-        return self.first.shape[0]
 
 
 def response_rank_scale(second: np.ndarray) -> tuple[np.ndarray, float]:
@@ -110,17 +75,29 @@ def tie_uniforms(rng_seed: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed_sequence(rng_seed))).random(n)
 
 
-def xi(sample: PairedSample, rng_seed: int) -> float:
+def xi(first, second, rng_seed: int) -> float:
     """Dependence of `second` on `first`, computed in O(n log n).
 
-    The value lies in [-1/2, 1] and cannot exceed 1 - 3/(n+1) on tie-free
-    data; sqrt(n) times it is the statistic the critical values are for.
-    Raises DegenerateResponse when every response value is equal.
+    Raises InvalidSample unless both are 1-d and finite, of one length n >= 2,
+    and DegenerateResponse when every response value is equal.  The value
+    lies in [-1/2, 1] and cannot exceed 1 - 3/(n+1) on tie-free data;
+    sqrt(n) times it is the statistic the critical values are for.
     """
-    ranks, scale = response_rank_scale(sample.second)
+    first, second = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    for name, values in (("first", first), ("second", second)):
+        if values.ndim != 1:
+            raise InvalidSample(f"{name} must be one-dimensional")
+        if not np.all(np.isfinite(values)):
+            raise InvalidSample(f"{name} contains non-finite entries")
+    n = first.shape[0]
+    if n != second.shape[0]:
+        raise InvalidSample(f"length mismatch: first has {n} rows, second has {second.shape[0]}")
+    if n < 2:
+        raise InvalidSample("need at least two observations")
+    ranks, scale = response_rank_scale(second)
     # rank jumps between neighbours in the ascending order of `first`,
     # ties ordered by tie_uniforms, then by index
-    order = np.lexsort((tie_uniforms(rng_seed, sample.n), sample.first))
+    order = np.lexsort((tie_uniforms(rng_seed, n), first))
     return 1.0 - int(np.abs(np.diff(ranks[order])).sum()) * scale
 
 

@@ -23,7 +23,7 @@ from welfarebounds.welfare import (
     bounds_box,
     welfare_loss,
 )
-from welfarebounds.xicor import PairedSample, critical_value, xi
+from welfarebounds.xicor import critical_value, xi
 
 from test_welfare import THREE_GOOD_QUERY, brute_force_max, _random_instance
 
@@ -175,8 +175,8 @@ def test_xi_null_distribution_and_invariance():
     stats = np.empty(2000)
     for r in range(2000):
         rng = substream(SEED, 5, r)
-        pair = PairedSample(rng.random(1000), rng.random(1000))
-        stats[r] = math.sqrt(pair.n) * xi(pair, child_seed(SEED, 6, r))
+        first, second = rng.random(1000), rng.random(1000)
+        stats[r] = math.sqrt(1000) * xi(first, second, child_seed(SEED, 6, r))
     ks = kstest(stats, lambda x: norm.cdf(x, loc=0.0, scale=math.sqrt(0.4)))
 
     rng = np.random.default_rng(SEED)
@@ -185,9 +185,9 @@ def test_xi_null_distribution_and_invariance():
         n = int(rng.integers(10, 400))
         first = rng.normal(size=n)
         second = rng.normal(size=n)
-        base = xi(PairedSample(first, second), 3)
-        invariant = invariant and xi(PairedSample(2 * first + 1, second), 3) == base
-        invariant = invariant and xi(PairedSample(-(first**3), second), 3) == base
+        base = xi(first, second, 3)
+        invariant = invariant and xi(2 * first + 1, second, 3) == base
+        invariant = invariant and xi(-(first**3), second, 3) == base
 
     ok = ks.pvalue > 0.01 and invariant
     _criterion(
@@ -209,7 +209,7 @@ def test_cs_xi_coverage():
     for r in range(reps):
         s = draw_sample(cfg, rep=r)[0]
         stat = profile_stats(
-            s.price, s.quantity, s.instrument, np.array([0.5]), child_seed(SEED, 2, r, 0)
+            s.price, s.quantity, s.z, np.array([0.5]), child_seed(SEED, 2, r, 0)
         )[0]
         hits += stat <= c
     coverage = hits / reps

@@ -33,6 +33,7 @@ from welfarebounds.errors import (
     SchemaError,
 )
 from welfarebounds.regress import Interval, LsFit, theta_interval_delta
+from welfarebounds.welfare import POSITIVITY_FLOOR
 from welfarebounds.xicor import critical_value
 
 TWO_GOOD_CSV = """good_id,price,quantity
@@ -656,23 +657,74 @@ def test_mc_command_smoke(tmp_path, capsys):
     assert {r["label"] for r in wl} >= {"upper", "lower", "joint_coverage"}
 
 
-def test_mc_prints_a_skipped_line_per_left_out_kind(tmp_path, capsys):
+@pytest.mark.parametrize("table, goods, data_free", [
+    (["--table", "1"], 3, ["iii", "iv"]),
+    (["--table", "2", "--k", "2"], 2, []),
+], ids=["table1", "table2"])
+def test_mc_prints_a_skipped_line_per_left_out_kind(tmp_path, capsys, table, goods, data_free):
     def cs_combined(sample, alpha_share, mode, grid, rng_seed):
         # the fork carries this patch into the pool's workers
         return Interval.make_empty(1.0 - alpha_share)
 
     with mock.patch.object(simulate, "cs_combined", cs_combined):
-        assert main(["mc", "--table", "1", "--reps", "2", "--seed", "4", "--out", str(tmp_path / "sk")]) == 0
+        assert main(["mc", *table, "--reps", "2", "--seed", "4", "--out", str(tmp_path / "sk")]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-3:] == [f"skipped empty_sets_n{n}: 6" for n in (200, 1000, 5000)]
+    assert out[-3:] == [f"skipped empty_sets_n{n}: {2 * goods}" for n in (200, 1000, 5000)]
     # a good with no nonempty interval has no averages: empty cells, and -
     # in the printed table
     rows = _rows(str(tmp_path / "sk_mc_intervals.csv"))
-    assert len(rows) == 9
+    assert len(rows) == 3 * goods
     for r in rows:
         assert (r["avg_lower"], r["avg_upper"], r["avg_length"], r["n_empty"]) == ("", "", "", "2")
     head = next(i for i, line in enumerate(out) if line.split()[3:6] == ["lower", "upper", "length"])
-    assert [line.split()[3:6] for line in out[head + 1 : head + 10]] == [["-", "-", "-"]] * 9
+    assert [line.split()[3:6] for line in out[head + 1 : head + 1 + 3 * goods]] == [["-", "-", "-"]] * (3 * goods)
+    # no replication has a full box: only the figures that do not depend on
+    # the data are left, and a joint coverage of 0 per sample size
+    wl = _rows(str(tmp_path / "sk_mc_welfare.csv"))
+    assert [r["label"] for r in wl] == data_free * 3 + ["joint_coverage"] * 3
+    assert [r["value"] for r in wl[-3:]] == ["0"] * 3
+
+
+def _lattice_csv(tmp_path):
+    """Two scanner-style goods: prices in cents, quantities to 0.1, and 20
+    repeated (price, quantity) rows each, every one with its own instrument
+    value, so that the good's tie order decides its profile."""
+    rng = np.random.default_rng(35)
+    lines = ["good_id,price,quantity,instrument"]
+    for gid, theta in (("a", 1.0), ("b", 1.5)):
+        z = rng.uniform(1.0, 2.0, 120)
+        shock = rng.uniform(0.0, 0.9, 100)
+        price = np.round(z[:100], 2)
+        quantity = np.round(theta / (price - shock), 1)
+        rows = rng.integers(0, 100, 20)
+        price, quantity = np.append(price, price[rows]), np.append(quantity, quantity[rows])
+        lines += [f"{gid},{p!r},{q!r},{w!r}" for p, q, w in zip(price.tolist(), quantity.tolist(), z.tolist())]
+    path = tmp_path / "lattice.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_good_intervals_gives_ci_intervals_and_profiles(tmp_path, capsys):
+    from welfarebounds.confset import GridSpec, cs_xi, good_intervals
+
+    data = _lattice_csv(tmp_path)
+    assert main(["ci", "--data", data, "--mode", "all", "--alpha", "0.1", "--grid-nodes", "300",
+                 "--grid-hi", "3", "--seed", "3", "--out", str(tmp_path / "c")]) == 0
+    assert capsys.readouterr().err == ""
+    samples = ingest_csv(data)
+    grid = GridSpec(POSITIVITY_FLOOR, 3.0, 300)
+    outcomes = good_intervals(samples, 0.1, ("xi", "ls", "intersect"), grid, 3)
+    # ci writes the endpoints and level at round-trip precision
+    assert [(r["good_id"], r["method"], float(r["lower"]), float(r["upper"]), float(r["level"]), r["status"])
+            for r in _rows(str(tmp_path / "c_intervals.csv"))] == [
+        (o.good_id, o.mode, o.interval.lower, o.interval.upper, o.interval.level, "OK") for o in outcomes
+    ]
+    profiles = [o.profile for o in outcomes if o.mode == "xi"]
+    for i, (s, profile) in enumerate(zip(samples, profiles)):
+        lines = (tmp_path / f"c_profile_{s.good_id}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[2:] == [f"{t:.12g},{v:.12g}" for t, v in zip(profile.thetas.tolist(), profile.stats.tolist())]
+        # the good's seed decides its tie order: another seed rule gives another profile
+        assert not np.array_equal(cs_xi(s, 0.05, grid, rng_seed=i)[1].stats, profile.stats)
 
 
 def test_mc_table1_layout(tmp_path):

@@ -23,7 +23,7 @@ from welfarebounds.errors import ConfigError, InvalidLevel, NumericalError
 from welfarebounds.regress import GoodSample, Interval, fit_inverse_demand, theta_interval_delta
 from welfarebounds.simulate import DgpConfig, draw_sample
 from welfarebounds.welfare import POSITIVITY_FLOOR
-from welfarebounds.xicor import PairedSample, critical_value, xi
+from welfarebounds.xicor import critical_value, xi
 
 
 def _case2_sample(n=1500, seed=6):
@@ -67,7 +67,7 @@ def test_grid_spec_rejects_a_fractional_node_count():
 def test_profile_at_zero_matches_price_statistic_exactly():
     sample = draw_sample(DgpConfig(theta=np.array([0.3]), n=400, seed=2))[0]
     _, prof = cs_xi(sample, 0.1, GridSpec(0.0, 1.0, 25), rng_seed=7)
-    direct = xi(PairedSample(sample.price, sample.instrument), rng_seed=99)
+    direct = xi(sample.price, sample.z, rng_seed=99)
     assert prof.stats[0] == math.sqrt(sample.n) * direct
 
 
@@ -76,9 +76,9 @@ def test_profile_large_theta_matches_quantity_statistic():
         sample = draw_sample(DgpConfig(theta=np.array([0.4]), n=600, seed=seed))[0]
         theta_big = 1e6 * float(np.max(sample.price * sample.quantity))
         stat = profile_stats(
-            sample.price, sample.quantity, sample.instrument, np.array([theta_big]), 1
+            sample.price, sample.quantity, sample.z, np.array([theta_big]), 1
         )[0]
-        ref = math.sqrt(sample.n) * xi(PairedSample(sample.quantity, sample.instrument), 1)
+        ref = math.sqrt(sample.n) * xi(sample.quantity, sample.z, 1)
         assert abs(stat - ref) < 0.05
 
 
@@ -229,7 +229,7 @@ def test_intersect_mode_is_the_xi_hull_on_the_least_squares_window(kind, seed, n
         want = Interval.make_empty(level)
     elif hi - lo < 1e-12:
         # a single point, tested alone
-        stat = profile_stats(sample.price, sample.quantity, sample.instrument, np.array([lo]), seed)[0]
+        stat = profile_stats(sample.price, sample.quantity, sample.z, np.array([lo]), seed)[0]
         want = Interval.make_empty(level) if stat > critical_value(share / 2) else Interval(lo, lo, level)
     else:
         hull = confset.xi_hull(sample, share / 2, GridSpec(lo, hi, grid.nodes), seed)
@@ -362,7 +362,7 @@ def _assert_xi_at_every_node(stats, price, quantity, z, thetas, seed):
     # node j equals xi of its residual with the good's own seed, bit for bit
     inv_y = 1.0 / quantity
     for j, theta in enumerate(thetas):
-        assert stats[j] == math.sqrt(price.size) * xi(PairedSample(price - theta * inv_y, z), seed)
+        assert stats[j] == math.sqrt(price.size) * xi(price - theta * inv_y, z, seed)
 
 
 def _coarse_uniforms(rng_seed, n):
@@ -618,7 +618,7 @@ def test_every_grid_entry_takes_the_seeds_xi_takes(seed):
             lambda: cs_combined(sample, 0.05, "intersect", grid, seed),
         ]
         try:
-            xi(PairedSample(sample.price, sample.instrument), seed)
+            xi(sample.price, sample.instrument, seed)
         except (TypeError, ValueError, ConfigError) as exc:
             for entry in entries:
                 with pytest.raises(type(exc)) as err:

@@ -7,6 +7,7 @@ the output streams.
 
 import dataclasses
 import os
+import sys
 import threading
 from unittest import mock
 
@@ -43,6 +44,15 @@ def test_fan_out_returns_results_in_unit_order_from_other_processes():
     assert os.getpid() not in {pid for _, pid in results}
     with _workers(1):
         assert _fanout.fan_out(_unit_and_pid, units) == [(u, os.getpid()) for u in units]
+
+
+def test_fan_out_runs_inline_where_the_os_has_no_affinity_mask(monkeypatch):
+    # as on macOS: one CPU is assumed, and multiprocessing is not imported
+    monkeypatch.delattr(os, "sched_getaffinity")
+    # an import of multiprocessing would now raise ImportError
+    monkeypatch.setitem(sys.modules, "multiprocessing", None)
+    assert _fanout._cpus() == 1
+    assert _fanout.fan_out(_unit_and_pid, [0, 1, 2]) == [(unit, os.getpid()) for unit in (0, 1, 2)]
 
 
 def _report_fields(report):

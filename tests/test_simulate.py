@@ -60,8 +60,8 @@ def test_a_negative_seed_is_a_config_error_in_every_library_entry():
         lambda: cs_combined(sample, 0.05, "xi", grid, rng_seed=-1),
         lambda: cs_combined(sample, 0.05, "intersect", grid, rng_seed=-1),
         lambda: shape_diagnostic(sample, 0.05, rng_seed=-1),
-        lambda: smooth_instrument(sample.instrument, 0.1, rng_seed=-1),
-        lambda: smooth_instrument(sample.instrument, 0.0, rng_seed=-1),
+        lambda: smooth_instrument(sample.z, 0.1, rng_seed=-1),
+        lambda: smooth_instrument(sample.z, 0.0, rng_seed=-1),
         lambda: child_seed(-1, 2),
         lambda: substream(-1, 0),
         lambda: xicor.tie_uniforms(-1, 5),
@@ -102,7 +102,7 @@ def test_first_order_condition_identity():
         assert_allclose(residual, w, atol=1e-12)
         assert np.all(s.quantity > 0)
         assert np.all((s.price > 1) & (s.price < 2))
-        assert np.array_equal(s.instrument, s.price)
+        assert s.instrument is None and s.z is s.price
 
 
 def test_inverse_quantity_moment():

@@ -9,18 +9,18 @@ from numpy.testing import assert_allclose
 
 from welfarebounds.errors import DegenerateResponse, InvalidLevel, InvalidSample
 from welfarebounds.regress import LsFit, theta_interval_delta
-from welfarebounds.xicor import PairedSample, critical_value, response_rank_scale, xi
+from welfarebounds.xicor import critical_value, response_rank_scale, xi
 
 
 def test_sample_validation():
     with pytest.raises(InvalidSample):
-        PairedSample([1.0, 2.0], [1.0, 2.0, 3.0])
+        xi([1.0, 2.0], [1.0, 2.0, 3.0], 0)
     with pytest.raises(InvalidSample):
-        PairedSample([1.0], [1.0])
+        xi([1.0], [1.0], 0)
     with pytest.raises(InvalidSample):
-        PairedSample([1.0, np.nan], [1.0, 2.0])
+        xi([1.0, np.nan], [1.0, 2.0], 0)
     with pytest.raises(InvalidSample, match="first must be one-dimensional"):
-        PairedSample([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+        xi([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], 0)
 
 
 def test_ranks_strictly_monotone():
@@ -47,36 +47,36 @@ def test_ranks_mixed_ties_max_rank():
 @pytest.mark.parametrize("second", [[10, 20, 30], [30, 20, 10]])
 def test_xi_monotone_triples(second):
     # perfectly monotone ranks give jump sum n-1, hence 1 - 3/(n+1) = 0.25
-    assert xi(PairedSample([1, 2, 3], second), rng_seed=0) == pytest.approx(0.25, abs=1e-15)
+    assert xi([1, 2, 3], second, rng_seed=0) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_xi_tie_free_maximum():
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(5, 200))
-        value = xi(PairedSample(rng.normal(size=n), rng.normal(size=n)), 0)
+        value = xi(rng.normal(size=n), rng.normal(size=n), 0)
         assert np.isfinite(value)
         assert value <= 1 - 3 / (n + 1) + 1e-12
     # the bound is attained on perfectly dependent data
     vals = rng.normal(size=50)
-    assert xi(PairedSample(vals, 2 * vals + 1), 0) == pytest.approx(1 - 3 / 51, abs=1e-12)
+    assert xi(vals, 2 * vals + 1, 0) == pytest.approx(1 - 3 / 51, abs=1e-12)
 
 
 def test_xi_near_zero_under_independence():
     rng = np.random.default_rng(7)
-    assert abs(xi(PairedSample(rng.normal(size=10000), rng.normal(size=10000)), 1)) < 0.05
+    assert abs(xi(rng.normal(size=10000), rng.normal(size=10000), 1)) < 0.05
 
 
 def test_degenerate_response_raises():
     with pytest.raises(DegenerateResponse):
-        xi(PairedSample([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]), 0)
+        xi([1.0, 2.0, 3.0], [4.0, 4.0, 4.0], 0)
 
 
 def test_tied_response_formula():
     # second = [7,7,1,9]: jumps over r=[3,3,1,4] sum to 5, denominator from l
     l = np.array([3, 3, 4, 1])
     expected = 1 - 4 * 5 / (2 * np.sum(l * (4 - l)))
-    assert xi(PairedSample([1, 2, 3, 4], [7, 7, 1, 9]), rng_seed=0) == pytest.approx(
+    assert xi([1, 2, 3, 4], [7, 7, 1, 9], rng_seed=0) == pytest.approx(
         expected, abs=1e-15
     )
 
@@ -95,23 +95,23 @@ def _tied_pairs(draw):
 @given(pair=_tied_pairs(), seed=st.integers(0, 2**32 - 1))
 def test_monotone_transform_invariance_bit_exact(pair, seed):
     first, second = pair
-    base = xi(PairedSample(first, second), seed)
+    base = xi(first, second, seed)
     for up in (lambda v: 2 * v + 1, lambda v: v**3 + 7):
-        assert xi(PairedSample(up(first), second), seed) == base
-        assert xi(PairedSample(first, up(second)), seed) == base
-        assert xi(PairedSample(up(first), up(second)), seed) == base
+        assert xi(up(first), second, seed) == base
+        assert xi(first, up(second), seed) == base
+        assert xi(up(first), up(second), seed) == base
     # a decreasing map of a tie-free first reverses the rank path: same jump sum
     distinct = np.argsort(np.argsort(first, kind="stable")).astype(float)
-    assert xi(PairedSample(-(distinct**3), second), seed) == xi(PairedSample(distinct, second), seed)
+    assert xi(-(distinct**3), second, seed) == xi(distinct, second, seed)
 
 
 def test_row_permutation_determinism():
     rng = np.random.default_rng(11)
     first = rng.normal(size=500)
     second = rng.normal(size=500)
-    base = xi(PairedSample(first, second), 0)
+    base = xi(first, second, 0)
     perm = rng.permutation(500)
-    shuffled = xi(PairedSample(first[perm], second[perm]), 0)
+    shuffled = xi(first[perm], second[perm], 0)
     assert shuffled == base
 
 
@@ -147,11 +147,11 @@ def test_runtime_scales_quasilinearly():
     data = {n: (rng.normal(size=n), rng.normal(size=n)) for n in (500_000, 1_000_000)}
 
     def best_of(n, tries=3):
-        sample = PairedSample(*data[n])
+        first, second = data[n]
         times = []
         for _ in range(tries):
             t0 = time.perf_counter()
-            xi(sample, 0)
+            xi(first, second, 0)
             times.append(time.perf_counter() - t0)
         return min(times)
 
