@@ -26,6 +26,7 @@ _EXPORTS = {
             "ConfigError", "DataError", "DegenerateResponse", "InvalidLevel", "InvalidQuery",
             "InvalidSample", "InvalidTheta", "NearZeroSlope", "NonpositiveSlope", "NumericalError",
             "ParseError", "SchemaError", "SingularDesign", "WeakFirstStage", "WelfareBoundsError",
+            "WorkerLost",
         ),
         "regress": ("GoodSample", "Interval", "LsFit", "fit_inverse_demand", "theta_interval_delta"),
         "simulate": ("DgpConfig", "McReport", "draw_sample", "mc_table1", "mc_table2"),

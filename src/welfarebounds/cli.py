@@ -24,6 +24,7 @@ themselves, so `welfare --intervals` loads none of them.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import io
 import math
@@ -832,5 +833,51 @@ def main(argv=None) -> int:
         return _exit_code(exc)
 
 
+def _traced() -> bool:
+    """A trace or profile function, or (Python 3.12+) a sys.monitoring tool, is set."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def run() -> None:
+    """The process entry of the `welfarebounds` script and `python -m welfarebounds.cli`.
+
+    sys.exit(main()), but the process ends at os._exit once the exit
+    handlers have run, skipping the interpreter's teardown (a final garbage
+    collection and the clearing of every module: some 20 ms with numpy
+    loaded).  The files a command writes are closed by then; stdout and
+    stderr are flushed first.  The handler is registered before the command
+    starts, so it runs after every handler registered during the command
+    and after Python has joined any non-daemon thread; handlers registered
+    before it (site's, say) do not run.  The interpreter's own exit is kept
+    while a tracer or profiler is set, since coverage saves its data in such
+    a handler, and when a flush fails, so Python reports it as it would
+    (exit 120).
+    """
+    code = None
+
+    def end() -> None:
+        if not isinstance(code, int) or _traced():
+            return
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+        except Exception:
+            return  # the interpreter's exit flushes again and reports the failure
+        os._exit(code)
+
+    atexit.register(end)
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

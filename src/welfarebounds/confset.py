@@ -7,7 +7,7 @@ acceptance region, and the reported interval is its hull (minimum to
 maximum accepted node).  `cs_xi` also returns the full profile; `cs_combined`
 returns the interval alone.  `good_intervals` is the per-good routine of the
 command line: every good's interval in each mode at its Bonferroni share,
-one process-pool unit per (good, mode), each good seeded by `good_seed`.
+one fan_out unit per (good, mode), each good seeded by `good_seed`.
 
 The grid nodes are independent: `profile_stats` evaluates them in the
 calling thread, chunk by chunk in buffers allocated once per grid, and

@@ -75,3 +75,8 @@ class NearZeroSlope(NumericalError):
 class InvalidTheta(NumericalError):
     """A theta vector violates positivity or shape requirements."""
 
+
+class WorkerLost(NumericalError):
+    """A worker process ended without returning its units' results (killed
+    by the out-of-memory killer, say)."""
+

@@ -663,7 +663,7 @@ def test_mc_command_smoke(tmp_path, capsys):
 ], ids=["table1", "table2"])
 def test_mc_prints_a_skipped_line_per_left_out_kind(tmp_path, capsys, table, goods, data_free):
     def cs_combined(sample, alpha_share, mode, grid, rng_seed):
-        # the fork carries this patch into the pool's workers
+        # the fork carries this patch into fan_out's workers
         return Interval.make_empty(1.0 - alpha_share)
 
     with mock.patch.object(simulate, "cs_combined", cs_combined):
@@ -1154,8 +1154,8 @@ def test_wide_query_row_with_missing_cell(tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # numpy is the only runtime dependency: no scipy module at all; the
-    # import starts no thread, and the process pool's modules are imported
-    # only by a call that fans work out over more than one worker
+    # import starts no thread, and no process-pool module is imported
+    # (_fanout forks its workers itself)
     src = os.path.dirname(os.path.dirname(welfarebounds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, threading, welfarebounds, welfarebounds.cli;"

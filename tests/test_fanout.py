@@ -1,12 +1,13 @@
 """Units spread over worker processes give the bytes of a serial run.
 
 Each test runs the same work with the worker count set to 1 (every unit
-inline) and to 2 (a forked pool) and compares the reports, the files and
-the output streams.
+inline) and to 2 (forked workers) and compares the reports, the files and
+the output streams.  A worker that is killed ends the call with WorkerLost.
 """
 
 import dataclasses
 import os
+import subprocess
 import sys
 import threading
 from unittest import mock
@@ -46,6 +47,15 @@ def test_fan_out_returns_results_in_unit_order_from_other_processes():
         assert _fanout.fan_out(_unit_and_pid, units) == [(u, os.getpid()) for u in units]
 
 
+def test_fan_out_queues_more_units_than_a_pipe_buffer_holds():
+    # 40 000 4-byte indices outgrow a 64 KiB pipe buffer
+    units = list(range(40_000))
+    with _workers(2):
+        results = _fanout.fan_out(_unit_and_pid, units)
+    assert [unit for unit, _ in results] == units
+    assert os.getpid() not in {pid for _, pid in results}
+
+
 def test_fan_out_runs_inline_where_the_os_has_no_affinity_mask(monkeypatch):
     # as on macOS: one CPU is assumed, and multiprocessing is not imported
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -82,10 +92,15 @@ def _small_study(seed):
     return _report_fields(report), os.getpid()
 
 
-def test_a_pool_worker_runs_its_own_study_inline():
-    # a pool's workers are daemonic and may not fork; their studies run inline
+def _may_fork_here(unit):
+    return _fanout._may_fork()
+
+
+def test_a_worker_runs_its_own_study_inline():
+    # fan_out's workers do not fork again; their studies run inline
     with _workers(2):
         nested = _fanout.fan_out(_small_study, [5, 6])
+        assert _fanout.fan_out(_may_fork_here, [0, 1]) == [False, False]
     with _workers(1):
         serial = [_small_study(seed)[0] for seed in (5, 6)]
     assert [fields for fields, _ in nested] == serial
@@ -169,3 +184,76 @@ def test_ci_all_modes_does_not_depend_on_the_worker_count(tmp_path, capsys):
     assert statuses == [b"OK"] * 6 + [b"EMPTY"] + [b"FAILED:SingularDesign"] * 2 + [b"OK"] * 3
     assert len(files) == 5
     assert _run(argv, 2, capsys) == serial
+
+
+# Each run is a fresh interpreter under a timeout: a worker pool that waits
+# for a killed worker's results would hang the test process.
+_SRC = os.path.dirname(os.path.dirname(_fanout.__file__))
+
+_KILL_ONE_WORKER = """
+import os, signal, sys
+from welfarebounds import _fanout
+from welfarebounds.errors import WorkerLost
+
+def unit(u):
+    if u == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return u
+
+_fanout._cpus = lambda: 2
+try:
+    _fanout.fan_out(unit, list(range(8)))
+except WorkerLost as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def _fresh(*args, cwd=None):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_a_killed_worker_raises_worker_lost():
+    run = _fresh("-c", _KILL_ONE_WORKER)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout == ("a worker process ended by signal 9 before returning its results\n"
+                          "no child left\n")
+
+
+def test_ci_exits_4_when_a_worker_is_killed(tmp_path):
+    # the ls units kill their worker; a worker writes its pid before each unit
+    assert main(["simulate", "--seed", "5", "--theta", "0.3,0.6", "--n", "150",
+                 "--out", str(tmp_path / "s")]) == 0
+    script = """
+import os, signal, sys
+from welfarebounds import _fanout, confset
+from welfarebounds.cli import main
+
+good_unit = confset._good_unit
+
+def unit(u):
+    with open("pids.txt", "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    if u[2] == "ls":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return good_unit(u)
+
+confset._good_unit = unit
+_fanout._cpus = lambda: 2
+sys.exit(main(sys.argv[1:]))
+"""
+    run = _fresh("-c", script, "ci", "--data", "s_data.csv", "--mode", "all", "--grid-nodes", "100",
+                 "--seed", "1", "--out", "c", cwd=tmp_path)
+    assert run.returncode == 4
+    assert run.stderr == "WorkerLost: a worker process ended by signal 9 before returning its results\n"
+    assert not list(tmp_path.glob("c_*"))
+    pids = {int(pid) for pid in (tmp_path / "pids.txt").read_text().split()}
+    assert 1 <= len(pids) <= 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

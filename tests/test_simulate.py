@@ -229,7 +229,7 @@ def test_mc_table1_leaves_empty_intervals_out_of_the_averages(workers):
     real_combined = simulate.cs_combined
 
     def cs_combined(sample, alpha_share, mode, grid, rng_seed):
-        # the fork carries this patch into the pool's workers
+        # the fork carries this patch into fan_out's workers
         if rng_seed in empty_seeds:
             return Interval.make_empty(1.0 - alpha_share)
         return real_combined(sample, alpha_share, mode, grid, rng_seed)
