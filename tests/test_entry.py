@@ -84,8 +84,7 @@ def test_run_on_a_closed_stdout_is_sys_exit_of_main(tmp_path):
             os.close(write_end)
     code, _, err, files = ran["run"]
     assert code == 120
-    assert err == ("Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
-                   "BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert err.startswith("Exception ignored") and err.endswith("\nBrokenPipeError: [Errno 32] Broken pipe\n")
     assert list(files) == ["w_welfare.csv"]
     assert ran["run"] == ran["main"]
 
@@ -116,6 +115,5 @@ def test_cprofile_still_prints_its_report(tmp_path):
                           "iv.csv", "--query", "q.csv", "--out", "w"], env=_env(), cwd=tmp_path,
                          capture_output=True, text=True, timeout=60)
     assert ran.returncode == 0 and ran.stderr == ""
-    lines = ran.stdout.splitlines()
-    assert lines[0] == "wrote w_welfare.csv"
-    assert "function calls" in lines[1] and "Ordered by" in ran.stdout
+    assert ran.stdout.startswith("wrote w_welfare.csv\n")
+    assert "function calls" in ran.stdout and "Ordered by" in ran.stdout
